@@ -7,7 +7,7 @@ Subcommands:
 * ``bench``   builds a structure, runs a query stream, checks every answer
               against the brute-force oracle and emits a report (JSON or CSV);
 * ``verify``  sweeps every universe key (16-bit universes at most) or replays
-              a scripted access file, exiting nonzero on the first mismatch.
+              a query file, exiting nonzero on the first mismatch.
 
 Exit codes: 0 success, 1 usage or parameter problem, 2 verification failure.
 """
@@ -89,6 +89,11 @@ class _Parser(argparse.ArgumentParser):
 # file formats
 
 
+def _is_decimal(text: str) -> bool:
+    """ASCII digits only: str.isdigit() also accepts characters such as '²' that int() rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def read_keys(path: str) -> KeySet:
     keys: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -96,7 +101,7 @@ def read_keys(path: str) -> KeySet:
             text = line.strip()
             if not text:
                 continue
-            if not text.isdigit():
+            if not _is_decimal(text):
                 raise ParameterError(f"{path}:{lineno}: not an unsigned decimal key: {text!r}")
             k = int(text)
             if keys and k <= keys[-1]:
@@ -121,7 +126,7 @@ def read_weights(path: str) -> WeightedDistribution:
             if not text.strip():
                 continue
             parts = text.split("\t")
-            if len(parts) != 2 or not parts[0].isdigit():
+            if len(parts) != 2 or not _is_decimal(parts[0]):
                 raise ParameterError(f"{path}:{lineno}: expected 'key<TAB>weight', got {text!r}")
             key = int(parts[0])
             try:
@@ -151,7 +156,7 @@ def read_queries(path: str) -> list[int]:
             text = line.strip()
             if not text:
                 continue
-            if not text.isdigit():
+            if not _is_decimal(text):
                 raise ParameterError(f"{path}:{lineno}: not an unsigned decimal key: {text!r}")
             queries.append(int(text))
     return queries
@@ -327,7 +332,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.universe_bits > 16:
+    if args.universe_bits > 16 and not args.query_file:
         print("error: exhaustive verify limited to 16 bits", file=sys.stderr)
         return EXIT_USAGE
     universe, keys, dist, _, _ = _load_instance(args)
@@ -341,28 +346,30 @@ def cmd_verify(args) -> int:
         )
         return EXIT_MISMATCH
 
-    if args.query_file and args.structure == "layered-ws":
-        accesses = read_queries(args.query_file)
-        for q in accesses:
+    if args.query_file:
+        queries = read_queries(args.query_file)
+        for q in queries:
             universe.check_key(q)
-            answer, _ = structure.query(q)
-            expected = oracle_predecessor(keys, q)
-            if answer != expected:
-                return reproducer(q, expected, answer)
+    else:
+        queries = range(universe.size)
+    audited = args.query_file is not None and isinstance(structure, WorkingSetLayered)
+    for q in queries:
+        got = structure.predecessor(q)
+        expected = oracle_predecessor(keys, q)
+        if got != expected:
+            return reproducer(q, expected, got)
+        if audited:
             try:
                 structure.audit()
             except AssertionError as exc:
                 print(f"capacity audit failed after q={q}: {exc}", file=sys.stderr)
                 return EXIT_MISMATCH
-        print(f"verified {len(accesses)} scripted accesses with per-access audits: ok")
-        return EXIT_OK
-
-    for q in range(universe.size):
-        got = structure.predecessor(q)
-        expected = oracle_predecessor(keys, q)
-        if got != expected:
-            return reproducer(q, expected, got)
-    print(f"verified all {universe.size} queries: ok")
+    if not args.query_file:
+        print(f"verified all {universe.size} queries: ok")
+    elif audited:
+        print(f"verified {len(queries)} scripted accesses with per-access audits: ok")
+    else:
+        print(f"verified {len(queries)} scripted queries: ok")
     return EXIT_OK
 
 
@@ -409,7 +416,7 @@ def build_parser() -> _Parser:
     verify = subs.add_parser("verify", help="exhaustive or scripted oracle check")
     _add_instance_flags(verify)
     verify.add_argument("--query-file", metavar="FILE",
-                        help="scripted access sequence (layered-ws): verify with per-access audits")
+                        help="replay these queries instead of the sweep (layered-ws: audit each access)")
     verify.set_defaults(func=cmd_verify)
     return parser
 

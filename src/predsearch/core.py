@@ -10,6 +10,7 @@ concurrent reads.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
@@ -74,11 +75,14 @@ class KeySet:
         ks = tuple(keys)
         if not ks:
             raise ParameterError("key set must be nonempty")
+        if set(map(type, ks)) != {int}:  # bool is an int subclass, so isinstance would pass it
+            bad = next(k for k in ks if type(k) is not int)
+            raise ParameterError(f"keys must be ints, got {bad!r} of type {type(bad).__name__}")
         if ks[0] < 0:
             raise KeyRangeError(f"negative key {ks[0]}")
-        for a, b in zip(ks, ks[1:]):
-            if a >= b:
-                raise ParameterError(f"keys must be strictly increasing ({a} before {b})")
+        if not all(map(operator.lt, ks, ks[1:])):  # C-level pass; the loop below only names the pair
+            a, b = next((a, b) for a, b in zip(ks, ks[1:]) if a >= b)
+            raise ParameterError(f"keys must be strictly increasing ({a} before {b})")
         self.keys = ks
 
     @classmethod

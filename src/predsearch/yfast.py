@@ -6,15 +6,16 @@ whole set is small).  Each bucket is keyed by its minimum, and an x-fast trie
 over those minima routes a query to the one bucket that can contain its
 predecessor; a binary search inside the bucket finishes.
 
-Updates only touch bucket contents.  The prefix trie is static, so whenever
-the set of bucket minima changes (split, merge, removal or replacement of a
-minimum) it is rebuilt from scratch; it holds ~n/bits keys, which keeps the
-rebuild cheap, and the size band makes structural changes infrequent.
+Updates mostly touch bucket contents.  When the set of bucket minima changes
+(split, merge, removal or replacement of a minimum) the prefix trie is updated
+in place with its O(bits) insert and delete; the trie's leaf links give the
+buckets in key order.  Only an empty set that receives its first key builds a
+new trie.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterator, Optional
 
 from .core import KeySet, PredecessorStructure, QueryStats, UniverseSpec
@@ -22,8 +23,7 @@ from .xfast import XFastTrie
 
 
 class YFastTrie(PredecessorStructure):
-    __slots__ = ("universe", "bits", "_min_size", "_max_size", "_reps", "_buckets",
-                 "_rep_trie", "_size")
+    __slots__ = ("universe", "bits", "_min_size", "_max_size", "_buckets", "_rep_trie", "_size")
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -42,7 +42,6 @@ class YFastTrie(PredecessorStructure):
             else:
                 reps.append(part[0])
                 buckets[part[0]] = part
-        self._reps = reps
         self._buckets = buckets
         self._size = len(ks)
         self._rep_trie: Optional[XFastTrie] = XFastTrie(KeySet(reps), universe)
@@ -51,8 +50,9 @@ class YFastTrie(PredecessorStructure):
         return self._size
 
     def __iter__(self) -> Iterator[int]:
-        for rep in self._reps:
-            yield from self._buckets[rep]
+        if self._size:
+            for rep in self._rep_trie:
+                yield from self._buckets[rep]
 
     def __contains__(self, key: int) -> bool:
         if self._size == 0:
@@ -89,23 +89,23 @@ class YFastTrie(PredecessorStructure):
         """Add key x; inserting a present key is a no-op."""
         self.universe.check_key(x)
         if self._size == 0:
-            self._reps = [x]
             self._buckets = {x: [x]}
             self._size = 1
-            self._rebuild()
+            self._rep_trie = XFastTrie(KeySet([x]), self.universe)
             return
-        rep = self._rep_trie.predecessor(x)
+        trie = self._rep_trie
+        rep = trie._search(x)[0]
         if rep is None:
             # below every bucket minimum: x leads the first bucket
-            old = self._reps[0]
+            old = next(iter(trie))
             b = self._buckets.pop(old)
             b.insert(0, x)
-            self._reps[0] = x
             self._buckets[x] = b
             self._size += 1
+            trie.insert(x)
+            trie.delete(old)
             if len(b) > self._max_size:
-                self._split(0)
-            self._rebuild()
+                self._split(x)
             return
         b = self._buckets[rep]
         i = bisect_right(b, x)
@@ -114,13 +114,12 @@ class YFastTrie(PredecessorStructure):
         b.insert(i, x)
         self._size += 1
         if len(b) > self._max_size:
-            self._split(bisect_left(self._reps, rep))
-            self._rebuild()
+            self._split(rep)
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent."""
         self.universe.check_key(x)
-        rep = self._rep_trie.predecessor(x) if self._size else None
+        rep = self._rep_trie._search(x)[0] if self._size else None
         if rep is None:
             raise KeyError(x)
         b = self._buckets[rep]
@@ -129,59 +128,49 @@ class YFastTrie(PredecessorStructure):
             raise KeyError(x)
         del b[i]
         self._size -= 1
-        pos = bisect_left(self._reps, rep)
-        changed = False
+        trie = self._rep_trie
         if not b:
             del self._buckets[rep]
-            del self._reps[pos]
-            changed = True
-        else:
-            if i == 0:
-                # removed the bucket minimum; re-key under the new minimum
-                del self._buckets[rep]
-                self._reps[pos] = b[0]
-                self._buckets[b[0]] = b
-                changed = True
-            if len(b) < self._min_size and len(self._reps) > 1:
-                self._merge(pos)
-                changed = True
-        if changed:
-            self._rebuild()
+            if self._size == 0:
+                self._rep_trie = None
+            else:
+                trie.delete(rep)
+            return
+        if i == 0:
+            # removed the bucket minimum; re-key under the new minimum
+            del self._buckets[rep]
+            trie.insert(b[0])
+            trie.delete(rep)
+            rep = b[0]
+            self._buckets[rep] = b
+        if len(b) < self._min_size and len(self._buckets) > 1:
+            self._merge(rep)
 
-    def _split(self, pos: int) -> None:
-        b = self._buckets[self._reps[pos]]
+    def _split(self, rep: int) -> None:
+        b = self._buckets[rep]
         mid = len(b) // 2
         upper = b[mid:]
         del b[mid:]
-        self._reps.insert(pos + 1, upper[0])
         self._buckets[upper[0]] = upper
+        self._rep_trie.insert(upper[0])
 
-    def _merge(self, pos: int) -> None:
-        if pos > 0:
-            keep = pos - 1
-            gone = pos
-        else:
-            keep = 0
-            gone = 1
-        kept = self._buckets[self._reps[keep]]
-        kept.extend(self._buckets.pop(self._reps[gone]))
-        del self._reps[gone]
+    def _merge(self, rep: int) -> None:
+        """Fold the undersized bucket under rep into a neighbour, splitting if overfull."""
+        below, above = self._rep_trie.neighbours(rep)
+        keep, gone = (below, rep) if below is not None else (rep, above)
+        kept = self._buckets[keep]
+        kept.extend(self._buckets.pop(gone))
+        self._rep_trie.delete(gone)
         if len(kept) > self._max_size:
             self._split(keep)
-
-    def _rebuild(self) -> None:
-        if self._reps:
-            self._rep_trie = XFastTrie(KeySet(self._reps), self.universe)
-        else:
-            self._rep_trie = None
 
     # audit helpers
 
     def representatives(self) -> tuple[int, ...]:
-        return tuple(self._reps)
+        return self._rep_trie.leaves if self._size else ()
 
     def bucket_sizes(self) -> list[int]:
-        return [len(self._buckets[r]) for r in self._reps]
+        return [len(self._buckets[r]) for r in self.representatives()]
 
     def size_band(self) -> tuple[int, int]:
         return self._min_size, self._max_size

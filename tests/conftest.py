@@ -7,6 +7,7 @@ from predsearch import (
     UniverseSpec,
     WeightedDistribution,
     WorkloadSpec,
+    XFastTrie,
     generate_distribution,
 )
 
@@ -21,6 +22,14 @@ def random_keyset(rnd: random.Random, universe: UniverseSpec, n: int) -> KeySet:
             seen.add(rnd.randrange(universe.size))
         keys = list(seen)
     return KeySet(sorted(keys))
+
+
+def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
+    """An updated trie holds exactly the tables and leaf links a fresh build would."""
+    fresh = XFastTrie(KeySet(keys), trie.universe)
+    assert trie._levels == fresh._levels
+    assert trie._prev == fresh._prev and trie._next == fresh._next
+    assert trie.leaves == tuple(keys)
 
 
 def random_distribution(rnd: random.Random, universe: UniverseSpec,

@@ -90,6 +90,28 @@ class TestParsing:
                    "--structure", "yfast") == EXIT_USAGE
         assert "bad.tsv:1" in capsys.readouterr().err
 
+    def test_keys_file_rejects_non_ascii_digit(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1\n\u00b2\n")
+        assert run("bench", "--universe-bits", 12, "--keys", bad,
+                   "--structure", "yfast") == EXIT_USAGE
+        assert "bad.txt:2" in capsys.readouterr().err
+
+    def test_query_file_rejects_non_ascii_digit(self, tmp_path, capsys):
+        bad = tmp_path / "queries.txt"
+        bad.write_text("0\n\u00b2\n")
+        assert run("bench", "--universe-bits", 12, "--n", 64, "--structure", "yfast",
+                   "--query-file", bad) == EXIT_USAGE
+        assert "queries.txt:2" in capsys.readouterr().err
+
+    def test_weights_file_rejects_non_ascii_digit_key(self, tmp_path, capsys):
+        keys = gen_keys(tmp_path)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("1\t1.0\n\u00b2\t1.0\n")
+        assert run("bench", "--universe-bits", 12, "--keys", keys, "--dist", bad,
+                   "--structure", "yfast") == EXIT_USAGE
+        assert "bad.tsv:2" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, capsys):
         assert run("bench", "--universe-bits", 12, "--n", 8,
                    "--structure", "yfast", "--frobnicate") == EXIT_USAGE
@@ -221,6 +243,39 @@ class TestVerify:
         assert run("verify", "--universe-bits", 12, "--keys", keys, "--seed", 4,
                    "--structure", "layered-ws", "--query-file", qfile) == EXIT_OK
         assert "per-access audits: ok" in capsys.readouterr().out
+
+    def test_query_file_replayed_for_every_structure(self, tmp_path, capsys):
+        keys = gen_keys(tmp_path, bits=12, n=64)
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("0\n4095\n17\n")
+        for structure in ("xfast", "yfast", "hashfront-a", "hashfront-b", "layered"):
+            assert run("verify", "--universe-bits", 12, "--keys", keys, "--structure", structure,
+                       "--epsilon", 0.5, "--query-file", qfile) == EXIT_OK
+            assert "verified 3 scripted queries: ok" in capsys.readouterr().out
+
+    def test_query_file_replay_beyond_sweep_limit(self, tmp_path, capsys):
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("0\n1048575\n")
+        assert run("verify", "--universe-bits", 20, "--n", 10, "--structure", "yfast",
+                   "--query-file", qfile) == EXIT_OK
+        assert "verified 2 scripted queries: ok" in capsys.readouterr().out
+
+    def test_missing_query_file(self, tmp_path, capsys):
+        assert run("verify", "--universe-bits", 8, "--n", 10, "--structure", "xfast",
+                   "--query-file", tmp_path / "absent.txt") == EXIT_USAGE
+        assert "absent.txt" in capsys.readouterr().err
+
+    def test_query_file_mismatch_reproducer(self, tmp_path, capsys, monkeypatch):
+        class Liar:
+            def predecessor(self, q):
+                return None
+
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("255\n")
+        monkeypatch.setattr("predsearch.cli.build_structure", lambda *a, **k: Liar())
+        assert run("verify", "--universe-bits", 8, "--n", 10, "--seed", 2,
+                   "--structure", "xfast", "--query-file", qfile) == EXIT_MISMATCH
+        assert "q=255" in capsys.readouterr().err
 
     def test_verify_mismatch_reproducer(self, capsys, monkeypatch):
         class Liar:

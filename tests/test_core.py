@@ -59,6 +59,15 @@ class TestKeySet:
         with pytest.raises(ParameterError):
             KeySet([2, 2])
 
+    def test_rejects_bool_keys(self):
+        with pytest.raises(ParameterError):
+            KeySet([True, 2])
+
+    def test_rejects_non_int_keys(self):
+        for keys in ([1, 2.0], [1, "3"], [None, 4]):
+            with pytest.raises(ParameterError):
+                KeySet(keys)
+
     def test_from_iterable_sorts_and_dedups(self):
         assert KeySet.from_iterable([5, 2, 5, 9]).keys == (2, 5, 9)
 

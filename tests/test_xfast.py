@@ -1,9 +1,18 @@
 import math
 import random
+from bisect import insort
 
 import pytest
+from conftest import assert_same_as_fresh_build
 
-from predsearch import KeyRangeError, KeySet, UniverseSpec, XFastTrie, oracle_predecessor
+from predsearch import (
+    KeyRangeError,
+    KeySet,
+    ParameterError,
+    UniverseSpec,
+    XFastTrie,
+    oracle_predecessor,
+)
 
 
 def probe_bound(bits: int) -> int:
@@ -36,10 +45,12 @@ class TestBuild:
 
     def test_descendant_pointers_reference_real_leaves(self):
         trie = XFastTrie(KeySet([3, 9, 17, 40]), UniverseSpec(6))
+        assert trie.leaves == (3, 9, 17, 40)
+        leaves = set(trie.leaves)
         for level, table in enumerate(trie._levels):
             shift = trie.bits - level
             for prefix, (mn, mx) in table.items():
-                assert mn in trie._index and mx in trie._index
+                assert mn in leaves and mx in leaves
                 assert mn >> shift == prefix and mx >> shift == prefix
                 assert mn <= mx
 
@@ -76,6 +87,60 @@ class TestPredecessor:
         trie = XFastTrie(KeySet([1]), UniverseSpec(2))
         with pytest.raises(KeyRangeError):
             trie.predecessor(4)
+
+
+class TestUpdates:
+    @pytest.mark.parametrize("bits", [1, 2, 3, 8, 32, 64])
+    def test_random_updates_match_fresh_build(self, bits):
+        universe = UniverseSpec(bits)
+        rnd = random.Random(bits)
+        ref = sorted({rnd.randrange(universe.size) for _ in range(8)})
+        trie = XFastTrie(KeySet(ref), universe)
+        for _ in range(400):
+            if rnd.random() < 0.5 and len(ref) > 1:
+                x = rnd.choice(ref)
+                ref.remove(x)
+                trie.delete(x)
+            else:
+                x = rnd.randrange(universe.size)
+                trie.insert(x)
+                if x not in ref:
+                    insort(ref, x)
+            assert_same_as_fresh_build(trie, ref)
+            keys = KeySet(ref)
+            if bits <= 8:
+                queries = range(universe.size)
+            else:
+                near = [k + d for k in ref for d in (-1, 0, 1)]
+                queries = [q for q in near if 0 <= q < universe.size]
+                queries += [0, universe.size - 1, rnd.randrange(universe.size)]
+            for q in queries:
+                assert trie.predecessor(q) == oracle_predecessor(keys, q)
+
+    def test_insert_present_is_noop(self):
+        trie = XFastTrie(KeySet([2, 5]), UniverseSpec(3))
+        trie.insert(5)
+        assert_same_as_fresh_build(trie, [2, 5])
+
+    def test_delete_absent_raises(self):
+        trie = XFastTrie(KeySet([2, 5]), UniverseSpec(3))
+        with pytest.raises(KeyError):
+            trie.delete(4)
+        assert_same_as_fresh_build(trie, [2, 5])
+
+    def test_last_key_stays(self):
+        trie = XFastTrie(KeySet([2, 5]), UniverseSpec(3))
+        trie.delete(2)
+        with pytest.raises(ParameterError):
+            trie.delete(5)
+        assert_same_as_fresh_build(trie, [5])
+
+    def test_update_outside_universe(self):
+        trie = XFastTrie(KeySet([1]), UniverseSpec(2))
+        with pytest.raises(KeyRangeError):
+            trie.insert(4)
+        with pytest.raises(KeyRangeError):
+            trie.delete(4)
 
 
 class TestSpace:

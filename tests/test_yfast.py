@@ -2,8 +2,10 @@ import random
 from bisect import bisect_right, insort
 
 import pytest
+from conftest import assert_same_as_fresh_build
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from predsearch import KeySet, UniverseSpec, YFastTrie, oracle_predecessor
 
@@ -169,6 +171,87 @@ class TestUpdates:
             assert trie.predecessor(q) == (ref[i] if i >= 0 else None)
         if ref:
             audit_band(trie)
+
+
+class YFastMachine(RuleBasedStateMachine):
+    """YFastTrie against a sorted-list model under any insert/delete sequence."""
+
+    # narrow widths have buckets of a few keys, so short runs split and merge them
+    @initialize(bits=st.one_of(st.integers(3, 8), st.integers(1, 64)), data=st.data())
+    def build(self, bits, data):
+        self.universe = UniverseSpec(bits)
+        size = self.universe.size
+        self.key = st.integers(0, size - 1)
+        # at least two initial chunks, so the first steps already see several buckets
+        self.model = sorted(data.draw(st.sets(self.key, min_size=min(size, 2 * bits),
+                                              max_size=min(size, 4 * bits))))
+        self.trie = YFastTrie(KeySet(self.model), self.universe)
+
+    @rule(data=st.data())
+    def insert(self, data):
+        x = data.draw(self.key)
+        self.trie.insert(x)
+        if x not in self.model:
+            insort(self.model, x)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete_present(self, data):
+        x = data.draw(st.sampled_from(self.model))
+        self.trie.delete(x)
+        self.model.remove(x)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete_run(self, data):
+        """Delete consecutive keys: shrinks one bucket to a merge, or drains the set."""
+        i = data.draw(st.integers(0, len(self.model) - 1))
+        j = data.draw(st.integers(i + 1, len(self.model)))
+        for x in self.model[i:j]:
+            self.trie.delete(x)
+        del self.model[i:j]
+
+    @precondition(lambda self: len(self.model) < self.universe.size)
+    @rule(data=st.data())
+    def delete_absent(self, data):
+        x = data.draw(self.key)
+        present = set(self.model)
+        while x in present:
+            x = (x + 1) % self.universe.size
+        with pytest.raises(KeyError):
+            self.trie.delete(x)
+
+    @invariant()
+    def answers_match_model(self):
+        size = self.universe.size
+        if size <= 256:
+            queries = range(size)
+        else:
+            near = [k + d for k in self.model for d in (-1, 0, 1)]
+            queries = [q for q in near if 0 <= q < size] + [0, size - 1]
+        for q in queries:
+            i = bisect_right(self.model, q) - 1
+            assert self.trie.predecessor(q) == (self.model[i] if i >= 0 else None)
+
+    @invariant()
+    def contents_match_model(self):
+        assert list(self.trie) == self.model
+        assert len(self.trie) == len(self.model)
+
+    @invariant()
+    def buckets_in_band(self):
+        audit_band(self.trie)
+
+    @invariant()
+    def representative_trie_matches_fresh_build(self):
+        reps = self.trie.representatives()
+        if reps:
+            assert all(self.trie._buckets[r][0] == r for r in reps)
+            assert_same_as_fresh_build(self.trie._rep_trie, reps)
+
+
+TestYFastMachine = YFastMachine.TestCase
+TestYFastMachine.settings = settings(max_examples=100, stateful_step_count=60, deadline=None)
 
 
 class TestSpace:
