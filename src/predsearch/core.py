@@ -61,7 +61,14 @@ class UniverseSpec:
         return 1 << self.bits
 
     def check_key(self, key: int) -> int:
-        if not 0 <= key < (1 << self.bits):
+        # one shift answers both range tests: a negative key shifts to -1,
+        # a key of 2**bits or more to a positive value
+        try:
+            high = key >> self.bits
+        except TypeError:
+            raise ParameterError(
+                f"key must be an int, got {key!r} of type {type(key).__name__}") from None
+        if high:
             raise KeyRangeError(f"key {key} outside {self.bits}-bit universe")
         return key
 

@@ -17,14 +17,16 @@ Two ways of ranking keys into layers:
   the front layer and, for each layer above the one it came from, the stalest
   key shifts down one layer to keep all occupancies at capacity.
 
-The per-layer structure is pluggable; the default is the bucketed trie, which
-the self-adjusting variant also relies on for insert/delete support.
+Every layer is a bucketed trie, whose insert/delete the self-adjusting variant
+relies on.  A layer of at most ``bits`` keys is built as a single bucket, so
+from 16 bits up the 4- and 16-key front layers carry no routing trie and a
+probe of either is one bisect.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     KeySet,
@@ -35,8 +37,6 @@ from .core import (
     output_distribution,
 )
 from .yfast import YFastTrie
-
-LayerFactory = Callable[[KeySet, UniverseSpec], PredecessorStructure]
 
 
 def layer_capacities(n: int) -> list[int]:
@@ -62,18 +62,17 @@ class _LayeredBase(PredecessorStructure):
     """Shared search logic; subclasses decide ordering and what happens after."""
 
     universe: UniverseSpec
-    layers: list[PredecessorStructure]
+    layers: list[YFastTrie]
     _succ: dict[int, Optional[int]]
 
-    def _build_layers(self, ordered: Sequence[int], universe: UniverseSpec,
-                      layer_factory: LayerFactory) -> list[tuple[int, ...]]:
+    def _build_layers(self, ordered: Sequence[int], universe: UniverseSpec) -> list[tuple[int, ...]]:
         caps = layer_capacities(len(ordered))
         slices: list[tuple[int, ...]] = []
         start = 0
         for c in caps:
             slices.append(tuple(sorted(ordered[start:start + c])))
             start += c
-        self.layers = [layer_factory(KeySet(s), universe) for s in slices]
+        self.layers = [YFastTrie(KeySet(s), universe) for s in slices]
         return slices
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
@@ -97,18 +96,22 @@ class _LayeredBase(PredecessorStructure):
     def num_layers(self) -> int:
         return len(self.layers)
 
+    def table_entries(self) -> int:
+        """Stored entries across all layers plus the successor pointers."""
+        return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
+
 
 class LayeredStructure(_LayeredBase):
     """Static cascade ranked by output probability."""
 
     def __init__(self, keys: KeySet, dist: WeightedDistribution,
-                 universe: UniverseSpec, layer_factory: LayerFactory = YFastTrie):
+                 universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
         self.universe = universe
         self.output = output_distribution(keys, dist)
         p_star = self.output.p_star
         ordered = sorted(keys.keys, key=lambda k: (-p_star(k), k))
-        self.layer_keys = self._build_layers(ordered, universe, layer_factory)
+        self.layer_keys = self._build_layers(ordered, universe)
         self._succ = _successor_map(keys)
 
     def query(self, q: int) -> tuple[Optional[int], int]:
@@ -125,26 +128,18 @@ class LayeredStructure(_LayeredBase):
     def layer_sizes(self) -> list[int]:
         return [len(ks) for ks in self.layer_keys]
 
-    def table_entries(self) -> int:
-        """Stored entries across all layers plus the successor pointers."""
-        total = len(self._succ)
-        for layer in self.layers:
-            total += layer.table_entries()
-        return total
-
 
 class WorkingSetLayered(_LayeredBase):
     """Self-adjusting cascade ranked by recency of being reported.
 
     Every query that reports an answer mutates the structure, so access must
-    be externally serialized.  Layer structures must support insert/delete.
+    be externally serialized.
     """
 
-    def __init__(self, keys: KeySet, universe: UniverseSpec,
-                 layer_factory: LayerFactory = YFastTrie):
+    def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
         self.universe = universe
-        slices = self._build_layers(keys.keys, universe, layer_factory)
+        slices = self._build_layers(keys.keys, universe)
         self.capacities = [len(s) for s in slices]
         # Front of each queue is the stalest key in that layer.  Untouched keys
         # keep their build order (ascending), so they shift down smallest-first.
@@ -200,12 +195,6 @@ class WorkingSetLayered(_LayeredBase):
             assert not (keys & seen), "key present in two layers"
             seen |= keys
         assert seen == set(self._succ), "layers do not partition the key set"
-
-    def table_entries(self) -> int:
-        total = len(self._succ)
-        for layer in self.layers:
-            total += layer.table_entries()
-        return total
 
 
 class WorkingSetTracker:

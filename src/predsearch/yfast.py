@@ -2,15 +2,17 @@
 
 The key set is partitioned into consecutive sorted buckets whose sizes stay
 inside [ceil(bits/4), 2*bits] (a single undersized bucket is allowed when the
-whole set is small).  Each bucket is keyed by its minimum, and an x-fast trie
-over those minima routes a query to the one bucket that can contain its
-predecessor; a binary search inside the bucket finishes.
+whole set is small).  Each bucket is keyed by its minimum.  With two or more
+buckets an x-fast trie over those minima routes a query to the one bucket that
+can contain its predecessor, and a binary search inside the bucket finishes.
+With at most one bucket there is nothing to route between, so there is no
+trie: queries and updates bisect the sole bucket directly.
 
 Updates mostly touch bucket contents.  When the set of bucket minima changes
 (split, merge, removal or replacement of a minimum) the prefix trie is updated
 in place with its O(bits) insert and delete; the trie's leaf links give the
-buckets in key order.  Only an empty set that receives its first key builds a
-new trie.
+buckets in key order.  A split out of the sole bucket builds the trie over the
+two new minima, and a removal or merge that leaves one bucket drops it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .xfast import XFastTrie
 
 
 class YFastTrie(PredecessorStructure):
-    __slots__ = ("universe", "bits", "_min_size", "_max_size", "_buckets", "_rep_trie", "_size")
+    __slots__ = ("universe", "bits", "_min_size", "_max_size", "_buckets", "_rep_trie", "_sole",
+                 "_size")
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -44,25 +47,24 @@ class YFastTrie(PredecessorStructure):
                 buckets[part[0]] = part
         self._buckets = buckets
         self._size = len(ks)
-        self._rep_trie: Optional[XFastTrie] = XFastTrie(KeySet(reps), universe)
+        # invariant: exactly one of _rep_trie and _sole is set, the trie when
+        # there are two or more buckets; _sole is the empty list for an empty set
+        self._rep_trie: Optional[XFastTrie] = None
+        self._sole: Optional[list[int]] = None
+        if len(reps) > 1:
+            self._rep_trie = XFastTrie(KeySet(reps), universe)
+        else:
+            self._sole = buckets[reps[0]]
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[int]:
-        if self._size:
-            for rep in self._rep_trie:
-                yield from self._buckets[rep]
+        for rep in self.representatives():
+            yield from self._buckets[rep]
 
     def __contains__(self, key: int) -> bool:
-        if self._size == 0:
-            return False
-        rep = self._rep_trie.predecessor(key)
-        if rep is None:
-            return False
-        b = self._buckets[rep]
-        i = bisect_right(b, key) - 1
-        return i >= 0 and b[i] == key
+        return self._search(self.universe.check_key(key))[0] == key
 
     def predecessor(self, q: int) -> Optional[int]:
         self.universe.check_key(q)
@@ -77,9 +79,12 @@ class YFastTrie(PredecessorStructure):
         return QueryStats(answer=answer, level_probes=probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:
-        if self._size == 0:
-            return None, 0
-        rep, probes = self._rep_trie._search(q)
+        trie = self._rep_trie
+        if trie is None:
+            b = self._sole
+            i = bisect_right(b, q)
+            return (b[i - 1] if i else None), 0
+        rep, probes = trie._search(q)
         if rep is None:
             return None, probes
         b = self._buckets[rep]
@@ -88,12 +93,19 @@ class YFastTrie(PredecessorStructure):
     def insert(self, x: int) -> None:
         """Add key x; inserting a present key is a no-op."""
         self.universe.check_key(x)
-        if self._size == 0:
-            self._buckets = {x: [x]}
-            self._size = 1
-            self._rep_trie = XFastTrie(KeySet([x]), self.universe)
-            return
         trie = self._rep_trie
+        if trie is None:
+            b = self._sole
+            i = bisect_right(b, x)
+            if i and b[i - 1] == x:
+                return
+            b.insert(i, x)
+            self._size += 1
+            if i == 0:
+                self._buckets = {x: b}
+            if len(b) > self._max_size:
+                self._split(b[0])
+            return
         rep = trie._search(x)[0]
         if rep is None:
             # below every bucket minimum: x leads the first bucket
@@ -119,7 +131,18 @@ class YFastTrie(PredecessorStructure):
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent."""
         self.universe.check_key(x)
-        rep = self._rep_trie._search(x)[0] if self._size else None
+        trie = self._rep_trie
+        if trie is None:
+            b = self._sole
+            i = bisect_right(b, x) - 1
+            if i < 0 or b[i] != x:
+                raise KeyError(x)
+            del b[i]
+            self._size -= 1
+            if i == 0:
+                self._buckets = {b[0]: b} if b else {}
+            return
+        rep = trie._search(x)[0]
         if rep is None:
             raise KeyError(x)
         b = self._buckets[rep]
@@ -128,13 +151,9 @@ class YFastTrie(PredecessorStructure):
             raise KeyError(x)
         del b[i]
         self._size -= 1
-        trie = self._rep_trie
         if not b:
             del self._buckets[rep]
-            if self._size == 0:
-                self._rep_trie = None
-            else:
-                trie.delete(rep)
+            self._drop(rep)
             return
         if i == 0:
             # removed the bucket minimum; re-key under the new minimum
@@ -143,7 +162,7 @@ class YFastTrie(PredecessorStructure):
             trie.delete(rep)
             rep = b[0]
             self._buckets[rep] = b
-        if len(b) < self._min_size and len(self._buckets) > 1:
+        if len(b) < self._min_size:
             self._merge(rep)
 
     def _split(self, rep: int) -> None:
@@ -152,7 +171,19 @@ class YFastTrie(PredecessorStructure):
         upper = b[mid:]
         del b[mid:]
         self._buckets[upper[0]] = upper
-        self._rep_trie.insert(upper[0])
+        if self._rep_trie is None:
+            self._rep_trie = XFastTrie(KeySet([rep, upper[0]]), self.universe)
+            self._sole = None
+        else:
+            self._rep_trie.insert(upper[0])
+
+    def _drop(self, rep: int) -> None:
+        """Forget the minimum of a bucket already removed; one bucket left needs no trie."""
+        if len(self._buckets) == 1:
+            self._rep_trie = None
+            self._sole = next(iter(self._buckets.values()))
+        else:
+            self._rep_trie.delete(rep)
 
     def _merge(self, rep: int) -> None:
         """Fold the undersized bucket under rep into a neighbour, splitting if overfull."""
@@ -160,14 +191,15 @@ class YFastTrie(PredecessorStructure):
         keep, gone = (below, rep) if below is not None else (rep, above)
         kept = self._buckets[keep]
         kept.extend(self._buckets.pop(gone))
-        self._rep_trie.delete(gone)
         if len(kept) > self._max_size:
-            self._split(keep)
+            self._split(keep)  # before the drop, so a two-bucket trie is kept, not rebuilt
+        self._drop(gone)
 
     # audit helpers
 
     def representatives(self) -> tuple[int, ...]:
-        return self._rep_trie.leaves if self._size else ()
+        trie = self._rep_trie
+        return trie.leaves if trie is not None else tuple(self._buckets)
 
     def bucket_sizes(self) -> list[int]:
         return [len(self._buckets[r]) for r in self.representatives()]

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,21 @@ class TestUniverseSpec:
         assert u.check_key(15) == 15
         with pytest.raises(KeyRangeError):
             u.check_key(16)
+
+    @pytest.mark.parametrize("bits", [1, 4, 63, 64])
+    def test_check_key_range_edges(self, bits):
+        u = UniverseSpec(bits)
+        top = (1 << bits) - 1
+        assert u.check_key(0) == 0 and u.check_key(top) == top
+        assert u.check_key(np.uint64(top)) == top
+        for bad in (-1, 1 << bits, -(1 << 70), 1 << 70, np.int64(-1)):
+            with pytest.raises(KeyRangeError, match=f"outside {bits}-bit universe"):
+                u.check_key(bad)
+
+    @pytest.mark.parametrize("key", [3.5, 2.0, "7", None, np.float64(1.0)])
+    def test_check_key_rejects_non_integers(self, key):
+        with pytest.raises(ParameterError, match="key must be an int, got .* of type "):
+            UniverseSpec(4).check_key(key)
 
 
 class TestKeySet:

@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from predsearch import (
     HashFront,
+    KeyRangeError,
     KeySet,
     LayeredStructure,
+    ParameterError,
     ThresholdMode,
     UniverseSpec,
     WorkingSetLayered,
@@ -56,3 +59,19 @@ def test_structures_agree_on_shared_instance(bits, n):
         expected = oracle_predecessor(keys, q)
         for structure in structures:
             assert structure.predecessor(q) == expected, (type(structure), q)
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+def test_query_type_and_range_errors(bits):
+    """Every structure rejects a non-integer query with a typed error, not a stray TypeError."""
+    universe = UniverseSpec(bits)
+    keys = sample_keys(universe, 40, seed=bits)
+    dist = generate_distribution(WorkloadSpec(kind="zipf", support=keys.keys, s=1.0))
+    for structure in all_structures(keys, dist, universe):
+        with pytest.raises(ParameterError, match="key must be an int, got 3.5 of type float"):
+            structure.predecessor(3.5)
+        for q in (-1, 1 << bits):
+            with pytest.raises(KeyRangeError):
+                structure.predecessor(q)
+        for k in keys.keys[::7]:
+            assert structure.predecessor(np.uint64(k)) == k, type(structure)

@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from conftest import random_keyset
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from predsearch import (
     KeySet,
@@ -202,6 +206,67 @@ class TestWorkingSetQuery:
             if step % 200 == 0:
                 ws.audit()
         ws.audit()
+
+
+class TestFrontLayers:
+    def test_front_layers_hold_no_routing_trie(self, rnd):
+        """At 32 bits the 4- and 16-key layers are one bucket each, before and after promotion."""
+        universe = UniverseSpec(32)
+        keys = random_keyset(rnd, universe, 300)
+        static = LayeredStructure(keys, uniform_over(keys), universe)
+        ws = WorkingSetLayered(keys, universe)
+        for q in rnd.sample(keys.keys, 150):
+            ws.query(q)
+        for structure in (static, ws):
+            assert structure.layer_sizes()[:3] == [4, 16, 256]
+            front, routed = structure.layers[:2], structure.layers[2]
+            assert all(layer._rep_trie is None for layer in front)
+            assert routed._rep_trie is not None
+
+
+class WorkingSetMachine(RuleBasedStateMachine):
+    """WorkingSetLayered answers and layer partition under any query sequence."""
+
+    @initialize(bits=st.integers(1, 64), data=st.data())
+    def build(self, bits, data):
+        self.universe = UniverseSpec(bits)
+        size = self.universe.size
+        keys = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1,
+                                        max_size=min(size, 48))))
+        self.keys = KeySet(keys)
+        self.ws = WorkingSetLayered(self.keys, self.universe)
+        # (first, last) of each run of absent keys above the minimum
+        self.gaps = [(a + 1, b - 1) for a, b in zip(keys, keys[1:] + [size]) if b - a > 1]
+
+    def _check(self, q):
+        answer, probed = self.ws.query(q)
+        assert answer == oracle_predecessor(self.keys, q)
+        assert 1 <= probed <= self.ws.num_layers
+
+    @rule(data=st.data())
+    def query_stored(self, data):
+        self._check(data.draw(st.sampled_from(self.keys.keys)))
+
+    @precondition(lambda self: self.gaps)
+    @rule(data=st.data())
+    def query_gap(self, data):
+        lo, hi = data.draw(st.sampled_from(self.gaps))
+        self._check(data.draw(st.integers(lo, hi)))
+
+    @precondition(lambda self: self.keys[0] > 0)
+    @rule(data=st.data())
+    def query_below_minimum(self, data):
+        before = self.ws.layer_contents()
+        self._check(data.draw(st.integers(0, self.keys[0] - 1)))
+        assert self.ws.layer_contents() == before  # no answer, nothing promoted
+
+    @invariant()
+    def audited(self):
+        self.ws.audit()
+
+
+TestWorkingSetMachine = WorkingSetMachine.TestCase
+TestWorkingSetMachine.settings = settings(max_examples=100, stateful_step_count=60, deadline=None)
 
 
 class TestTracker:

@@ -2,12 +2,12 @@ import random
 from bisect import bisect_right, insort
 
 import pytest
-from conftest import assert_same_as_fresh_build
+from conftest import assert_same_as_fresh_build, random_keyset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from predsearch import KeySet, UniverseSpec, YFastTrie, oracle_predecessor
+from predsearch import KeySet, UniverseSpec, XFastTrie, YFastTrie, oracle_predecessor
 
 
 def audit_band(trie: YFastTrie) -> None:
@@ -147,6 +147,46 @@ class TestUpdates:
                         i = bisect_right(ref, q) - 1
                         assert trie.predecessor(q) == (ref[i] if i >= 0 else None)
 
+    @pytest.mark.parametrize("bits", [1, 8, 32, 64])
+    def test_walk_across_one_bucket_boundary(self, bits, monkeypatch):
+        """Only the split that creates a second bucket builds a routing trie."""
+        builds = []
+        build = XFastTrie.__init__
+
+        def counting_build(trie, keys, universe):
+            builds.append(keys.keys)  # the minima a trie was built over
+            build(trie, keys, universe)
+
+        monkeypatch.setattr(XFastTrie, "__init__", counting_build)
+        universe = UniverseSpec(bits)
+        rnd = random.Random(bits)
+        walk = random_keyset(rnd, universe, min(universe.size, 2 * bits + 1)).keys
+        walk = rnd.sample(walk, len(walk))
+        trie = YFastTrie(KeySet(walk[:1]), universe)
+        model = [walk[0]]
+        near = {min(max(k + d, 0), universe.size - 1) for k in walk for d in (-1, 0, 1)}
+        queries = sorted(near | {0, universe.size - 1})
+        steps = [(True, x) for x in walk[1:]] + [(False, x) for x in rnd.sample(walk, len(walk))]
+        for is_insert, x in steps:
+            before, built = len(trie.representatives()), len(builds)
+            if is_insert:
+                trie.insert(x)
+                insort(model, x)
+            else:
+                trie.delete(x)
+                model.remove(x)
+            after = len(trie.representatives())
+            split_out_of_one = (before, after) == (1, 2)
+            assert builds[built:] == ([trie.representatives()] if split_out_of_one else [])
+            assert (trie._rep_trie is None) == (after <= 1)
+            keys = KeySet(model) if model else None
+            for q in queries:
+                expected = oracle_predecessor(keys, q) if keys else None
+                assert trie.predecessor(q) == expected
+                assert (q in trie) == (expected == q)
+        assert len(trie) == 0 and trie.representatives() == ()
+        assert len(builds) == (bits > 1)  # a 1-bit universe never outgrows its one bucket
+
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255)), max_size=60),
            st.sets(st.integers(0, 255), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
@@ -244,9 +284,19 @@ class YFastMachine(RuleBasedStateMachine):
 
     @invariant()
     def representative_trie_matches_fresh_build(self):
+        """The trie exists exactly when there are two or more buckets, and is then exact."""
+        buckets = self.trie._buckets
         reps = self.trie.representatives()
-        if reps:
-            assert all(self.trie._buckets[r][0] == r for r in reps)
+        assert list(reps) == sorted(buckets)
+        assert all(buckets[r][0] == r for r in reps)
+        if len(reps) <= 1:
+            assert self.trie._rep_trie is None
+            if reps:
+                assert self.trie._sole is buckets[reps[0]]
+            else:
+                assert self.trie._sole == []
+        else:
+            assert self.trie._sole is None
             assert_same_as_fresh_build(self.trie._rep_trie, reps)
 
 
