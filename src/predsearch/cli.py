@@ -5,7 +5,8 @@ Subcommands:
 * ``gen``     writes a keys file (sorted decimal, one per line) or a weights
               file (``key<TAB>weight`` per line) for a chosen workload kind;
 * ``bench``   builds a structure, runs a query stream, checks every answer
-              against the brute-force oracle and emits a report (JSON or CSV);
+              against the brute-force oracle, audits the structure and emits
+              a report (JSON or CSV);
 * ``verify``  sweeps every universe key (16-bit universes at most) or replays
               a query file, exiting nonzero on the first mismatch.
 
@@ -209,28 +210,6 @@ def build_structure(name: str, keys: KeySet, dist: WeightedDistribution,
 # subcommands
 
 
-def _audit_structure(structure, n: int) -> Optional[str]:
-    """Post-run structural invariant check; returns a complaint or None."""
-    if isinstance(structure, WorkingSetLayered):
-        try:
-            structure.audit()
-        except AssertionError as exc:
-            return str(exc)
-    elif isinstance(structure, HashFront):
-        capacity = structure.mode.table_capacity(structure.universe.bits)
-        if len(structure.table) > capacity:
-            return f"front table holds {len(structure.table)} entries, bound {capacity}"
-    elif isinstance(structure, LayeredStructure):
-        if sum(structure.layer_sizes()) != n:
-            return "layers do not partition the key set"
-    elif isinstance(structure, YFastTrie):
-        sizes = structure.bucket_sizes()
-        lo, hi = structure.size_band()
-        if len(sizes) > 1 and not all(lo <= s <= hi for s in sizes):
-            return f"bucket sizes {min(sizes)}..{max(sizes)} outside [{lo}, {hi}]"
-    return None
-
-
 def cmd_gen(args) -> int:
     if args.dist_kind:
         if not args.support:
@@ -296,9 +275,10 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return EXIT_MISMATCH
-    problem = _audit_structure(structure, len(keys))
-    if problem:
-        print(f"structural invariant failed after run: {problem}", file=sys.stderr)
+    try:
+        structure.audit()
+    except AssertionError as exc:
+        print(f"structural invariant failed after run: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 
     layered = args.structure in ("layered", "layered-ws")

@@ -1,10 +1,11 @@
-"""Universe, key-set and query-distribution primitives.
+"""Universe, key-set and query-distribution primitives, and the structure contract.
 
 Keys are unsigned integers drawn from a bounded universe {0, ..., 2**bits - 1}.
 Query distributions are sparse maps from keys to weights; nothing in this
 package ever materializes or iterates the full universe, so 64-bit universes
-are fine.  All types here are immutable after construction and safe for
-concurrent reads.
+are fine.  All value types here are immutable after construction and safe for
+concurrent reads.  ``PredecessorStructure`` is what every structure offers:
+``predecessor``, ``query_stats`` and ``audit``.
 """
 
 from __future__ import annotations
@@ -96,10 +97,6 @@ class KeySet:
     def from_iterable(cls, keys: Iterable[int]) -> "KeySet":
         """Sort and deduplicate, then construct."""
         return cls(sorted(set(keys)))
-
-    @property
-    def n(self) -> int:
-        return len(self.keys)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -252,11 +249,21 @@ class QueryStats:
 
 
 class PredecessorStructure:
-    """Minimal contract shared by every structure: answer weak predecessor queries."""
+    """The contract every structure keeps: two query calls and a structural audit.
+
+    ``predecessor`` is the plain query path; ``query_stats`` answers the same
+    query and also reports what finding the answer cost.  Both check the key.
+    """
 
     def predecessor(self, q: int) -> Optional[int]:
         raise NotImplementedError
 
     def query_stats(self, q: int) -> QueryStats:
-        """Instrumented query; default carries only the answer."""
-        return QueryStats(answer=self.predecessor(q))
+        raise NotImplementedError
+
+    def audit(self) -> None:
+        """Raise AssertionError unless the structure's invariants hold.
+
+        Checks are explicit raises, not ``assert`` statements, so they still
+        run under ``python -O``.  The default has nothing to check.
+        """

@@ -111,11 +111,17 @@ class HashFront(PredecessorStructure):
         v = self.table.get(q, _MISSING)
         if v is not _MISSING:
             return QueryStats(answer=v, table_probes=1, table_hit=True)
-        answer, probes = self.fallback.predecessor_with_probes(q)
+        answer, probes = self.fallback._search(q)
         return QueryStats(answer=answer, level_probes=probes, table_probes=1, table_hit=False)
 
     def table_entries(self) -> int:
         return len(self.table) + self.fallback.table_entries()
+
+    def audit(self) -> None:
+        """Raise AssertionError if the front table holds more entries than its capacity."""
+        capacity = self.mode.table_capacity(self.universe.bits)
+        if len(self.table) > capacity:
+            raise AssertionError(f"front table holds {len(self.table)} entries, bound {capacity}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ Every layer is a bucketed trie, whose insert/delete the self-adjusting variant
 relies on.  A layer of at most ``bits`` keys is built as a single bucket, so
 from 16 bits up the 4- and 16-key front layers carry no routing trie and a
 probe of either is one bisect.
+
+``predecessor`` and ``query_stats`` (which adds the layers probed) run one
+scan; the self-adjusting variant promotes the answer as its last step.
+``audit`` checks that the live layers partition the key set.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def _successor_map(keys: KeySet) -> dict[int, Optional[int]]:
 
 
 class _LayeredBase(PredecessorStructure):
-    """Shared search logic; subclasses decide ordering and what happens after."""
+    """Shared query path and audit; subclasses decide ordering and what the scan does after."""
 
     universe: UniverseSpec
     layers: list[YFastTrie]
@@ -92,13 +96,35 @@ class _LayeredBase(PredecessorStructure):
                     return best, probed
         return best, probed
 
+    def predecessor(self, q: int) -> Optional[int]:
+        return self._scan(q)[0]
+
+    def query_stats(self, q: int) -> QueryStats:
+        """Answer plus the number of layers probed."""
+        answer, probed = self._scan(q)
+        return QueryStats(answer=answer, layers_probed=probed)
+
     @property
     def num_layers(self) -> int:
         return len(self.layers)
 
+    def layer_sizes(self) -> list[int]:
+        return [len(layer) for layer in self.layers]
+
     def table_entries(self) -> int:
         """Stored entries across all layers plus the successor pointers."""
         return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
+
+    def audit(self) -> None:
+        """Raise AssertionError unless the layers partition the key set."""
+        seen: set[int] = set()
+        for layer in self.layers:
+            keys = set(layer)
+            if keys & seen:
+                raise AssertionError("key present in two layers")
+            seen |= keys
+        if seen != self._succ.keys():
+            raise AssertionError("layers do not partition the key set")
 
 
 class LayeredStructure(_LayeredBase):
@@ -111,22 +137,8 @@ class LayeredStructure(_LayeredBase):
         self.output = output_distribution(keys, dist)
         p_star = self.output.p_star
         ordered = sorted(keys.keys, key=lambda k: (-p_star(k), k))
-        self.layer_keys = self._build_layers(ordered, universe)
+        self._build_layers(ordered, universe)
         self._succ = _successor_map(keys)
-
-    def query(self, q: int) -> tuple[Optional[int], int]:
-        """Answer plus the number of layers probed."""
-        return self._scan(q)
-
-    def predecessor(self, q: int) -> Optional[int]:
-        return self._scan(q)[0]
-
-    def query_stats(self, q: int) -> QueryStats:
-        answer, probed = self._scan(q)
-        return QueryStats(answer=answer, layers_probed=probed)
-
-    def layer_sizes(self) -> list[int]:
-        return [len(ks) for ks in self.layer_keys]
 
 
 class WorkingSetLayered(_LayeredBase):
@@ -148,19 +160,12 @@ class WorkingSetLayered(_LayeredBase):
         ]
         self._succ = _successor_map(keys)
 
-    def query(self, q: int) -> tuple[Optional[int], int]:
-        """Answer plus layers probed; promotes the answer to the front layer."""
-        answer, probed = self._scan(q)
+    def _scan(self, q: int) -> tuple[Optional[int], int]:
+        """The cascade scan, then the answer's promotion to the front layer."""
+        answer, probed = super()._scan(q)
         if answer is not None:
             self._promote(answer, probed - 1)
         return answer, probed
-
-    def predecessor(self, q: int) -> Optional[int]:
-        return self.query(q)[0]
-
-    def query_stats(self, q: int) -> QueryStats:
-        answer, probed = self.query(q)
-        return QueryStats(answer=answer, layers_probed=probed)
 
     def _promote(self, x: int, j: int) -> None:
         rec = self._recency
@@ -178,23 +183,18 @@ class WorkingSetLayered(_LayeredBase):
         self.layers[0].insert(x)
         rec[0][x] = None
 
-    def layer_sizes(self) -> list[int]:
-        return [len(r) for r in self._recency]
-
     def layer_contents(self) -> list[tuple[int, ...]]:
         return [tuple(sorted(r)) for r in self._recency]
 
     def audit(self) -> None:
-        """Raise AssertionError unless occupancies and the partition are intact."""
-        sizes = self.layer_sizes()
-        assert sizes == self.capacities, f"occupancy {sizes} != capacities {self.capacities}"
-        seen: set[int] = set()
+        """Raise AssertionError unless occupancies, recency queues and the partition are intact."""
+        sizes = [len(r) for r in self._recency]
+        if sizes != self.capacities:
+            raise AssertionError(f"occupancy {sizes} != capacities {self.capacities}")
         for r, layer in zip(self._recency, self.layers):
-            keys = set(r)
-            assert keys == set(layer), "recency queue and layer structure disagree"
-            assert not (keys & seen), "key present in two layers"
-            seen |= keys
-        assert seen == set(self._succ), "layers do not partition the key set"
+            if r.keys() != set(layer):
+                raise AssertionError("recency queue and layer structure disagree")
+        super().audit()
 
 
 class WorkingSetTracker:

@@ -75,13 +75,9 @@ class XFastTrie(PredecessorStructure):
         self.universe.check_key(q)
         return self._search(q)[0]
 
-    def predecessor_with_probes(self, q: int) -> tuple[Optional[int], int]:
-        """Answer plus the number of prefix-table probes spent finding it."""
-        self.universe.check_key(q)
-        return self._search(q)
-
     def query_stats(self, q: int) -> QueryStats:
-        answer, probes = self.predecessor_with_probes(q)
+        """Answer plus the number of prefix-table probes spent finding it."""
+        answer, probes = self._search(self.universe.check_key(q))
         return QueryStats(answer=answer, level_probes=probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:

@@ -70,12 +70,9 @@ class YFastTrie(PredecessorStructure):
         self.universe.check_key(q)
         return self._search(q)[0]
 
-    def predecessor_with_probes(self, q: int) -> tuple[Optional[int], int]:
-        self.universe.check_key(q)
-        return self._search(q)
-
     def query_stats(self, q: int) -> QueryStats:
-        answer, probes = self.predecessor_with_probes(q)
+        """Answer plus the prefix-table probes spent routing to its bucket."""
+        answer, probes = self._search(self.universe.check_key(q))
         return QueryStats(answer=answer, level_probes=probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:
@@ -206,6 +203,13 @@ class YFastTrie(PredecessorStructure):
 
     def size_band(self) -> tuple[int, int]:
         return self._min_size, self._max_size
+
+    def audit(self) -> None:
+        """Raise AssertionError unless every bucket (a sole one may be small) is inside the band."""
+        sizes = self.bucket_sizes()
+        lo, hi = self._min_size, self._max_size
+        if sizes and (max(sizes) > hi or (len(sizes) > 1 and min(sizes) < lo)):
+            raise AssertionError(f"bucket sizes {min(sizes)}..{max(sizes)} outside [{lo}, {hi}]")
 
     def table_entries(self) -> int:
         """Prefix-table entries of the representative trie plus bucket slots."""

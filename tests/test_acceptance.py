@@ -133,7 +133,8 @@ def test_criterion_4_layered_probe_bound():
             structure = LayeredStructure(keys, dist, universe)
             p_star = structure.output.p_star
             for q in sample_queries(dist, seed=1000 + i, count=5_000):
-                answer, probed = structure.query(q)
+                st = structure.query_stats(q)
+                answer, probed = st.answer, st.layers_probed
                 assert answer == oracle_predecessor(keys, q)
                 if answer is not None and probed >= 2:
                     assert p_star(answer) <= 2.0 ** -(2 ** (probed - 1)), (i, q, probed)
@@ -146,7 +147,8 @@ def test_criterion_4_layered_probe_bound():
         queries = sample_queries(dist, seed=77, count=20_000)
         probes = []
         for q in queries:
-            answer, probed = structure.query(q)
+            st = structure.query_stats(q)
+            answer, probed = st.answer, st.layers_probed
             assert answer == oracle_predecessor(keys, q)
             probes.append(probed)
         assert sum(probes) / len(probes) <= 2.0
@@ -172,7 +174,8 @@ def test_criterion_5_working_set_bound():
                 script.append(rnd.randrange(universe.size))  # arbitrary keys
 
         for step, q in enumerate(script):
-            answer, probed = ws.query(q)
+            st = ws.query_stats(q)
+            answer, probed = st.answer, st.layers_probed
             assert answer == oracle_predecessor(keys, q)
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
@@ -236,7 +239,7 @@ def test_criterion_8_layered_space_flat():
             structure = LayeredStructure(keys, dist, universe)
             sizes = structure.layer_sizes()
             assert sum(sizes) == n  # one membership per key across layers
-            merged = sorted(k for layer in structure.layer_keys for k in layer)
+            merged = sorted(k for layer in structure.layers for k in layer)
             assert merged == list(keys)
             ratios.append(structure.table_entries() / n)
         for a, b in zip(ratios, ratios[1:]):

@@ -6,6 +6,7 @@ from predsearch.cli import (
     EXIT_OK,
     EXIT_USAGE,
     REPORT_FIELDS,
+    build_structure,
     main,
     read_keys,
     read_weights,
@@ -212,6 +213,28 @@ class TestBench:
                    "--structure", "yfast", "--queries", 50) == EXIT_MISMATCH
         err = capsys.readouterr().err
         assert "verification failed" in err and "q=" in err
+
+    def test_audit_failure_exits_two(self, capsys, monkeypatch):
+        class Liar:
+            """Correct answers from a real structure, but a failing structural audit."""
+
+            def __init__(self, structure):
+                self.structure = structure
+
+            def query_stats(self, q):
+                return self.structure.query_stats(q)
+
+            def audit(self):
+                raise AssertionError("planted fault")
+
+        real = build_structure
+        monkeypatch.setattr("predsearch.cli.build_structure",
+                            lambda *a, **k: Liar(real(*a, **k)))
+        assert run("bench", "--universe-bits", 12, "--n", 64,
+                   "--structure", "yfast", "--queries", 50) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "structural invariant failed after run: planted fault" in err
+        assert "verification failed" not in err
 
 
 class TestVerify:

@@ -21,6 +21,7 @@ from predsearch import (
     oracle_predecessor,
     sample_keys,
 )
+from predsearch.cli import STRUCTURES, build_structure
 
 
 def all_structures(keys, dist, universe):
@@ -75,3 +76,49 @@ def test_query_type_and_range_errors(bits):
                 structure.predecessor(q)
         for k in keys.keys[::7]:
             assert structure.predecessor(np.uint64(k)) == k, type(structure)
+
+
+def _overfill_first_bucket(trie):
+    bucket = trie._buckets[trie.representatives()[0]]
+    bucket.extend([bucket[-1]] * trie.size_band()[1])
+
+
+def _overfill_front_table(front):
+    capacity = front.mode.table_capacity(front.universe.bits)
+    front.table.update((q, None) for q in range(int(capacity) + 1))
+
+
+def _drop_key_from_last_layer(cascade):
+    layer = cascade.layers[-1]
+    layer.delete(next(iter(layer)))
+
+
+# one broken invariant per structure, and the audit message it must raise
+BREAK_ONE_INVARIANT = {
+    "xfast": None,  # keeps the default audit: nothing beyond its answers to check
+    "yfast": (_overfill_first_bucket, "bucket sizes .* outside"),
+    "hashfront-a": (_overfill_front_table, "front table holds"),
+    "hashfront-b": (_overfill_front_table, "front table holds"),
+    "layered": (_drop_key_from_last_layer, "layers do not partition the key set"),
+    "layered-ws": (lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 40\]"),
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+def test_contract_answers_and_audit(name):
+    """predecessor and query_stats agree with the oracle; audit passes, then catches a fault."""
+    universe = UniverseSpec(8)
+    keys = sample_keys(universe, 60, seed=8)
+    dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
+    structure = build_structure(name, keys, dist, universe, epsilon=0.5)
+    for q in range(universe.size):
+        expected = oracle_predecessor(keys, q)
+        assert structure.predecessor(q) == expected, q
+        assert structure.query_stats(q).answer == expected, q
+    structure.audit()
+    if BREAK_ONE_INVARIANT[name] is None:
+        return
+    corrupt, message = BREAK_ONE_INVARIANT[name]
+    corrupt(structure)
+    with pytest.raises(AssertionError, match=message):
+        structure.audit()

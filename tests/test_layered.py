@@ -9,6 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from predsearch import (
     KeySet,
     LayeredStructure,
+    QueryStats,
     UniverseSpec,
     WeightedDistribution,
     WorkingSetLayered,
@@ -49,7 +50,7 @@ class TestStaticBuild:
         structure = LayeredStructure(keys, dist, universe)
         out = output_distribution(keys, dist)
         expected_order = sorted(keys, key=lambda k: (-out.p_star(k), k))
-        assert set(structure.layer_keys[0]) == set(expected_order[:4])
+        assert set(structure.layers[0]) == set(expected_order[:4])
         assert structure.layer_sizes() == [4, 16]
 
     def test_partition(self, rnd):
@@ -57,7 +58,7 @@ class TestStaticBuild:
         keys = KeySet(sorted(rnd.sample(range(universe.size), 300)))
         structure = LayeredStructure(keys, uniform_over(keys), universe)
         assert structure.layer_sizes() == [4, 16, 256, 24]
-        merged = sorted(k for layer in structure.layer_keys for k in layer)
+        merged = sorted(k for layer in structure.layers for k in layer)
         assert merged == list(keys)
 
 
@@ -67,14 +68,16 @@ class TestStaticQuery:
         keys = KeySet([10, 20, 30, 40, 50])
         dist = WeightedDistribution({20: 100.0, 10: 1.0, 30: 1.0, 40: 1.0, 50: 1.0})
         structure = LayeredStructure(keys, dist, universe)
-        answer, probed = structure.query(25)
+        stats = structure.query_stats(25)
+        answer, probed = stats.answer, stats.layers_probed
         assert answer == 20 and probed == 1
 
     def test_below_everything_probes_all_layers(self, rnd):
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(100, universe.size), 25)))
         structure = LayeredStructure(keys, uniform_over(keys), universe)
-        answer, probed = structure.query(5)
+        stats = structure.query_stats(5)
+        answer, probed = stats.answer, stats.layers_probed
         assert answer is None
         assert probed == structure.num_layers == 3
 
@@ -89,7 +92,8 @@ class TestStaticQuery:
         p_star = structure.output.p_star
         for _ in range(20_000):
             q = rnd.randrange(universe.size)
-            answer, probed = structure.query(q)
+            stats = structure.query_stats(q)
+            answer, probed = stats.answer, stats.layers_probed
             assert answer == oracle_predecessor(keys, q)
             if answer is not None and probed >= 2:
                 assert p_star(answer) <= 2.0 ** -(2 ** (probed - 1))
@@ -97,9 +101,9 @@ class TestStaticQuery:
     def test_single_key(self):
         universe = UniverseSpec(6)
         structure = LayeredStructure(KeySet([30]), WeightedDistribution({30: 1.0}), universe)
-        assert structure.query(29) == (None, 1)
-        assert structure.query(30) == (30, 1)
-        assert structure.query(63) == (30, 1)
+        assert structure.query_stats(29) == QueryStats(answer=None, layers_probed=1)
+        assert structure.query_stats(30) == QueryStats(answer=30, layers_probed=1)
+        assert structure.query_stats(63) == QueryStats(answer=30, layers_probed=1)
 
     def test_all_mass_below_smallest_key(self):
         universe = UniverseSpec(12)
@@ -126,7 +130,7 @@ class TestWorkingSetBuild:
         keys = KeySet(sorted(rnd.sample(range(universe.size), 25)))
         ws = WorkingSetLayered(keys, universe)
         x = keys.keys[20]
-        answer, _ = ws.query(x)
+        answer = ws.query_stats(x).answer
         assert answer == x
         assert x in ws.layer_contents()[0]
         ws.audit()
@@ -135,7 +139,8 @@ class TestWorkingSetBuild:
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 300)))
         ws = WorkingSetLayered(keys, universe)
-        answer, probed = ws.query(keys.keys[299])
+        stats = ws.query_stats(keys.keys[299])
+        answer, probed = stats.answer, stats.layers_probed
         assert probed == 4
         assert ws.layer_sizes() == [4, 16, 256, 24]
         ws.audit()
@@ -147,8 +152,9 @@ class TestWorkingSetQuery:
         keys = KeySet(sorted(rnd.sample(range(universe.size), 100)))
         ws = WorkingSetLayered(keys, universe)
         q = keys.keys[77]
-        ws.query(q)
-        answer, probed = ws.query(q)
+        ws.query_stats(q)
+        stats = ws.query_stats(q)
+        answer, probed = stats.answer, stats.layers_probed
         assert answer == q and probed == 1
 
     def test_twenty_distinct_reports_keep_key_shallow(self):
@@ -156,11 +162,12 @@ class TestWorkingSetQuery:
         keys = KeySet([10 * i for i in range(1, 31)])  # 30 keys, layers 4/16/10
         ws = WorkingSetLayered(keys, universe)
         x = keys.keys[5]
-        ws.query(x)
+        ws.query_stats(x)
         for other in keys.keys[6:26]:  # 20 distinct predecessors, none equal to x
-            answer, _ = ws.query(other)
+            answer = ws.query_stats(other).answer
             assert answer == other
-        answer, probed = ws.query(x)
+        stats = ws.query_stats(x)
+        answer, probed = stats.answer, stats.layers_probed
         assert answer == x
         # 16 = 2^(2^2) <= 20 < 2^(2^3) = 256 distinct reports intervened
         assert probed <= 3
@@ -170,7 +177,8 @@ class TestWorkingSetQuery:
         keys = KeySet(sorted(rnd.sample(range(50, universe.size), 30)))
         ws = WorkingSetLayered(keys, universe)
         before = ws.layer_contents()
-        answer, probed = ws.query(5)
+        stats = ws.query_stats(5)
+        answer, probed = stats.answer, stats.layers_probed
         assert answer is None and probed == ws.num_layers
         assert ws.layer_contents() == before
 
@@ -184,7 +192,7 @@ class TestWorkingSetQuery:
             ws = WorkingSetLayered(keys, universe)
             for _ in range(800):
                 q = rnd.randrange(universe.size)
-                answer, _ = ws.query(q)
+                answer = ws.query_stats(q).answer
                 assert answer == oracle_predecessor(keys, q)
                 assert ws.layer_sizes() == ws.capacities
             ws.audit()
@@ -197,7 +205,8 @@ class TestWorkingSetQuery:
         tracker = WorkingSetTracker()
         for step in range(2000):
             q = rnd.choice(keys.keys) if rnd.random() < 0.5 else rnd.randrange(universe.size)
-            answer, probed = ws.query(q)
+            stats = ws.query_stats(q)
+            answer, probed = stats.answer, stats.layers_probed
             assert answer == oracle_predecessor(keys, q)
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
@@ -216,7 +225,7 @@ class TestFrontLayers:
         static = LayeredStructure(keys, uniform_over(keys), universe)
         ws = WorkingSetLayered(keys, universe)
         for q in rnd.sample(keys.keys, 150):
-            ws.query(q)
+            ws.query_stats(q)
         for structure in (static, ws):
             assert structure.layer_sizes()[:3] == [4, 16, 256]
             front, routed = structure.layers[:2], structure.layers[2]
@@ -239,7 +248,8 @@ class WorkingSetMachine(RuleBasedStateMachine):
         self.gaps = [(a + 1, b - 1) for a, b in zip(keys, keys[1:] + [size]) if b - a > 1]
 
     def _check(self, q):
-        answer, probed = self.ws.query(q)
+        stats = self.ws.query_stats(q)
+        answer, probed = stats.answer, stats.layers_probed
         assert answer == oracle_predecessor(self.keys, q)
         assert 1 <= probed <= self.ws.num_layers
 

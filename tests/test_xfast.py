@@ -69,7 +69,8 @@ class TestPredecessor:
         trie = XFastTrie(keys, universe)
         bound = probe_bound(universe.bits)
         for q in range(universe.size):
-            answer, probes = trie.predecessor_with_probes(q)
+            stats = trie.query_stats(q)
+            answer, probes = stats.answer, stats.level_probes
             assert answer == oracle_predecessor(keys, q)
             assert probes <= bound
 
