@@ -8,7 +8,8 @@ Subcommands:
               against the brute-force oracle, audits the structure and emits
               a report (JSON or CSV);
 * ``verify``  sweeps every universe key (16-bit universes at most) or replays
-              a query file, exiting nonzero on the first mismatch.
+              a query file, exiting nonzero on the first mismatch, then
+              audits the structure.
 
 Exit codes: 0 success, 1 usage or parameter problem, 2 verification failure.
 """
@@ -242,6 +243,16 @@ def _emit_report(report: dict, out: Optional[str], fmt: str) -> None:
         sys.stdout.write(text)
 
 
+def _audit_after_run(structure) -> bool:
+    """Audit the structure once its queries are done; print the failure, if any."""
+    try:
+        structure.audit()
+    except AssertionError as exc:
+        print(f"structural invariant failed after run: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_bench(args) -> int:
     universe, keys, dist, dist_kind, dist_param = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
@@ -275,10 +286,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return EXIT_MISMATCH
-    try:
-        structure.audit()
-    except AssertionError as exc:
-        print(f"structural invariant failed after run: {exc}", file=sys.stderr)
+    if not _audit_after_run(structure):
         return EXIT_MISMATCH
 
     layered = args.structure in ("layered", "layered-ws")
@@ -344,6 +352,8 @@ def cmd_verify(args) -> int:
             except AssertionError as exc:
                 print(f"capacity audit failed after q={q}: {exc}", file=sys.stderr)
                 return EXIT_MISMATCH
+    if not _audit_after_run(structure):
+        return EXIT_MISMATCH
     if not args.query_file:
         print(f"verified all {universe.size} queries: ok")
     elif audited:

@@ -12,8 +12,16 @@ predecessor with O(1) additional work:
 * if it diverges by a 0-bit, every stored key under the prefix is larger than
   the query, so the answer is the leaf linked before the prefix's min.
 
+The tables are built bottom-up: each level is derived from the one below it
+with C-level ``map``/``zip`` passes, no Python work per (level, key).  The
+(min, max) entries are immutable tuples, and a prefix with a single child
+shares its child's tuple, so after a build the O(n * w) table slots point at
+only 2n - 1 distinct entries (one per leaf and one per branching prefix).
+
 ``insert`` and ``delete`` touch only the ``w + 1`` prefix entries on the key's
 path plus its two leaf neighbours, so an update costs O(w) table operations.
+They replace entries rather than mutate them, which keeps the sharing safe,
+and levels that shared the replaced entry share its replacement.
 The trie always holds at least one key, like the key set it is built from.
 Plain dicts provide the expected-O(1) tables; a perfect-hash construction
 would also satisfy the contract but is unnecessary here.
@@ -21,9 +29,38 @@ would also satisfy the contract but is unnecessary here.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from itertools import compress, islice, repeat
+from operator import eq, itemgetter, rshift
+from typing import Iterator, Optional, Sequence
 
 from .core import KeySet, ParameterError, PredecessorStructure, QueryStats, UniverseSpec
+
+Entry = tuple[int, int]  # (min, max) stored key beneath a prefix
+
+
+def _build_levels(leaves: Sequence[int], bits: int) -> list[dict[int, Entry]]:
+    """The bits + 1 prefix tables over ascending leaves, root level first.
+
+    Sorted order puts the two children of a branching prefix next to each
+    other, so only those adjacent pairs get a new (left min, right max) tuple;
+    every other parent takes its only child's tuple.  A level with no
+    branching prefix keeps the entry list of the level below.
+    """
+    entries: list[Entry] = list(zip(leaves, leaves))
+    table = dict(zip(leaves, entries))
+    levels = [table]
+    for _ in range(bits):
+        parents = list(map(rshift, table, repeat(1)))
+        table = dict(zip(parents, entries))
+        if len(table) < len(parents):
+            siblings = list(map(eq, parents, islice(parents, 1, None)))  # i and i + 1 share a parent
+            table.update(zip(compress(parents, siblings),
+                             zip(map(itemgetter(0), compress(entries, siblings)),
+                                 map(itemgetter(1), compress(islice(entries, 1, None), siblings)))))
+            entries = list(table.values())
+        levels.append(table)
+    levels.reverse()
+    return levels
 
 
 class XFastTrie(PredecessorStructure):
@@ -31,26 +68,13 @@ class XFastTrie(PredecessorStructure):
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
-        bits = universe.bits
         leaves = keys.keys
-        levels: list[dict[int, list[int]]] = []
-        for level in range(bits + 1):
-            shift = bits - level
-            table: dict[int, list[int]] = {}
-            for k in leaves:
-                p = k >> shift
-                entry = table.get(p)
-                if entry is None:
-                    table[p] = [k, k]
-                else:
-                    entry[1] = k  # leaves ascend, so the last writer is the max
-            levels.append(table)
-        self.bits = bits
+        self.bits = universe.bits
         self.universe = universe
         self._prev: dict[int, Optional[int]] = dict(zip(leaves, (None,) + leaves[:-1]))
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
-        self._levels = levels
-        self._root = levels[0][0]  # never dropped: the trie is never empty
+        self._levels = _build_levels(leaves, self.bits)
+        self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
     def __len__(self) -> int:
         return len(self._next)
@@ -115,15 +139,23 @@ class XFastTrie(PredecessorStructure):
         if s is not None:
             self._prev[s] = x
         bits = self.bits
+        leaf = (x, x)  # shared by every prefix x is now alone beneath
+        old: Optional[Entry] = None
+        new: Optional[Entry] = None
         for level, table in enumerate(self._levels):
             prefix = x >> (bits - level)
             entry = table.get(prefix)
             if entry is None:
-                table[prefix] = [x, x]
+                table[prefix] = leaf
+            elif entry is old:  # shared with the level above: share its replacement too
+                table[prefix] = new
             elif x < entry[0]:
-                entry[0] = x
+                old, new = entry, (x, entry[1])
+                table[prefix] = new
             elif x > entry[1]:
-                entry[1] = x
+                old, new = entry, (entry[0], x)
+                table[prefix] = new
+        self._root = self._levels[0][0]
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent and ParameterError if it is the last key."""
@@ -137,16 +169,43 @@ class XFastTrie(PredecessorStructure):
         if s is not None:
             self._prev[s] = p
         bits = self.bits
+        old: Optional[Entry] = None
+        new: Optional[Entry] = None
         for level, table in enumerate(self._levels):
             prefix = x >> (bits - level)
             entry = table[prefix]
-            if entry[0] == x:
+            if entry is old:
+                table[prefix] = new
+            elif entry[0] == x:
                 if entry[1] == x:
                     del table[prefix]
                 else:
-                    entry[0] = s  # the subtree still holds a key above x: its min is x's successor
+                    # the subtree still holds a key above x: its min is x's successor
+                    old, new = entry, (s, entry[1])
+                    table[prefix] = new
             elif entry[1] == x:
-                entry[1] = p
+                old, new = entry, (entry[0], p)
+                table[prefix] = new
+        self._root = self._levels[0][0]
+
+    def audit(self) -> None:
+        """Raise AssertionError unless the root, the leaf links and every prefix table agree."""
+        levels, nxt, prev = self._levels, self._next, self._prev
+        if self._root is not levels[0].get(0):
+            raise AssertionError(f"stale root {self._root}: level 0 holds {levels[0].get(0)}")
+        walk: list[int] = []
+        k: Optional[int] = self._root[0]
+        while k is not None and len(walk) <= len(nxt):  # a cycle cannot hang the audit
+            walk.append(k)
+            k = nxt.get(k)
+        if (walk != sorted(nxt) or prev.keys() != nxt.keys()
+                or list(map(prev.get, walk)) != [None] + walk[:-1]):
+            raise AssertionError("leaf links do not walk the stored keys in ascending order")
+        for level, (got, want) in enumerate(zip(levels, _build_levels(walk, self.bits))):
+            if got != want:
+                prefix = min(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
+                raise AssertionError(f"level {level}: prefix {prefix} maps to {got.get(prefix)}, "
+                                     f"the leaf walk gives {want.get(prefix)}")
 
     def level_sizes(self) -> list[int]:
         return [len(t) for t in self._levels]

@@ -205,7 +205,12 @@ class YFastTrie(PredecessorStructure):
         return self._min_size, self._max_size
 
     def audit(self) -> None:
-        """Raise AssertionError unless every bucket (a sole one may be small) is inside the band."""
+        """Raise AssertionError unless every bucket (a sole one may be small) is inside the band.
+
+        The routing trie, if any, runs its own audit first.
+        """
+        if self._rep_trie is not None:
+            self._rep_trie.audit()
         sizes = self.bucket_sizes()
         lo, hi = self._min_size, self._max_size
         if sizes and (max(sizes) > hi or (len(sizes) > 1 and min(sizes) < lo)):

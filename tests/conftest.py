@@ -24,6 +24,24 @@ def random_keyset(rnd: random.Random, universe: UniverseSpec, n: int) -> KeySet:
     return KeySet(sorted(keys))
 
 
+def reference_levels(keys, bits: int) -> list[dict[int, tuple[int, int]]]:
+    """The x-fast prefix tables built top-down, rescanning every key at every level.
+
+    The reference for the trie's bottom-up build: same tables, loop by loop.
+    """
+    levels = []
+    for level in range(bits + 1):
+        shift = bits - level
+        table: dict[int, tuple[int, int]] = {}
+        for k in keys:
+            p = k >> shift
+            entry = table.get(p)
+            # keys ascend, so the first writer is the min and the last the max
+            table[p] = (k, k) if entry is None else (entry[0], k)
+        levels.append(table)
+    return levels
+
+
 def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     """An updated trie holds exactly the tables and leaf links a fresh build would."""
     fresh = XFastTrie(KeySet(keys), trie.universe)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from predsearch import QueryStats
 from predsearch.cli import (
     EXIT_MISMATCH,
@@ -299,6 +301,29 @@ class TestVerify:
         assert run("verify", "--universe-bits", 8, "--n", 10, "--seed", 2,
                    "--structure", "xfast", "--query-file", qfile) == EXIT_MISMATCH
         assert "q=255" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("structure", ["xfast", "layered-ws"])
+    def test_audit_failure_exits_two(self, structure, capsys, monkeypatch):
+        class Liar:
+            """Correct answers from a real structure, but a failing structural audit."""
+
+            def __init__(self, structure):
+                self.structure = structure
+
+            def predecessor(self, q):
+                return self.structure.predecessor(q)
+
+            def audit(self):
+                raise AssertionError("planted fault")
+
+        real = build_structure
+        monkeypatch.setattr("predsearch.cli.build_structure",
+                            lambda *a, **k: Liar(real(*a, **k)))
+        assert run("verify", "--universe-bits", 8, "--n", 10, "--seed", 2,
+                   "--structure", structure) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "structural invariant failed after run: planted fault" in err
+        assert "mismatch" not in err
 
     def test_verify_mismatch_reproducer(self, capsys, monkeypatch):
         class Liar:

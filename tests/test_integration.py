@@ -78,6 +78,19 @@ def test_query_type_and_range_errors(bits):
             assert structure.predecessor(np.uint64(k)) == k, type(structure)
 
 
+def _stale_root(trie):
+    """Delete the minimum but keep the root entry it replaced."""
+    root = trie._root
+    trie.delete(trie.leaves[0])
+    trie._root = root
+
+
+def _wrong_max_at_one_level(trie):
+    table = trie._levels[3]
+    prefix, (lo, hi) = next(iter(table.items()))
+    table[prefix] = (lo, hi - 1)
+
+
 def _overfill_first_bucket(trie):
     bucket = trie._buckets[trie.representatives()[0]]
     bucket.extend([bucket[-1]] * trie.size_band()[1])
@@ -93,20 +106,21 @@ def _drop_key_from_last_layer(cascade):
     layer.delete(next(iter(layer)))
 
 
-# one broken invariant per structure, and the audit message it must raise
-BREAK_ONE_INVARIANT = {
-    "xfast": None,  # keeps the default audit: nothing beyond its answers to check
-    "yfast": (_overfill_first_bucket, "bucket sizes .* outside"),
-    "hashfront-a": (_overfill_front_table, "front table holds"),
-    "hashfront-b": (_overfill_front_table, "front table holds"),
-    "layered": (_drop_key_from_last_layer, "layers do not partition the key set"),
-    "layered-ws": (lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 40\]"),
+# broken invariants per structure, each with the audit message it must raise
+BREAK_INVARIANTS = {
+    "xfast": [(_stale_root, "stale root"), (_wrong_max_at_one_level, "level 3: prefix .* leaf walk")],
+    "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
+              (lambda y: _stale_root(y._rep_trie), "stale root")],
+    "hashfront-a": [(_overfill_front_table, "front table holds")],
+    "hashfront-b": [(_overfill_front_table, "front table holds")],
+    "layered": [(_drop_key_from_last_layer, "layers do not partition the key set")],
+    "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 40\]")],
 }
 
 
 @pytest.mark.parametrize("name", STRUCTURES)
 def test_contract_answers_and_audit(name):
-    """predecessor and query_stats agree with the oracle; audit passes, then catches a fault."""
+    """predecessor and query_stats agree with the oracle; audit passes, then catches each fault."""
     universe = UniverseSpec(8)
     keys = sample_keys(universe, 60, seed=8)
     dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
@@ -115,10 +129,9 @@ def test_contract_answers_and_audit(name):
         expected = oracle_predecessor(keys, q)
         assert structure.predecessor(q) == expected, q
         assert structure.query_stats(q).answer == expected, q
-    structure.audit()
-    if BREAK_ONE_INVARIANT[name] is None:
-        return
-    corrupt, message = BREAK_ONE_INVARIANT[name]
-    corrupt(structure)
-    with pytest.raises(AssertionError, match=message):
+    for corrupt, message in BREAK_INVARIANTS[name]:
+        structure = build_structure(name, keys, dist, universe, epsilon=0.5)
         structure.audit()
+        corrupt(structure)
+        with pytest.raises(AssertionError, match=message):
+            structure.audit()

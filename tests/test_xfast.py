@@ -3,7 +3,9 @@ import random
 from bisect import insort
 
 import pytest
-from conftest import assert_same_as_fresh_build
+from conftest import assert_same_as_fresh_build, reference_levels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predsearch import (
     KeyRangeError,
@@ -53,6 +55,36 @@ class TestBuild:
                 assert mn in leaves and mx in leaves
                 assert mn >> shift == prefix and mx >> shift == prefix
                 assert mn <= mx
+
+
+def distinct_entries(trie: XFastTrie) -> int:
+    return len({id(entry) for table in trie._levels for entry in table.values()})
+
+
+class TestBottomUpBuild:
+    """The bottom-up build gives the top-down reference's tables, with one tuple per leaf and
+    per branching prefix."""
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_edge_key_sets(self, bits):
+        top = (1 << bits) - 1
+        key_sets = [[0], [top], [0, top]]
+        if bits <= 4:
+            key_sets.append(list(range(top + 1)))  # every key of a tiny universe
+        for keys in key_sets:
+            trie = XFastTrie(KeySet(keys), UniverseSpec(bits))
+            assert trie._levels == reference_levels(keys, bits)
+            assert distinct_entries(trie) == 2 * len(keys) - 1
+            trie.audit()
+
+    @given(bits=st.integers(1, 64), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, bits, data):
+        keys = sorted(data.draw(st.sets(st.integers(0, (1 << bits) - 1), min_size=1,
+                                        max_size=min(1 << bits, 64))))
+        trie = XFastTrie(KeySet(keys), UniverseSpec(bits))
+        assert trie._levels == reference_levels(keys, bits)
+        assert distinct_entries(trie) == 2 * len(keys) - 1
 
 
 class TestPredecessor:
@@ -117,6 +149,24 @@ class TestUpdates:
                 queries += [0, universe.size - 1, rnd.randrange(universe.size)]
             for q in queries:
                 assert trie.predecessor(q) == oracle_predecessor(keys, q)
+
+    @pytest.mark.parametrize("bits", [1, 8, 64])
+    def test_minimum_churn_refreshes_root(self, bits):
+        """Inserting below the minimum and deleting it replace the root entry, never mutate it."""
+        universe = UniverseSpec(bits)
+        rnd = random.Random(bits)
+        ref = [universe.size - 1]
+        trie = XFastTrie(KeySet(ref), universe)
+        for _ in range(200):
+            if ref[0] > 0 and (len(ref) == 1 or rnd.random() < 0.6):
+                x = rnd.randrange(ref[0])
+                trie.insert(x)
+                ref.insert(0, x)
+            else:
+                trie.delete(ref.pop(0))
+            assert trie.leaves[0] == next(iter(trie)) == ref[0]
+            assert_same_as_fresh_build(trie, ref)
+            trie.audit()
 
     def test_insert_present_is_noop(self):
         trie = XFastTrie(KeySet([2, 5]), UniverseSpec(3))

@@ -89,6 +89,28 @@ class TestUpdates:
         assert trie.predecessor(2) is None
         audit_band(trie)
 
+    def test_minimum_churn_with_routing_trie(self):
+        """Inserts below every bucket minimum re-key the first bucket through the trie's root."""
+        universe = UniverseSpec(16)
+        ref = list(range(40_000, 40_192, 3))  # 64 keys in 4 buckets of 16
+        trie = YFastTrie(KeySet(ref), universe)
+        assert len(trie.representatives()) == 4
+        x = ref[0]
+        for step in range(300):
+            if step % 3 == 2:
+                trie.delete(ref.pop(0))
+            else:
+                x -= 1 + step % 7
+                trie.insert(x)
+                ref.insert(0, x)
+            assert trie._rep_trie is not None
+            assert next(iter(trie)) == trie.representatives()[0] == ref[0]
+            trie.audit()
+        assert list(trie) == ref
+        keys = KeySet(ref)
+        for q in range(ref[0] - 2, ref[-1] + 2):
+            assert trie.predecessor(q) == oracle_predecessor(keys, q)
+
     def test_delete_absent_raises(self):
         trie = YFastTrie(KeySet([5]), UniverseSpec(4))
         with pytest.raises(KeyError):
