@@ -200,25 +200,13 @@ class WorkingSetLayered(_LayeredBase):
 class WorkingSetTracker:
     """Reference bookkeeping for recency bounds (test and verify builds only).
 
-    The number of distinct predecessors reported since a key's previous report
-    is the number of keys whose latest report came after it.  Report i gets
-    timestamp i + 1, and a Fenwick tree over timestamps holds a 1 at each
-    key's latest report, so that count is a suffix sum: O(log m) per report
-    after m reports.
+    Keeps reported answers in most-recent-first order; the number of distinct
+    predecessors reported since a key's previous report is its position in
+    that order at the moment it is reported again.
     """
 
     def __init__(self) -> None:
-        self._last: dict[int, int] = {}  # key -> timestamp of its latest report
-        self._tree: list[int] = [0]      # 1-based Fenwick tree; slot 0 unused
-
-    def _prefix(self, t: int) -> int:
-        """Latest reports with timestamp at most t."""
-        tree = self._tree
-        total = 0
-        while t:
-            total += tree[t]
-            t &= t - 1
-        return total
+        self._order: list[int] = []
 
     def observe(self, answer: Optional[int]) -> Optional[int]:
         """Record a report; returns distinct reports since its last one.
@@ -228,17 +216,11 @@ class WorkingSetTracker:
         """
         if answer is None:
             return None
-        tree = self._tree
-        now = len(tree)
-        before = self._last.get(answer)
-        since = None
-        if before is not None:
-            since = len(self._last) - self._prefix(before)
-            t = before
-            while t < now:
-                tree[t] -= 1
-                t += t & -t
-        # the new slot covers timestamps (now - lowbit(now), now]: this report plus the older ones
-        tree.append(1 + self._prefix(now - 1) - self._prefix(now - (now & -now)))
-        self._last[answer] = now
-        return since
+        try:
+            i = self._order.index(answer)
+        except ValueError:
+            self._order.insert(0, answer)
+            return None
+        del self._order[i]
+        self._order.insert(0, answer)
+        return i

@@ -129,6 +129,7 @@ def test_contract_answers_and_audit(name):
         expected = oracle_predecessor(keys, q)
         assert structure.predecessor(q) == expected, q
         assert structure.query_stats(q).answer == expected, q
+    structure.audit()
     for corrupt, message in BREAK_INVARIANTS[name]:
         structure = build_structure(name, keys, dist, universe, epsilon=0.5)
         structure.audit()

@@ -279,35 +279,7 @@ TestWorkingSetMachine = WorkingSetMachine.TestCase
 TestWorkingSetMachine.settings = settings(max_examples=100, stateful_step_count=60, deadline=None)
 
 
-class ListTracker:
-    """Reference WorkingSetTracker: reports in most-recent-first order, found by a list scan."""
-
-    def __init__(self):
-        self._order = []
-
-    def observe(self, answer):
-        if answer is None:
-            return None
-        try:
-            i = self._order.index(answer)
-        except ValueError:
-            self._order.insert(0, answer)
-            return None
-        del self._order[i]
-        self._order.insert(0, answer)
-        return i
-
-
 class TestTracker:
-    @pytest.mark.parametrize("seed,distinct", [(1, 3), (2, 40), (3, 700), (4, 5000)])
-    def test_matches_list_reference(self, seed, distinct):
-        rnd = random.Random(seed)
-        tracker, reference = WorkingSetTracker(), ListTracker()
-        for _ in range(4000):
-            # skewed towards small keys, so repeats at every distance mix with first reports
-            answer = None if rnd.random() < 0.05 else int(distinct * rnd.random() ** 3)
-            assert tracker.observe(answer) == reference.observe(answer)
-
     def test_counts_distinct_reports_between_repeats(self):
         t = WorkingSetTracker()
         assert t.observe(1) is None
