@@ -242,7 +242,7 @@ class QueryStats:
     """
 
     answer: Optional[int]
-    level_probes: int = 0   # prefix-table probes spent in trie searches
+    level_probes: int = 0   # prefix-table probes spent in trie searches (0 on a y-fast list route)
     layers_probed: int = 0  # layers visited (layer cascade structures only)
     table_probes: int = 0   # front-table lookups (hash-fronted structures only)
     table_hit: bool = False

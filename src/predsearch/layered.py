@@ -18,13 +18,15 @@ Two ways of ranking keys into layers:
   key shifts down one layer to keep all occupancies at capacity.
 
 Every layer is a bucketed trie, whose insert/delete the self-adjusting variant
-relies on.  A layer of at most ``bits`` keys is built as a single bucket, so
-from 16 bits up the 4- and 16-key front layers carry no routing trie and a
-probe of either is one bisect.
+relies on.  A bucketed trie of at most ``bits`` buckets routes by a bisect over
+its bucket minima and carries no x-fast trie.  A layer of at most
+``bits * bits`` keys is built with at most ``bits`` buckets, so at 32 bits the
+4-, 16- and 256-key layers (1, 1 and 8 buckets) each cost two bisects a probe.
 
 ``predecessor`` and ``query_stats`` (which adds the layers probed) run one
 scan; the self-adjusting variant promotes the answer as its last step.
-``audit`` checks that the live layers partition the key set.
+``audit`` checks each layer's own audit and that the live layers partition
+the key set.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class _LayeredBase(PredecessorStructure):
         return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
 
     def audit(self) -> None:
-        """Raise AssertionError unless the layers partition the key set."""
+        """Raise AssertionError unless each layer audits clean and the layers partition the keys."""
         seen: set[int] = set()
         for layer in self.layers:
+            layer.audit()
             keys = set(layer)
             if keys & seen:
                 raise AssertionError("key present in two layers")

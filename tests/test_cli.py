@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -206,6 +207,9 @@ class TestBench:
 
     def test_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):
         class Liar:
+            def predecessor(self, q):
+                return 0
+
             def query_stats(self, q):
                 return QueryStats(answer=0)
 
@@ -223,6 +227,9 @@ class TestBench:
             def __init__(self, structure):
                 self.structure = structure
 
+            def predecessor(self, q):
+                return self.structure.predecessor(q)
+
             def query_stats(self, q):
                 return self.structure.query_stats(q)
 
@@ -237,6 +244,49 @@ class TestBench:
         err = capsys.readouterr().err
         assert "structural invariant failed after run: planted fault" in err
         assert "verification failed" not in err
+
+    def test_wall_time_is_the_plain_query_path(self, tmp_path, monkeypatch):
+        """wall_ns_per_query times predecessor, not the instrumented query_stats."""
+        pause_s = 0.005
+
+        class SlowStats:
+            def __init__(self, structure):
+                self.structure = structure
+
+            def predecessor(self, q):
+                return self.structure.predecessor(q)
+
+            def query_stats(self, q):
+                time.sleep(pause_s)
+                return self.structure.query_stats(q)
+
+            def audit(self):
+                self.structure.audit()
+
+        real = build_structure
+        monkeypatch.setattr("predsearch.cli.build_structure",
+                            lambda *a, **k: SlowStats(real(*a, **k)))
+        report = self.bench_report(tmp_path, "--universe-bits", 12, "--n", 64,
+                                   "--structure", "yfast", "--queries", 40)
+        assert report["oracle_mismatches"] == 0
+        assert report["wall_ns_per_query"] < pause_s * 1e9 / 10
+
+    def test_layered_ws_stats_from_a_fresh_build(self, tmp_path, monkeypatch):
+        """Both passes over a mutating cascade start from the same build-time state."""
+        built = []
+        real = build_structure
+
+        def recording_build(*a, **k):
+            built.append(real(*a, **k))
+            return built[-1]
+
+        monkeypatch.setattr("predsearch.cli.build_structure", recording_build)
+        report = self.bench_report(tmp_path, "--universe-bits", 10, "--n", 200,
+                                   "--structure", "layered-ws", "--dist-kind", "zipf",
+                                   "--queries", 300, "--seed", 4)
+        assert len(built) == 2 and built[0] is not built[1]
+        assert built[0].layer_contents() == built[1].layer_contents()
+        assert report["oracle_mismatches"] == 0 and report["mean_layers_probed"] >= 1
 
 
 class TestVerify:

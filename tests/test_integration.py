@@ -96,6 +96,28 @@ def _overfill_first_bucket(trie):
     bucket.extend([bucket[-1]] * trie.size_band()[1])
 
 
+def _shrink_to_list_route(trie):
+    """Delete all but the 24 smallest keys: three buckets, routed by their minima list."""
+    for k in list(trie)[24:]:
+        trie.delete(k)
+    assert trie._reps is not None
+    return trie
+
+
+def _list_rep_above_bucket_minimum(trie):
+    _shrink_to_list_route(trie)._buckets[trie._reps[-1]].pop(0)
+
+
+def _list_route_holds_a_stale_bucket(trie):
+    if trie._reps is None:
+        _shrink_to_list_route(trie)
+    trie._rep_buckets[0] = list(trie._rep_buckets[0])
+
+
+def _list_route_over_too_many_buckets(trie):
+    trie._reps, trie._rep_trie = list(trie.representatives()), None
+
+
 def _overfill_front_table(front):
     capacity = front.mode.table_capacity(front.universe.bits)
     front.table.update((q, None) for q in range(int(capacity) + 1))
@@ -110,11 +132,16 @@ def _drop_key_from_last_layer(cascade):
 BREAK_INVARIANTS = {
     "xfast": [(_stale_root, "stale root"), (_wrong_max_at_one_level, "level 3: prefix .* leaf walk")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
-              (lambda y: _stale_root(y._rep_trie), "stale root")],
+              (lambda y: _stale_root(y._rep_trie), "stale root"),
+              (_list_rep_above_bucket_minimum, "representative .* does not lead its bucket"),
+              (_list_route_holds_a_stale_bucket, "list route buckets are not"),
+              (_list_route_over_too_many_buckets, "list route over 13 buckets, above 8")],
     "hashfront-a": [(_overfill_front_table, "front table holds")],
     "hashfront-b": [(_overfill_front_table, "front table holds")],
-    "layered": [(_drop_key_from_last_layer, "layers do not partition the key set")],
-    "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 40\]")],
+    "layered": [(_drop_key_from_last_layer, "layers do not partition the key set"),
+                (lambda c: _list_route_holds_a_stale_bucket(c.layers[1]),
+                 "list route buckets are not")],
+    "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 80\]")],
 }
 
 
@@ -122,7 +149,7 @@ BREAK_INVARIANTS = {
 def test_contract_answers_and_audit(name):
     """predecessor and query_stats agree with the oracle; audit passes, then catches each fault."""
     universe = UniverseSpec(8)
-    keys = sample_keys(universe, 60, seed=8)
+    keys = sample_keys(universe, 100, seed=8)  # 13 y-fast buckets: above 8, so a routing trie
     dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
     structure = build_structure(name, keys, dist, universe, epsilon=0.5)
     for q in range(universe.size):

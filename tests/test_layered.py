@@ -219,18 +219,23 @@ class TestWorkingSetQuery:
 
 class TestFrontLayers:
     def test_front_layers_hold_no_routing_trie(self, rnd):
-        """At 32 bits the 4- and 16-key layers are one bucket each, before and after promotion."""
+        """At 32 bits only a layer of over 32 buckets has a routing trie, also after promotion.
+
+        The 4-, 16- and 256-key layers (1, 1 and 8 buckets) bisect their bucket
+        minima; the last layer of 1224 keys (39 buckets) routes by trie.
+        """
         universe = UniverseSpec(32)
-        keys = random_keyset(rnd, universe, 300)
+        keys = random_keyset(rnd, universe, 1500)
         static = LayeredStructure(keys, uniform_over(keys), universe)
         ws = WorkingSetLayered(keys, universe)
         for q in rnd.sample(keys.keys, 150):
             ws.query_stats(q)
         for structure in (static, ws):
-            assert structure.layer_sizes()[:3] == [4, 16, 256]
-            front, routed = structure.layers[:2], structure.layers[2]
+            assert structure.layer_sizes() == [4, 16, 256, 1224]
+            *front, last = structure.layers
+            assert all(len(layer.representatives()) <= 32 for layer in front)
             assert all(layer._rep_trie is None for layer in front)
-            assert routed._rep_trie is not None
+            assert len(last.representatives()) > 32 and last._rep_trie is not None
 
 
 class WorkingSetMachine(RuleBasedStateMachine):

@@ -2,7 +2,7 @@ import random
 from bisect import bisect_right, insort
 
 import pytest
-from conftest import assert_same_as_fresh_build, random_keyset
+from conftest import assert_same_as_fresh_build
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -92,9 +92,9 @@ class TestUpdates:
     def test_minimum_churn_with_routing_trie(self):
         """Inserts below every bucket minimum re-key the first bucket through the trie's root."""
         universe = UniverseSpec(16)
-        ref = list(range(40_000, 40_192, 3))  # 64 keys in 4 buckets of 16
+        ref = list(range(40_000, 40_960, 3))  # 320 keys in 20 buckets of 16: above bits, so a trie
         trie = YFastTrie(KeySet(ref), universe)
-        assert len(trie.representatives()) == 4
+        assert len(trie.representatives()) == 20
         x = ref[0]
         for step in range(300):
             if step % 3 == 2:
@@ -169,9 +169,14 @@ class TestUpdates:
                         i = bisect_right(ref, q) - 1
                         assert trie.predecessor(q) == (ref[i] if i >= 0 else None)
 
-    @pytest.mark.parametrize("bits", [1, 8, 32, 64])
-    def test_walk_across_one_bucket_boundary(self, bits, monkeypatch):
-        """Only the split that creates a second bucket builds a routing trie."""
+    @pytest.mark.parametrize("bits", [1, 4, 8, 16, 32])
+    def test_walk_across_routing_threshold(self, bits, monkeypatch):
+        """Going above bits buckets builds the trie once; only bits // 2 or fewer drop it.
+
+        The walk climbs past the threshold and falls to bits // 2 twice, then
+        drains the set.  Universes of 16 keys or fewer never hold more than
+        bits buckets, so at 1 and 4 bits the list routes the whole walk.
+        """
         builds = []
         build = XFastTrie.__init__
 
@@ -181,33 +186,50 @@ class TestUpdates:
 
         monkeypatch.setattr(XFastTrie, "__init__", counting_build)
         universe = UniverseSpec(bits)
+        size, low = universe.size, max(1, bits // 2)
         rnd = random.Random(bits)
-        walk = random_keyset(rnd, universe, min(universe.size, 2 * bits + 1)).keys
-        walk = rnd.sample(walk, len(walk))
-        trie = YFastTrie(KeySet(walk[:1]), universe)
-        model = [walk[0]]
-        near = {min(max(k + d, 0), universe.size - 1) for k in walk for d in (-1, 0, 1)}
-        queries = sorted(near | {0, universe.size - 1})
-        steps = [(True, x) for x in walk[1:]] + [(False, x) for x in rnd.sample(walk, len(walk))]
-        for is_insert, x in steps:
-            before, built = len(trie.representatives()), len(builds)
+        model = [rnd.randrange(size)]
+        trie = YFastTrie(KeySet(model), universe)
+        routed, crossings = False, 0
+
+        def step(x, is_insert):
+            nonlocal routed, crossings
+            before, built = len(trie._buckets), len(builds)
             if is_insert:
                 trie.insert(x)
                 insort(model, x)
             else:
                 trie.delete(x)
                 model.remove(x)
-            after = len(trie.representatives())
-            split_out_of_one = (before, after) == (1, 2)
-            assert builds[built:] == ([trie.representatives()] if split_out_of_one else [])
-            assert (trie._rep_trie is None) == (after <= 1)
-            keys = KeySet(model) if model else None
-            for q in queries:
-                expected = oracle_predecessor(keys, q) if keys else None
+            after = len(trie._buckets)
+            if before <= bits < after:
+                crossings += 1
+                assert builds[built:] == [trie.representatives()]
+                assert len(builds[-1]) == bits + 1
+            else:
+                assert builds[built:] == []
+            routed = after > bits or (routed and after > low)
+            assert (trie._rep_trie is not None) == routed
+            assert (trie._reps is None) == routed
+            for q in {min(max(x + d, 0), size - 1) for d in (-1, 0, 1)} | {0, size - 1}:
+                i = bisect_right(model, q)
+                expected = model[i - 1] if i else None
                 assert trie.predecessor(q) == expected
                 assert (q in trie) == (expected == q)
-        assert len(trie) == 0 and trie.representatives() == ()
-        assert len(builds) == (bits > 1)  # a 1-bit universe never outgrows its one bucket
+            trie.audit()
+
+        for _ in range(2):
+            while len(trie._buckets) <= bits and len(model) < size:
+                x = rnd.randrange(size)
+                while x in model:
+                    x = rnd.randrange(size)
+                step(x, True)
+            while len(trie._buckets) > low:
+                step(rnd.choice(model), False)
+        while model:
+            step(rnd.choice(model), False)
+        assert trie.representatives() == () and trie._reps == []
+        assert crossings == len(builds) == (2 if bits >= 8 else 0)
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255)), max_size=60),
            st.sets(st.integers(0, 255), min_size=1, max_size=30))
@@ -244,9 +266,11 @@ class YFastMachine(RuleBasedStateMachine):
         self.universe = UniverseSpec(bits)
         size = self.universe.size
         self.key = st.integers(0, size - 1)
-        # at least two initial chunks, so the first steps already see several buckets
-        self.model = sorted(data.draw(st.sets(self.key, min_size=min(size, 2 * bits),
-                                              max_size=min(size, 4 * bits))))
+        # at least two initial chunks, so the first steps already see several buckets;
+        # up to 8 bits the set may start above bits buckets, routed by a trie
+        most = (bits + 2) * bits if bits <= 8 else 4 * bits
+        n = data.draw(st.integers(min(size, 2 * bits), min(size, most)))
+        self.model = sorted(data.draw(st.sets(self.key, min_size=n, max_size=n)))
         self.trie = YFastTrie(KeySet(self.model), self.universe)
 
     @rule(data=st.data())
@@ -305,21 +329,21 @@ class YFastMachine(RuleBasedStateMachine):
         audit_band(self.trie)
 
     @invariant()
-    def representative_trie_matches_fresh_build(self):
-        """The trie exists exactly when there are two or more buckets, and is then exact."""
-        buckets = self.trie._buckets
-        reps = self.trie.representatives()
-        assert list(reps) == sorted(buckets)
-        assert all(buckets[r][0] == r for r in reps)
-        if len(reps) <= 1:
-            assert self.trie._rep_trie is None
-            if reps:
-                assert self.trie._sole is buckets[reps[0]]
-            else:
-                assert self.trie._sole == []
+    def route_matches_bucket_minima(self):
+        """The list route is the bucket minima; a routing trie equals a fresh build over them."""
+        trie, bits = self.trie, self.universe.bits
+        minima = sorted(trie._buckets)
+        assert all(trie._buckets[r][0] == r for r in minima)
+        assert list(trie.representatives()) == minima
+        if trie._reps is not None:
+            assert trie._rep_trie is None
+            assert trie._reps == minima and len(minima) <= bits
+            assert len(trie._rep_buckets) == len(minima)
+            assert all(b is trie._buckets[r] for b, r in zip(trie._rep_buckets, minima))
         else:
-            assert self.trie._sole is None
-            assert_same_as_fresh_build(self.trie._rep_trie, reps)
+            assert len(minima) > max(1, bits // 2)
+            assert_same_as_fresh_build(trie._rep_trie, minima)
+        trie.audit()
 
 
 TestYFastMachine = YFastMachine.TestCase
@@ -329,10 +353,15 @@ TestYFastMachine.settings = settings(max_examples=100, stateful_step_count=60, d
 class TestSpace:
     def test_linear_space_flat_constant(self, rnd):
         universe = UniverseSpec(16)
+        # 16 buckets of 16 keys: the list routes, so only the bucket slots count
+        keys = KeySet(sorted(rnd.sample(range(universe.size), 2 ** 8)))
+        trie = YFastTrie(keys, universe)
+        assert trie._rep_trie is None and trie.table_entries() == 2 ** 8
         ratios = []
-        for n in (2 ** 8, 2 ** 10, 2 ** 12):
+        for n in (2 ** 10, 2 ** 12, 2 ** 14):
             keys = KeySet(sorted(rnd.sample(range(universe.size), n)))
             trie = YFastTrie(keys, universe)
+            assert trie._rep_trie is not None
             ratios.append(trie.table_entries() / n)
         for a, b in zip(ratios, ratios[1:]):
             assert max(a, b) / min(a, b) < 1.5, ratios
