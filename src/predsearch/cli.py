@@ -170,6 +170,8 @@ def read_queries(path: str) -> list[int]:
 
 def _load_instance(args) -> tuple[UniverseSpec, KeySet, WeightedDistribution, str, Optional[float]]:
     universe = UniverseSpec(args.universe_bits)
+    if args.keys and args.n is not None:
+        raise ParameterError("give either --keys FILE or --n COUNT, not both")
     if args.keys:
         keys = read_keys(args.keys)
     elif args.n is not None:
@@ -198,6 +200,8 @@ def build_structure(name: str, keys: KeySet, dist: WeightedDistribution,
             raise ParameterError("--epsilon is required for hash-front structures")
         mode = ThresholdMode.mode_a(epsilon) if name.endswith("a") else ThresholdMode.mode_b(epsilon)
         return HashFront(keys, dist, universe, mode)
+    if epsilon is not None:
+        raise ParameterError(f"--epsilon applies only to hash-front structures, not {name}")
     if name == "xfast":
         return XFastTrie(keys, universe)
     if name == "yfast":

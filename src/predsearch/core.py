@@ -131,6 +131,8 @@ class WeightedDistribution:
     def __init__(self, weights: Mapping[int, float]):
         cleaned: dict[int, float] = {}
         for key, w in weights.items():
+            if type(key) is not int:  # bool is an int subclass, so isinstance would pass it
+                raise ParameterError(f"keys must be ints, got {key!r} of type {type(key).__name__}")
             w = float(w)
             if not math.isfinite(w) or w < 0.0:
                 raise InvalidDistributionError(f"weight for key {key} must be finite and >= 0, got {w}")
@@ -242,7 +244,8 @@ class QueryStats:
     """
 
     answer: Optional[int]
-    level_probes: int = 0   # prefix-table probes spent in trie searches (0 on a y-fast list route)
+    level_probes: int = 0   # prefix-table probes in trie searches, at most ceil(log2(bits + 1)) each;
+                            # fewer when a probe meets a single-key prefix, 0 on a y-fast list route
     layers_probed: int = 0  # layers visited (layer cascade structures only)
     table_probes: int = 0   # front-table lookups (hash-fronted structures only)
     table_hit: bool = False

@@ -3,12 +3,17 @@
 For a universe of ``w`` bits the trie keeps ``w + 1`` hash tables.  Table L is
 keyed by the top-L bits of every stored key and maps each present prefix to
 the smallest and largest stored key beneath it.  A binary search over the
-levels locates the longest stored prefix of the query; the (min, max)
-descendant pointers plus the doubly linked leaf list then resolve the
-predecessor with O(1) additional work:
+levels looks for the longest stored prefix of the query, making at most
+ceil(log2(w + 1)) probes; the (min, max) descendant pointers plus the doubly
+linked leaf list then resolve the predecessor with O(1) additional work:
 
-* if the query diverges from the trie by a 1-bit, every stored key under the
-  found prefix sits in its 0-subtree, so the prefix's max leaf is the answer;
+* the search stops at the first probed prefix with a single key k beneath it
+  (min == max), since every other stored key lies wholly below or wholly
+  above that prefix: the answer is k if k <= query, else the leaf linked
+  before k;
+* otherwise the longest stored prefix branches.  If the query diverges from
+  it by a 1-bit, every stored key under the prefix sits in its 0-subtree, so
+  the prefix's max leaf is the answer;
 * if it diverges by a 0-bit, every stored key under the prefix is larger than
   the query, so the answer is the leaf linked before the prefix's min.
 
@@ -105,6 +110,13 @@ class XFastTrie(PredecessorStructure):
         return QueryStats(answer=answer, level_probes=probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:
+        """Weak predecessor of q and the prefix-table probes spent on it.
+
+        The level search returns at the first probed prefix with a single key
+        beneath it (see the module docstring).  Every leaf is such a prefix,
+        so a search that gets past the loop ends at a branching prefix or the
+        root, and that prefix's (min, max) entry decides.
+        """
         bits = self.bits
         levels = self._levels
         probes = 0
@@ -115,12 +127,13 @@ class XFastTrie(PredecessorStructure):
             e = levels[mid].get(q >> (bits - mid))
             probes += 1
             if e is not None:
+                k, m = e
+                if k == m:
+                    return (k if k <= q else self._prev[k]), probes
                 lo = mid
                 entry = e
             else:
                 hi = mid - 1
-        if lo == bits:
-            return q, probes  # q itself is stored; weak predecessor
         if (q >> (bits - lo - 1)) & 1:
             return entry[1], probes
         return self._prev[entry[0]], probes

@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 
@@ -9,6 +10,7 @@ from predsearch import (
     WorkloadSpec,
     XFastTrie,
     generate_distribution,
+    oracle_predecessor,
 )
 
 KIND_CYCLE = ("uniform", "geometric", "zipf", "pointmass")
@@ -40,6 +42,50 @@ def reference_levels(keys, bits: int) -> list[dict[int, tuple[int, int]]]:
             table[p] = (k, k) if entry is None else (entry[0], k)
         levels.append(table)
     return levels
+
+
+def reference_search(trie: XFastTrie, q: int) -> tuple[Optional[int], int]:
+    """The x-fast level search run to full depth: (weak predecessor of q, probes).
+
+    The reference for the trie's search, which stops at the first single-key
+    prefix: this one always binary-searches down to q's longest stored prefix.
+    """
+    bits, levels = trie.bits, trie._levels
+    probes = 0
+    lo, hi = 0, bits
+    entry = trie._root
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        e = levels[mid].get(q >> (bits - mid))
+        probes += 1
+        if e is not None:
+            lo = mid
+            entry = e
+        else:
+            hi = mid - 1
+    if lo == bits:
+        return q, probes
+    if (q >> (bits - lo - 1)) & 1:
+        return entry[1], probes
+    return trie._prev[entry[0]], probes
+
+
+def probes_saved(structure, trie: XFastTrie, keys: KeySet, queries) -> int:
+    """Check structure's answers against the oracle and its level probes against the
+    full-depth reference on trie (the structure itself or its routing trie).
+
+    Returns how many queries took strictly fewer probes than the reference.
+    """
+    routed = KeySet(trie.leaves)
+    fewer = 0
+    for q in queries:
+        stats = structure.query_stats(q)
+        assert stats.answer == oracle_predecessor(keys, q), q
+        answer, full = reference_search(trie, q)
+        assert answer == oracle_predecessor(routed, q), q
+        assert stats.level_probes <= full, (q, stats.level_probes, full)
+        fewer += stats.level_probes < full
+    return fewer
 
 
 def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:

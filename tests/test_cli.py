@@ -130,6 +130,21 @@ class TestParsing:
         assert run("bench", "--universe-bits", 8, "--keys", keys,
                    "--structure", "yfast") == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    @pytest.mark.parametrize("structure", ["xfast", "yfast", "layered", "layered-ws"])
+    def test_epsilon_rejected_outside_hashfronts(self, command, structure, capsys):
+        assert run(command, "--universe-bits", 8, "--n", 10, "--structure", structure,
+                   "--epsilon", 0.5) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: --epsilon applies only to hash-front structures, not {structure}" in err
+
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    def test_keys_with_n_rejected(self, command, tmp_path, capsys):
+        keys = gen_keys(tmp_path, bits=8, n=20)
+        assert run(command, "--universe-bits", 8, "--keys", keys, "--n", 10,
+                   "--structure", "yfast") == EXIT_USAGE
+        assert "error: give either --keys FILE or --n COUNT, not both" in capsys.readouterr().err
+
 
 class TestBench:
     def bench_report(self, tmp_path, *argv):
@@ -324,8 +339,9 @@ class TestVerify:
         qfile = tmp_path / "queries.txt"
         qfile.write_text("0\n4095\n17\n")
         for structure in ("xfast", "yfast", "hashfront-a", "hashfront-b", "layered"):
+            epsilon = ("--epsilon", 0.5) if structure.startswith("hashfront") else ()
             assert run("verify", "--universe-bits", 12, "--keys", keys, "--structure", structure,
-                       "--epsilon", 0.5, "--query-file", qfile) == EXIT_OK
+                       *epsilon, "--query-file", qfile) == EXIT_OK
             assert "verified 3 scripted queries: ok" in capsys.readouterr().out
 
     def test_query_file_replay_beyond_sweep_limit(self, tmp_path, capsys):

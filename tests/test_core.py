@@ -123,6 +123,12 @@ class TestEntropy:
         with pytest.raises(InvalidDistributionError):
             WeightedDistribution({})
 
+    @pytest.mark.parametrize("key, type_name", [("a", "str"), (1.5, "float"), (True, "bool")])
+    def test_rejects_non_int_keys(self, key, type_name):
+        # KeySet's rule and message: bool is an int subclass but not a key
+        with pytest.raises(ParameterError, match=f"keys must be ints, got {key!r} of type {type_name}"):
+            WeightedDistribution({2: 1.0, key: 1.0})
+
     @given(st.dictionaries(st.integers(min_value=0, max_value=2 ** 32 - 1),
                            st.floats(min_value=1e-12, max_value=1e12),
                            min_size=1, max_size=50))

@@ -151,14 +151,15 @@ def test_contract_answers_and_audit(name):
     universe = UniverseSpec(8)
     keys = sample_keys(universe, 100, seed=8)  # 13 y-fast buckets: above 8, so a routing trie
     dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
-    structure = build_structure(name, keys, dist, universe, epsilon=0.5)
+    epsilon = 0.5 if name.startswith("hashfront") else None
+    structure = build_structure(name, keys, dist, universe, epsilon)
     for q in range(universe.size):
         expected = oracle_predecessor(keys, q)
         assert structure.predecessor(q) == expected, q
         assert structure.query_stats(q).answer == expected, q
     structure.audit()
     for corrupt, message in BREAK_INVARIANTS[name]:
-        structure = build_structure(name, keys, dist, universe, epsilon=0.5)
+        structure = build_structure(name, keys, dist, universe, epsilon)
         structure.audit()
         corrupt(structure)
         with pytest.raises(AssertionError, match=message):

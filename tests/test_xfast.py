@@ -3,7 +3,7 @@ import random
 from bisect import insort
 
 import pytest
-from conftest import assert_same_as_fresh_build, reference_levels
+from conftest import assert_same_as_fresh_build, probes_saved, reference_levels, reference_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +120,55 @@ class TestPredecessor:
         trie = XFastTrie(KeySet([1]), UniverseSpec(2))
         with pytest.raises(KeyRangeError):
             trie.predecessor(4)
+
+
+class TestEarlyExit:
+    """The level search stops at the first prefix with a single key beneath it: the
+    oracle's answers, never more probes than the full-depth reference, fewer on some."""
+
+    def test_two_keys_64_bits(self):
+        # level 32 holds 5's prefix, and only key 0 lies beneath it
+        trie = XFastTrie(KeySet([0, 2 ** 63]), UniverseSpec(64))
+        stats = trie.query_stats(5)
+        assert stats.answer == 0 and stats.level_probes == 1
+        assert reference_search(trie, 5) == (0, 6)
+
+    def test_single_key_above_the_query(self):
+        # the single-key prefix holds a key above q: the answer is the leaf linked before it
+        trie = XFastTrie(KeySet([3, 2 ** 40 + 7]), UniverseSpec(64))
+        stats = trie.query_stats(2 ** 40)
+        assert stats.answer == 3 and stats.level_probes == 1
+        assert trie.query_stats(2).answer is None
+
+    @pytest.mark.parametrize("n", [1, 2, 256, 4096])
+    def test_exhaustive_16_bits(self, n):
+        universe = UniverseSpec(16)
+        keys = KeySet(sorted(random.Random(n).sample(range(universe.size), n)))
+        trie = XFastTrie(keys, universe)
+        assert probes_saved(trie, trie, keys, range(universe.size)) > 0
+
+    def test_churn_64_bits(self):
+        universe = UniverseSpec(64)
+        rnd = random.Random(64)
+        ref = sorted({rnd.randrange(universe.size) for _ in range(64)})
+        trie = XFastTrie(KeySet(ref), universe)
+        fewer = 0
+        for _ in range(300):
+            if rnd.random() < 0.5 and len(ref) > 1:
+                x = rnd.choice(ref)
+                ref.remove(x)
+                trie.delete(x)
+            else:
+                x = rnd.randrange(universe.size)
+                trie.insert(x)
+                if x not in ref:
+                    insort(ref, x)
+            near = [k + d for k in rnd.sample(ref, min(8, len(ref))) for d in (-1, 0, 1)]
+            queries = [q for q in near if 0 <= q < universe.size]
+            queries += [0, universe.size - 1] + [rnd.randrange(universe.size) for _ in range(8)]
+            fewer += probes_saved(trie, trie, KeySet(ref), queries)
+        assert_same_as_fresh_build(trie, ref)
+        assert fewer > 0
 
 
 class TestUpdates:

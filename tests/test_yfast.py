@@ -2,7 +2,7 @@ import random
 from bisect import bisect_right, insort
 
 import pytest
-from conftest import assert_same_as_fresh_build
+from conftest import assert_same_as_fresh_build, probes_saved
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -68,6 +68,44 @@ class TestPredecessor:
         trie = YFastTrie(keys, universe)
         for q in range(universe.size):
             assert trie.predecessor(q) == oracle_predecessor(keys, q)
+
+
+
+class TestEarlyExit:
+    """Routing through an x-fast trie (more than bits buckets) stops at the first prefix
+    with a single representative beneath it: the oracle's answers, never more probes
+    than the full-depth reference on the routing trie, fewer on some."""
+
+    def test_exhaustive_16_bits(self):
+        universe = UniverseSpec(16)
+        keys = KeySet(sorted(random.Random(16).sample(range(universe.size), 2000)))
+        trie = YFastTrie(keys, universe)
+        assert trie._rep_trie is not None
+        assert probes_saved(trie, trie._rep_trie, keys, range(universe.size)) > 0
+
+    def test_churn_64_bits(self):
+        universe = UniverseSpec(64)
+        rnd = random.Random(64)
+        ref = sorted({rnd.randrange(universe.size) for _ in range(5000)})
+        trie = YFastTrie(KeySet(ref), universe)
+        fewer = 0
+        for _ in range(300):
+            if rnd.random() < 0.5:
+                x = rnd.choice(ref)
+                ref.remove(x)
+                trie.delete(x)
+            else:
+                x = rnd.randrange(universe.size)
+                trie.insert(x)
+                if x not in ref:
+                    insort(ref, x)
+            assert trie._rep_trie is not None
+            near = [k + d for k in rnd.sample(ref, 8) for d in (-1, 0, 1)]
+            queries = [q for q in near if 0 <= q < universe.size]
+            queries += [0, universe.size - 1] + [rnd.randrange(universe.size) for _ in range(8)]
+            fewer += probes_saved(trie, trie._rep_trie, KeySet(ref), queries)
+        trie.audit()
+        assert fewer > 0
 
 
 class TestUpdates:
