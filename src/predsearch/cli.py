@@ -168,6 +168,16 @@ def read_queries(path: str) -> list[int]:
 # instance assembly
 
 
+def _shape_params(source: str, ratio: Optional[float], s: Optional[float]) -> tuple[float, float]:
+    """--ratio and --s with their defaults applied, once each is known to shape the weights
+    that source (a distribution kind, or a description of the file read) gives."""
+    if ratio is not None and source != "geometric":
+        raise ParameterError(f"--ratio applies only to --dist-kind geometric, not {source}")
+    if s is not None and source != "zipf":
+        raise ParameterError(f"--s applies only to --dist-kind zipf, not {source}")
+    return (0.5 if ratio is None else ratio), (1.0 if s is None else s)
+
+
 def _load_instance(args) -> tuple[UniverseSpec, KeySet, WeightedDistribution, str, Optional[float]]:
     universe = UniverseSpec(args.universe_bits)
     if args.keys and args.n is not None:
@@ -179,16 +189,19 @@ def _load_instance(args) -> tuple[UniverseSpec, KeySet, WeightedDistribution, st
     else:
         raise ParameterError("provide --keys FILE or --n COUNT")
     universe.check_key(keys.keys[-1])
+    if args.dist and args.dist_kind:
+        raise ParameterError("give either --dist FILE or --dist-kind KIND, not both")
     if args.dist:
+        _shape_params("--dist FILE", args.ratio, args.s)
         dist = read_weights(args.dist)
         dist_kind: str = "file"
         dist_param: Optional[float] = None
     else:
         kind = args.dist_kind or "uniform"
-        spec = WorkloadSpec(kind=kind, support=keys.keys, ratio=args.ratio, s=args.s)
-        dist = generate_distribution(spec)
+        ratio, s = _shape_params(kind, args.ratio, args.s)
+        dist = generate_distribution(WorkloadSpec(kind=kind, support=keys.keys, ratio=ratio, s=s))
         dist_kind = kind
-        dist_param = {"geometric": args.ratio, "zipf": args.s}.get(kind)
+        dist_param = {"geometric": ratio, "zipf": s}.get(kind)
     universe.check_key(dist.support[-1])
     return universe, keys, dist, dist_kind, dist_param
 
@@ -218,13 +231,14 @@ def build_structure(name: str, keys: KeySet, dist: WeightedDistribution,
 
 def cmd_gen(args) -> int:
     if args.dist_kind:
+        ratio, s = _shape_params(args.dist_kind, args.ratio, args.s)
         if not args.support:
             raise ParameterError("gen --dist-kind needs --support KEYS_FILE")
         support = read_keys(args.support)
-        spec = WorkloadSpec(kind=args.dist_kind, support=support.keys,
-                            ratio=args.ratio, s=args.s)
+        spec = WorkloadSpec(kind=args.dist_kind, support=support.keys, ratio=ratio, s=s)
         write_weights(args.out, generate_distribution(spec))
     else:
+        _shape_params("a keys file", args.ratio, args.s)
         if args.universe_bits is None or args.n is None:
             raise ParameterError("gen needs either --dist-kind or both --universe-bits and --n")
         universe = UniverseSpec(args.universe_bits)
@@ -259,6 +273,8 @@ def _audit_after_run(structure) -> bool:
 
 
 def cmd_bench(args) -> int:
+    if args.query_file and args.queries is not None:
+        raise ParameterError("give either --query-file FILE or --queries COUNT, not both")
     universe, keys, dist, dist_kind, dist_param = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
     if args.query_file:
@@ -266,7 +282,7 @@ def cmd_bench(args) -> int:
         for q in queries:
             universe.check_key(q)
     else:
-        queries = sample_queries(dist, args.seed, args.queries)
+        queries = sample_queries(dist, args.seed, 10000 if args.queries is None else args.queries)
 
     # the timed pass is the plain query path; the per-query stats come from a second,
     # untimed pass, on a fresh build when queries mutate the structure
@@ -383,8 +399,8 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--keys", metavar="FILE", help="read keys from file instead of generating")
     sub.add_argument("--dist", metavar="FILE", help="read weights from a key<TAB>weight file")
     sub.add_argument("--dist-kind", choices=KINDS, help="synthesize weights over the key set")
-    sub.add_argument("--ratio", type=float, default=0.5, help="geometric decay per rank")
-    sub.add_argument("--s", type=float, default=1.0, help="zipf exponent")
+    sub.add_argument("--ratio", type=float, help="geometric decay per rank (default 0.5)")
+    sub.add_argument("--s", type=float, help="zipf exponent (default 1.0)")
     sub.add_argument("--structure", choices=STRUCTURES, required=True)
     sub.add_argument("--epsilon", type=float, help="threshold exponent for hash-front structures")
     sub.add_argument("--seed", type=int, default=0, help="single seed; sub-streams derive from it")
@@ -400,15 +416,15 @@ def build_parser() -> _Parser:
     gen.add_argument("--n", type=int, help="number of distinct keys to draw")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--dist-kind", choices=KINDS, help="write weights instead of keys")
-    gen.add_argument("--ratio", type=float, default=0.5)
-    gen.add_argument("--s", type=float, default=1.0)
+    gen.add_argument("--ratio", type=float, help="geometric decay per rank (default 0.5)")
+    gen.add_argument("--s", type=float, help="zipf exponent (default 1.0)")
     gen.add_argument("--support", metavar="FILE", help="keys file the weights are assigned over")
     gen.add_argument("--out", required=True, metavar="FILE")
     gen.set_defaults(func=cmd_gen)
 
     bench = subs.add_parser("bench", help="run a verified query workload and report")
     _add_instance_flags(bench)
-    bench.add_argument("--queries", type=int, default=10000, help="number of sampled queries")
+    bench.add_argument("--queries", type=int, help="number of sampled queries (default 10000)")
     bench.add_argument("--query-file", metavar="FILE", help="replay queries from file instead")
     bench.add_argument("--out", metavar="FILE", help="write the report here (default stdout)")
     bench.add_argument("--format", choices=("json", "csv"), default="json")

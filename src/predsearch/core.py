@@ -244,8 +244,9 @@ class QueryStats:
     """
 
     answer: Optional[int]
-    level_probes: int = 0   # prefix-table probes in trie searches, at most ceil(log2(bits + 1)) each;
-                            # fewer when a probe meets a single-key prefix, 0 on a y-fast list route
+    level_probes: int = 0   # prefix-table probes in trie searches, at most ceil(log2(depth + 1)) each
+                            # for a trie storing levels 0..depth (depth <= bits); fewer when a probe
+                            # meets a single-key prefix, 0 on a y-fast list route
     layers_probed: int = 0  # layers visited (layer cascade structures only)
     table_probes: int = 0   # front-table lookups (hash-fronted structures only)
     table_hit: bool = False

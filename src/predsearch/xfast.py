@@ -1,10 +1,13 @@
 """Hashed prefix-level trie: predecessor search in O(log bits) table probes.
 
-For a universe of ``w`` bits the trie keeps ``w + 1`` hash tables.  Table L is
-keyed by the top-L bits of every stored key and maps each present prefix to
-the smallest and largest stored key beneath it.  A binary search over the
+For a universe of ``w`` bits, table L is keyed by the top-L bits of every
+stored key and maps each present prefix to the smallest and largest stored
+key beneath it.  The trie keeps tables 0..D only, where every level-D prefix
+holds one key; a build takes the shallowest such level D >= 1.  Below D every
+prefix would hold the same single key as its level-D ancestor, so the deeper
+tables could only repeat level D's answer.  A binary search over the stored
 levels looks for the longest stored prefix of the query, making at most
-ceil(log2(w + 1)) probes; the (min, max) descendant pointers plus the doubly
+ceil(log2(D + 1)) probes; the (min, max) descendant pointers plus the doubly
 linked leaf list then resolve the predecessor with O(1) additional work:
 
 * the search stops at the first probed prefix with a single key k beneath it
@@ -17,16 +20,22 @@ linked leaf list then resolve the predecessor with O(1) additional work:
 * if it diverges by a 0-bit, every stored key under the prefix is larger than
   the query, so the answer is the leaf linked before the prefix's min.
 
-The tables are built bottom-up: each level is derived from the one below it
-with C-level ``map``/``zip`` passes, no Python work per (level, key).  The
-(min, max) entries are immutable tuples, and a prefix with a single child
-shares its child's tuple, so after a build the O(n * w) table slots point at
-only 2n - 1 distinct entries (one per leaf and one per branching prefix).
+The tables are built bottom-up from level D: each level is derived from the
+one below it with C-level ``map``/``zip`` passes, no Python work per
+(level, key).  The (min, max) entries are immutable tuples, and a prefix with
+a single child shares its child's tuple, so after a build the O(n * D) table
+slots point at only 2n - 1 distinct entries (one per key and one per
+branching prefix).  On a 64-bit universe with 2^16 uniform keys D is about 32,
+so the trie stores about half of the ``w + 1`` tables.
 
-``insert`` and ``delete`` touch only the ``w + 1`` prefix entries on the key's
-path plus its two leaf neighbours, so an update costs O(w) table operations.
+``insert`` and ``delete`` touch only the D + 1 prefix entries on the key's
+path plus its two leaf neighbours, so an update costs O(D) table operations.
 They replace entries rather than mutate them, which keeps the sharing safe,
-and levels that shared the replaced entry share its replacement.
+and levels that shared the replaced entry share its replacement.  An insert
+that leaves two keys under one level-D prefix appends the levels down to the
+one that separates them, at O(n) per level; the depth never shrinks until
+the next build, so over a trie's life this stays within what a full-depth
+build (``w + 1`` tables) would pay up front.
 The trie always holds at least one key, like the key set it is built from.
 Plain dicts provide the expected-O(1) tables; a perfect-hash construction
 would also satisfy the contract but is unnecessary here.
@@ -35,7 +44,7 @@ would also satisfy the contract but is unnecessary here.
 from __future__ import annotations
 
 from itertools import compress, islice, repeat
-from operator import eq, itemgetter, rshift
+from operator import eq, itemgetter, rshift, xor
 from typing import Iterator, Optional, Sequence
 
 from .core import KeySet, ParameterError, PredecessorStructure, QueryStats, UniverseSpec
@@ -43,18 +52,30 @@ from .core import KeySet, ParameterError, PredecessorStructure, QueryStats, Univ
 Entry = tuple[int, int]  # (min, max) stored key beneath a prefix
 
 
-def _build_levels(leaves: Sequence[int], bits: int) -> list[dict[int, Entry]]:
-    """The bits + 1 prefix tables over ascending leaves, root level first.
+def _depth(leaves: Sequence[int], bits: int) -> int:
+    """The shallowest level, at least 1, at which every prefix of the ascending leaves holds one key.
 
+    Adjacent keys a < b share their level-L prefix iff (a ^ b) >> (bits - L) == 0,
+    so they first part at level bits + 1 - (a ^ b).bit_length(); a single key gives 1.
+    """
+    split = min(map(int.bit_length, map(xor, leaves, islice(leaves, 1, None))), default=bits)
+    return max(1, bits + 1 - split)
+
+
+def _build_levels(leaves: Sequence[int], bits: int, depth: int, top: int = 0) -> list[dict[int, Entry]]:
+    """Prefix tables top..depth over ascending leaves, shallowest level first.
+
+    Every level-depth prefix must hold one key (depth >= _depth(leaves, bits)):
+    the pass starts there with one (k, k) tuple per key and works upwards.
     Sorted order puts the two children of a branching prefix next to each
     other, so only those adjacent pairs get a new (left min, right max) tuple;
     every other parent takes its only child's tuple.  A level with no
     branching prefix keeps the entry list of the level below.
     """
     entries: list[Entry] = list(zip(leaves, leaves))
-    table = dict(zip(leaves, entries))
+    table = dict(zip(map(rshift, leaves, repeat(bits - depth)), entries))
     levels = [table]
-    for _ in range(bits):
+    for _ in range(depth - top):
         parents = list(map(rshift, table, repeat(1)))
         table = dict(zip(parents, entries))
         if len(table) < len(parents):
@@ -78,7 +99,7 @@ class XFastTrie(PredecessorStructure):
         self.universe = universe
         self._prev: dict[int, Optional[int]] = dict(zip(leaves, (None,) + leaves[:-1]))
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
-        self._levels = _build_levels(leaves, self.bits)
+        self._levels = _build_levels(leaves, self.bits, _depth(leaves, self.bits))
         self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
     def __len__(self) -> int:
@@ -112,15 +133,16 @@ class XFastTrie(PredecessorStructure):
     def _search(self, q: int) -> tuple[Optional[int], int]:
         """Weak predecessor of q and the prefix-table probes spent on it.
 
-        The level search returns at the first probed prefix with a single key
-        beneath it (see the module docstring).  Every leaf is such a prefix,
-        so a search that gets past the loop ends at a branching prefix or the
-        root, and that prefix's (min, max) entry decides.
+        The level search binary-searches the stored levels 0..D and returns at
+        the first probed prefix with a single key beneath it (see the module
+        docstring).  Every level-D prefix is such a prefix, so a search that
+        gets past the loop ends at a branching prefix or the root above level
+        D, and that prefix's (min, max) entry decides.
         """
         bits = self.bits
         levels = self._levels
         probes = 0
-        lo, hi = 0, bits
+        lo, hi = 0, len(levels) - 1
         entry = self._root
         while lo < hi:
             mid = (lo + hi + 1) >> 1
@@ -151,11 +173,11 @@ class XFastTrie(PredecessorStructure):
             self._next[p] = x
         if s is not None:
             self._prev[s] = x
-        bits = self.bits
+        bits, levels = self.bits, self._levels
         leaf = (x, x)  # shared by every prefix x is now alone beneath
         old: Optional[Entry] = None
         new: Optional[Entry] = None
-        for level, table in enumerate(self._levels):
+        for level, table in enumerate(levels):
             prefix = x >> (bits - level)
             entry = table.get(prefix)
             if entry is None:
@@ -168,7 +190,11 @@ class XFastTrie(PredecessorStructure):
             elif x > entry[1]:
                 old, new = entry, (entry[0], x)
                 table[prefix] = new
-        self._root = self._levels[0][0]
+        self._root = levels[0][0]
+        if len(levels[-1]) < len(self._next):
+            # x shares its deepest stored prefix with a neighbour: store the levels that part them
+            depth = _depth([k for k in (p, x, s) if k is not None], bits)
+            levels += _build_levels(list(self), bits, depth, len(levels))
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent and ParameterError if it is the last key."""
@@ -202,7 +228,8 @@ class XFastTrie(PredecessorStructure):
         self._root = self._levels[0][0]
 
     def audit(self) -> None:
-        """Raise AssertionError unless the root, the leaf links and every prefix table agree."""
+        """Raise AssertionError unless the root, the leaf links and every prefix table agree,
+        and the deepest stored level holds one prefix per key."""
         levels, nxt, prev = self._levels, self._next, self._prev
         if self._root is not levels[0].get(0):
             raise AssertionError(f"stale root {self._root}: level 0 holds {levels[0].get(0)}")
@@ -214,7 +241,11 @@ class XFastTrie(PredecessorStructure):
         if (walk != sorted(nxt) or prev.keys() != nxt.keys()
                 or list(map(prev.get, walk)) != [None] + walk[:-1]):
             raise AssertionError("leaf links do not walk the stored keys in ascending order")
-        for level, (got, want) in enumerate(zip(levels, _build_levels(walk, self.bits))):
+        depth = len(levels) - 1
+        if depth < 1 or len(levels[depth]) != len(walk):
+            raise AssertionError(f"deepest stored level {depth} holds {len(levels[depth])} prefixes "
+                                 f"for {len(walk)} keys; it must be at least 1 with one prefix per key")
+        for level, (got, want) in enumerate(zip(levels, _build_levels(walk, self.bits, depth))):
             if got != want:
                 prefix = min(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
                 raise AssertionError(f"level {level}: prefix {prefix} maps to {got.get(prefix)}, "
@@ -224,5 +255,5 @@ class XFastTrie(PredecessorStructure):
         return [len(t) for t in self._levels]
 
     def table_entries(self) -> int:
-        """Total prefix-table entries across all levels (space audit)."""
+        """Total prefix-table entries across the stored levels (space audit)."""
         return sum(len(t) for t in self._levels)

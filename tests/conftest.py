@@ -27,9 +27,10 @@ def random_keyset(rnd: random.Random, universe: UniverseSpec, n: int) -> KeySet:
 
 
 def reference_levels(keys, bits: int) -> list[dict[int, tuple[int, int]]]:
-    """The x-fast prefix tables built top-down, rescanning every key at every level.
+    """All bits + 1 x-fast prefix tables built top-down, rescanning every key at every level.
 
-    The reference for the trie's bottom-up build: same tables, loop by loop.
+    The reference for the trie's bottom-up build, which stores the same tables
+    down to its depth only.
     """
     levels = []
     for level in range(bits + 1):
@@ -44,16 +45,18 @@ def reference_levels(keys, bits: int) -> list[dict[int, tuple[int, int]]]:
     return levels
 
 
-def reference_search(trie: XFastTrie, q: int) -> tuple[Optional[int], int]:
+def reference_search(trie: XFastTrie, levels, q: int) -> tuple[Optional[int], int]:
     """The x-fast level search run to full depth: (weak predecessor of q, probes).
 
-    The reference for the trie's search, which stops at the first single-key
-    prefix: this one always binary-searches down to q's longest stored prefix.
+    levels are reference_levels over trie's keys.  The reference for the
+    trie's search, which stops at the first single-key prefix above its
+    depth: this one always binary-searches all bits + 1 levels down to q's
+    longest stored prefix.
     """
-    bits, levels = trie.bits, trie._levels
+    bits = trie.bits
     probes = 0
     lo, hi = 0, bits
-    entry = trie._root
+    entry = levels[0][0]
     while lo < hi:
         mid = (lo + hi + 1) >> 1
         e = levels[mid].get(q >> (bits - mid))
@@ -77,21 +80,33 @@ def probes_saved(structure, trie: XFastTrie, keys: KeySet, queries) -> int:
     Returns how many queries took strictly fewer probes than the reference.
     """
     routed = KeySet(trie.leaves)
+    levels = reference_levels(routed.keys, trie.bits)
     fewer = 0
     for q in queries:
         stats = structure.query_stats(q)
         assert stats.answer == oracle_predecessor(keys, q), q
-        answer, full = reference_search(trie, q)
+        answer, full = reference_search(trie, levels, q)
         assert answer == oracle_predecessor(routed, q), q
         assert stats.level_probes <= full, (q, stats.level_probes, full)
         fewer += stats.level_probes < full
     return fewer
 
 
+def stored_depth(trie: XFastTrie, keys) -> int:
+    """The depth of the deepest table trie stores, after checking that its tables 0..depth
+    are the reference's and that every level-depth prefix holds one key."""
+    depth = len(trie._levels) - 1
+    reference = reference_levels(keys, trie.bits)
+    assert trie._levels == reference[:depth + 1]
+    assert len(reference[depth]) == len(keys)
+    return depth
+
+
 def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
-    """An updated trie holds exactly the tables and leaf links a fresh build would."""
+    """An updated trie holds the reference tables down to a depth no shallower than a fresh
+    build's (updates never make it shrink), and a fresh build's leaf links."""
     fresh = XFastTrie(KeySet(keys), trie.universe)
-    assert trie._levels == fresh._levels
+    assert stored_depth(trie, keys) >= len(fresh._levels) - 1
     assert trie._prev == fresh._prev and trie._next == fresh._next
     assert trie.leaves == tuple(keys)
 

@@ -146,6 +146,78 @@ class TestParsing:
         assert "error: give either --keys FILE or --n COUNT, not both" in capsys.readouterr().err
 
 
+class TestDroppedFlags:
+    """A flag the command would not use is rejected, never silently dropped."""
+
+    def test_dist_file_with_dist_kind(self, tmp_path, capsys):
+        keys = gen_keys(tmp_path, bits=8, n=20)
+        dist = tmp_path / "dist.tsv"
+        assert run("gen", "--dist-kind", "uniform", "--support", keys, "--out", dist) == EXIT_OK
+        for command in ("bench", "verify"):
+            assert run(command, "--universe-bits", 8, "--keys", keys, "--dist", dist,
+                       "--dist-kind", "geometric", "--structure", "yfast") == EXIT_USAGE
+            assert ("error: give either --dist FILE or --dist-kind KIND, not both"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    @pytest.mark.parametrize("kind", [None, "uniform", "zipf", "pointmass"])
+    def test_ratio_outside_geometric(self, command, kind, capsys):
+        flags = ("--dist-kind", kind) if kind else ()
+        assert run(command, "--universe-bits", 8, "--n", 20, "--structure", "yfast",
+                   *flags, "--ratio", 0.9) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: --ratio applies only to --dist-kind geometric, not {kind or 'uniform'}" in err
+
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    @pytest.mark.parametrize("kind", [None, "uniform", "geometric", "pointmass"])
+    def test_s_outside_zipf(self, command, kind, capsys):
+        flags = ("--dist-kind", kind) if kind else ()
+        assert run(command, "--universe-bits", 8, "--n", 20, "--structure", "yfast",
+                   *flags, "--s", 1.2) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: --s applies only to --dist-kind zipf, not {kind or 'uniform'}" in err
+
+    @pytest.mark.parametrize("flag,value", [("--ratio", 0.9), ("--s", 1.2)])
+    def test_shape_flag_with_dist_file(self, tmp_path, capsys, flag, value):
+        keys = gen_keys(tmp_path, bits=8, n=20)
+        dist = tmp_path / "dist.tsv"
+        assert run("gen", "--dist-kind", "uniform", "--support", keys, "--out", dist) == EXIT_OK
+        assert run("bench", "--universe-bits", 8, "--keys", keys, "--dist", dist,
+                   "--structure", "yfast", flag, value) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {flag} applies only to" in err and err.rstrip().endswith("not --dist FILE")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--dist-kind", "zipf", "--ratio", 0.9), "--ratio applies only to --dist-kind geometric, not zipf"),
+        (("--dist-kind", "geometric", "--s", 1.2), "--s applies only to --dist-kind zipf, not geometric"),
+        (("--universe-bits", 8, "--n", 20, "--ratio", 0.9),
+         "--ratio applies only to --dist-kind geometric, not a keys file"),
+    ])
+    def test_gen_shape_flag_outside_its_kind(self, tmp_path, capsys, argv, message):
+        keys = gen_keys(tmp_path, bits=8, n=20)
+        support = ("--support", keys) if "--dist-kind" in argv else ()
+        assert run("gen", *argv, *support, "--out", tmp_path / "out") == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_query_file_with_queries(self, tmp_path, capsys):
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("0\n17\n")
+        assert run("bench", "--universe-bits", 8, "--n", 20, "--structure", "yfast",
+                   "--query-file", qfile, "--queries", 500) == EXIT_USAGE
+        assert ("error: give either --query-file FILE or --queries COUNT, not both"
+                in capsys.readouterr().err)
+
+    def test_defaults_apply_after_validation(self, tmp_path):
+        """Leaving a flag out gives the old defaults: reports of valid commands do not move."""
+        out = tmp_path / "report.json"
+        for kind, param in (("geometric", 0.5), ("zipf", 1.0), ("uniform", None)):
+            assert run("bench", "--universe-bits", 8, "--n", 20, "--structure", "yfast",
+                       "--dist-kind", kind, "--out", out) == EXIT_OK
+            report = json.loads(out.read_text())
+            assert report["dist_param"] == param and report["query_count"] == 10000
+
+
 class TestBench:
     def bench_report(self, tmp_path, *argv):
         out = tmp_path / "report.json"

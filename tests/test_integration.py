@@ -86,9 +86,15 @@ def _stale_root(trie):
 
 
 def _wrong_max_at_one_level(trie):
+    assert len(trie._levels) > 3  # the contract instance stores levels 0..8
     table = trie._levels[3]
     prefix, (lo, hi) = next(iter(table.items()))
     table[prefix] = (lo, hi - 1)
+
+
+def _pop_deepest_level(trie):
+    """Drop the deepest stored level: the level above it holds a prefix with two keys."""
+    trie._levels.pop()
 
 
 def _overfill_first_bucket(trie):
@@ -130,7 +136,8 @@ def _drop_key_from_last_layer(cascade):
 
 # broken invariants per structure, each with the audit message it must raise
 BREAK_INVARIANTS = {
-    "xfast": [(_stale_root, "stale root"), (_wrong_max_at_one_level, "level 3: prefix .* leaf walk")],
+    "xfast": [(_stale_root, "stale root"), (_wrong_max_at_one_level, "level 3: prefix .* leaf walk"),
+              (_pop_deepest_level, "deepest stored level 7 holds .* prefixes for 100 keys")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
               (lambda y: _stale_root(y._rep_trie), "stale root"),
               (_list_rep_above_bucket_minimum, "representative .* does not lead its bucket"),

@@ -3,7 +3,13 @@ import random
 from bisect import insort
 
 import pytest
-from conftest import assert_same_as_fresh_build, probes_saved, reference_levels, reference_search
+from conftest import (
+    assert_same_as_fresh_build,
+    probes_saved,
+    reference_levels,
+    reference_search,
+    stored_depth,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,14 +29,11 @@ def probe_bound(bits: int) -> int:
 
 class TestBuild:
     def test_two_keys_three_bits(self):
-        # 2 = 0b010 and 5 = 0b101 share no prefix: level 1 holds both top bits,
-        # level 2 holds 0b01 and 0b10, the leaves are the keys themselves.
+        # 2 = 0b010 and 5 = 0b101 part at their top bit, so level 1 already holds one
+        # key per prefix: the depth is 1, and levels 2 and 3 are not stored.
         trie = XFastTrie(KeySet([2, 5]), UniverseSpec(3))
         assert trie.leaves == (2, 5)
-        assert set(trie._levels[0]) == {0}
-        assert set(trie._levels[1]) == {0b0, 0b1}
-        assert set(trie._levels[2]) == {0b01, 0b10}
-        assert set(trie._levels[3]) == {2, 5}
+        assert trie._levels == [{0: (2, 5)}, {0b0: (2, 2), 0b1: (5, 5)}]
 
     def test_single_key_one_bit(self):
         trie = XFastTrie(KeySet([0]), UniverseSpec(1))
@@ -62,18 +65,19 @@ def distinct_entries(trie: XFastTrie) -> int:
 
 
 class TestBottomUpBuild:
-    """The bottom-up build gives the top-down reference's tables, with one tuple per leaf and
-    per branching prefix."""
+    """The bottom-up build gives the top-down reference's tables down to the minimal depth,
+    with one tuple per key and per branching prefix."""
 
     @pytest.mark.parametrize("bits", range(1, 65))
     def test_edge_key_sets(self, bits):
         top = (1 << bits) - 1
-        key_sets = [[0], [top], [0, top]]
+        # (keys, depth): keys parting at the top bit need level 1 only, neighbours all levels
+        key_sets = [([0], 1), ([top], 1), ([0, top], 1), ([top - 1, top], bits)]
         if bits <= 4:
-            key_sets.append(list(range(top + 1)))  # every key of a tiny universe
-        for keys in key_sets:
+            key_sets.append((list(range(top + 1)), bits))  # every key of a tiny universe
+        for keys, depth in key_sets:
             trie = XFastTrie(KeySet(keys), UniverseSpec(bits))
-            assert trie._levels == reference_levels(keys, bits)
+            assert stored_depth(trie, keys) == depth
             assert distinct_entries(trie) == 2 * len(keys) - 1
             trie.audit()
 
@@ -83,7 +87,8 @@ class TestBottomUpBuild:
         keys = sorted(data.draw(st.sets(st.integers(0, (1 << bits) - 1), min_size=1,
                                         max_size=min(1 << bits, 64))))
         trie = XFastTrie(KeySet(keys), UniverseSpec(bits))
-        assert trie._levels == reference_levels(keys, bits)
+        depth = stored_depth(trie, keys)
+        assert depth == 1 or len(trie._levels[depth - 1]) < len(keys)  # the level above branches
         assert distinct_entries(trie) == 2 * len(keys) - 1
 
 
@@ -131,13 +136,17 @@ class TestEarlyExit:
         trie = XFastTrie(KeySet([0, 2 ** 63]), UniverseSpec(64))
         stats = trie.query_stats(5)
         assert stats.answer == 0 and stats.level_probes == 1
-        assert reference_search(trie, 5) == (0, 6)
+        assert reference_search(trie, reference_levels(trie.leaves, 64), 5) == (0, 6)
 
     def test_single_key_above_the_query(self):
         # the single-key prefix holds a key above q: the answer is the leaf linked before it
         trie = XFastTrie(KeySet([3, 2 ** 40 + 7]), UniverseSpec(64))
         stats = trie.query_stats(2 ** 40)
-        assert stats.answer == 3 and stats.level_probes == 1
+        # the keys part at bit 40, so the depth is 24 and the search starts at level 12:
+        # levels 12, 18, 21 and 23 hold both keys, and level 24 holds 2 ** 40 + 7 alone.
+        # A search over all 65 levels would have met that single key at level 32 first.
+        assert len(trie._levels) == 25
+        assert stats.answer == 3 and stats.level_probes == 5
         assert trie.query_stats(2).answer is None
 
     @pytest.mark.parametrize("n", [1, 2, 256, 4096])
@@ -241,6 +250,63 @@ class TestUpdates:
             trie.insert(4)
         with pytest.raises(KeyRangeError):
             trie.delete(4)
+
+
+class TestDepth:
+    """The trie stores levels 0..D.  An insert that leaves two keys under one level-D
+    prefix deepens it to the level that parts them; nothing makes it shallower."""
+
+    def test_insert_next_to_a_key_deepens_to_the_leaves(self):
+        universe = UniverseSpec(64)
+        rnd = random.Random(8)
+        ref = sorted({rnd.randrange(universe.size) for _ in range(256)})
+        trie = XFastTrie(KeySet(ref), universe)
+        assert len(trie._levels) - 1 < 64
+        k = ref[len(ref) // 2]
+        assert k + 1 < ref[len(ref) // 2 + 1]
+
+        def check_around():
+            keys = KeySet(ref)
+            for q in [k + d for d in range(-2, 4)] + [0, universe.size - 1]:
+                assert trie.predecessor(q) == oracle_predecessor(keys, q), q
+            trie.audit()
+            assert_same_as_fresh_build(trie, ref)
+
+        trie.insert(k + 1)  # k and k + 1 part only at the leaf level
+        insort(ref, k + 1)
+        assert len(trie._levels) - 1 == 64
+        check_around()
+        trie.delete(k + 1)
+        ref.remove(k + 1)
+        assert len(trie._levels) - 1 == 64  # a fresh build would be shallower
+        assert len(XFastTrie(KeySet(ref), universe)._levels) - 1 < 64
+        check_around()
+
+    @pytest.mark.parametrize("bits", [8, 32, 64])
+    def test_churn_never_shrinks_the_depth(self, bits):
+        universe = UniverseSpec(bits)
+        rnd = random.Random(bits)
+        ref = sorted({rnd.randrange(universe.size) for _ in range(16)})
+        trie = XFastTrie(KeySet(ref), universe)
+        depths = [len(trie._levels) - 1]
+        for _ in range(400):
+            if rnd.random() < 0.5 and len(ref) > 1:
+                x = rnd.choice(ref)
+                ref.remove(x)
+                trie.delete(x)
+            else:
+                # half the inserts land next to a stored key, which may deepen the trie
+                x = rnd.choice(ref) + rnd.choice((-1, 1)) if rnd.random() < 0.5 else -1
+                if not 0 <= x < universe.size:
+                    x = rnd.randrange(universe.size)
+                trie.insert(x)
+                if x not in ref:
+                    insort(ref, x)
+            depths.append(len(trie._levels) - 1)
+            assert depths[-1] >= depths[-2]
+        assert depths[-1] > depths[0]
+        trie.audit()
+        assert_same_as_fresh_build(trie, ref)
 
 
 class TestSpace:
