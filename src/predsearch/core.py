@@ -62,6 +62,14 @@ class UniverseSpec:
         return 1 << self.bits
 
     def check_key(self, key: int) -> int:
+        """Return key if it lies in the universe; raise ParameterError or KeyRangeError if not.
+
+        This is the one definition of both errors and their messages.  The
+        structures' public calls check each key once, inline, with
+        ``if type(q) is not int or q >> bits: universe.check_key(q)``, so an
+        in-range int never pays for this call; it runs only to raise, or to
+        accept an int-like such as ``bool`` or ``numpy.uint64``.
+        """
         # one shift answers both range tests: a negative key shifts to -1,
         # a key of 2**bits or more to a positive value
         try:
@@ -171,9 +179,12 @@ def entropy(dist: WeightedDistribution) -> float:
 
     Terms with probability zero contribute nothing; a point mass has entropy
     exactly 0.  The padded-log convention is deliberately not applied here.
+    Each term takes log2(total) - log2(w) rather than log2(total / w), whose
+    quotient overflows to inf for a subnormal weight.
     """
     total = dist.total
-    return math.fsum((w / total) * math.log2(total / w) for _, w in dist.items())
+    log_total = math.log2(total)
+    return math.fsum((w / total) * (log_total - math.log2(w)) for _, w in dist.items())
 
 
 @dataclass(frozen=True)
@@ -200,7 +211,7 @@ class OutputDistribution:
         terms = [p for p in self.masses.values() if p > 0.0]
         if self.bottom_mass > 0.0:
             terms.append(self.bottom_mass)
-        return math.fsum(p * math.log2(1.0 / p) for p in terms)
+        return math.fsum(-p * math.log2(p) for p in terms)  # 1 / p would overflow for a subnormal p
 
 
 def output_distribution(keys: KeySet, dist: WeightedDistribution) -> OutputDistribution:
@@ -256,7 +267,13 @@ class PredecessorStructure:
     """The contract every structure keeps: two query calls and a structural audit.
 
     ``predecessor`` is the plain query path; ``query_stats`` answers the same
-    query and also reports what finding the answer cost.  Both check the key.
+    query and also reports what finding the answer cost.  Every public call
+    (these two, and ``insert``, ``delete`` and ``in`` where a structure has
+    them) checks its key exactly once, before it reads or changes anything:
+    an inline ``type(q) is int`` and shift test, with ``UniverseSpec.check_key``
+    called only to raise or to accept another int-like.  A structure that
+    delegates the whole query, as a cascade does to its first layer, leaves
+    the check to the call it delegates to.
     """
 
     def predecessor(self, q: int) -> Optional[int]:

@@ -11,6 +11,14 @@ stored key set.  Two threshold shapes are supported:
 
 Only the distribution's support is scanned at build time; keys with zero
 probability can never meet a positive threshold.
+
+A hit checks only the query's type.  Every table key is an int inside the
+universe (the build checks each one and ``WeightedDistribution`` accepts only
+ints), so an exact int that hits the table is a valid key.  Anything else,
+including ``bool``, ``float`` and NumPy integers, which can hash equal to a
+table key, is never looked up: it goes to the fallback, whose own check
+raises the typed error or accepts the int-like.  ``audit`` checks the table
+keys this rests on.
 """
 
 from __future__ import annotations
@@ -100,28 +108,42 @@ class HashFront(PredecessorStructure):
         return len(self.table)
 
     def predecessor(self, q: int) -> Optional[int]:
-        self.universe.check_key(q)
-        v = self.table.get(q, _MISSING)
-        if v is not _MISSING:
-            return v
+        if type(q) is int:
+            v = self.table.get(q, _MISSING)
+            if v is not _MISSING:
+                return v
         return self.fallback.predecessor(q)
 
     def query_stats(self, q: int) -> QueryStats:
-        self.universe.check_key(q)
-        v = self.table.get(q, _MISSING)
-        if v is not _MISSING:
-            return QueryStats(answer=v, table_probes=1, table_hit=True)
+        """Answer plus the table probe and, on a miss, the fallback's level probes.
+
+        As in ``predecessor``, only an exact int is looked up; anything else
+        goes to the fallback unprobed.  A miss checks the key inline before
+        the fallback's unchecked search.
+        """
+        probed = type(q) is int
+        if probed:
+            v = self.table.get(q, _MISSING)
+            if v is not _MISSING:
+                return QueryStats(answer=v, table_probes=1, table_hit=True)
+        if not probed or q >> self.universe.bits:
+            self.universe.check_key(q)
         answer, probes = self.fallback._search(q)
-        return QueryStats(answer=answer, level_probes=probes, table_probes=1, table_hit=False)
+        return QueryStats(answer=answer, level_probes=probes, table_probes=int(probed))
 
     def table_entries(self) -> int:
         return len(self.table) + self.fallback.table_entries()
 
     def audit(self) -> None:
-        """Raise AssertionError if the front table holds more entries than its capacity."""
-        capacity = self.mode.table_capacity(self.universe.bits)
+        """Raise AssertionError if the front table holds more entries than its capacity,
+        or a key that is not an int inside the universe (a hit checks nothing else)."""
+        bits = self.universe.bits
+        capacity = self.mode.table_capacity(bits)
         if len(self.table) > capacity:
             raise AssertionError(f"front table holds {len(self.table)} entries, bound {capacity}")
+        for key in self.table:
+            if type(key) is not int or key >> bits:
+                raise AssertionError(f"front table key {key!r} is not an int in the {bits}-bit universe")
 
 
 @dataclass(frozen=True)

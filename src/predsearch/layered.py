@@ -82,8 +82,12 @@ class _LayeredBase(PredecessorStructure):
         return slices
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
-        """Probe layers in order; stop once the best candidate is proven global."""
-        self.universe.check_key(q)
+        """Probe layers in order; stop once the best candidate is proven global.
+
+        The first layer's ``predecessor`` checks the key, so an invalid query
+        raises before any layer answers and before the self-adjusting variant
+        promotes anything.
+        """
         succ = self._succ
         best: Optional[int] = None
         probed = 0

@@ -32,10 +32,11 @@ so the trie stores about half of the ``w + 1`` tables.
 path plus its two leaf neighbours, so an update costs O(D) table operations.
 They replace entries rather than mutate them, which keeps the sharing safe,
 and levels that shared the replaced entry share its replacement.  An insert
-that leaves two keys under one level-D prefix appends the levels down to the
-one that separates them, at O(n) per level; the depth never shrinks until
-the next build, so over a trie's life this stays within what a full-depth
-build (``w + 1`` tables) would pay up front.
+that would leave two keys under one level-D prefix first appends the levels
+down to the one that separates them, at O(n) per level, built from the
+stored (k, k) leaf tuples so no key gets a second one.  The depth never
+shrinks until the next build, so over a trie's life this stays within what a
+full-depth build (``w + 1`` tables) would pay up front.
 The trie always holds at least one key, like the key set it is built from.
 Plain dicts provide the expected-O(1) tables; a perfect-hash construction
 would also satisfy the contract but is unnecessary here.
@@ -62,18 +63,17 @@ def _depth(leaves: Sequence[int], bits: int) -> int:
     return max(1, bits + 1 - split)
 
 
-def _build_levels(leaves: Sequence[int], bits: int, depth: int, top: int = 0) -> list[dict[int, Entry]]:
-    """Prefix tables top..depth over ascending leaves, shallowest level first.
+def _build_levels(entries: list[Entry], bits: int, depth: int, top: int = 0) -> list[dict[int, Entry]]:
+    """Prefix tables top..depth over ascending (k, k) leaf tuples, shallowest level first.
 
-    Every level-depth prefix must hold one key (depth >= _depth(leaves, bits)):
-    the pass starts there with one (k, k) tuple per key and works upwards.
+    Every level-depth prefix must hold one key (depth >= _depth(keys, bits)):
+    the pass starts there with the given tuple per key and works upwards.
     Sorted order puts the two children of a branching prefix next to each
     other, so only those adjacent pairs get a new (left min, right max) tuple;
     every other parent takes its only child's tuple.  A level with no
     branching prefix keeps the entry list of the level below.
     """
-    entries: list[Entry] = list(zip(leaves, leaves))
-    table = dict(zip(map(rshift, leaves, repeat(bits - depth)), entries))
+    table = dict(zip(map(rshift, map(itemgetter(0), entries), repeat(bits - depth)), entries))
     levels = [table]
     for _ in range(depth - top):
         parents = list(map(rshift, table, repeat(1)))
@@ -99,7 +99,7 @@ class XFastTrie(PredecessorStructure):
         self.universe = universe
         self._prev: dict[int, Optional[int]] = dict(zip(leaves, (None,) + leaves[:-1]))
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
-        self._levels = _build_levels(leaves, self.bits, _depth(leaves, self.bits))
+        self._levels = _build_levels(list(zip(leaves, leaves)), self.bits, _depth(leaves, self.bits))
         self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
     def __len__(self) -> int:
@@ -122,12 +122,15 @@ class XFastTrie(PredecessorStructure):
         return self._prev[x], self._next[x]
 
     def predecessor(self, q: int) -> Optional[int]:
-        self.universe.check_key(q)
+        if type(q) is not int or q >> self.bits:
+            self.universe.check_key(q)
         return self._search(q)[0]
 
     def query_stats(self, q: int) -> QueryStats:
         """Answer plus the number of prefix-table probes spent finding it."""
-        answer, probes = self._search(self.universe.check_key(q))
+        if type(q) is not int or q >> self.bits:
+            self.universe.check_key(q)
+        answer, probes = self._search(q)
         return QueryStats(answer=answer, level_probes=probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:
@@ -162,18 +165,26 @@ class XFastTrie(PredecessorStructure):
 
     def insert(self, x: int) -> None:
         """Add key x; inserting a present key is a no-op."""
-        self.universe.check_key(x)
+        if type(x) is not int or x >> self.bits:
+            self.universe.check_key(x)
         p = self._search(x)[0]
         if p == x:
             return
         s = self._root[0] if p is None else self._next[p]
+        bits, levels = self.bits, self._levels
+        deepest = len(levels) - 1
+        if x >> (bits - deepest) in levels[deepest]:
+            # x would share its deepest stored prefix with a neighbour: store the levels that part
+            # them first, built from the stored leaf tuples, and let the loop below add x to all
+            leaves = map(levels[deepest].__getitem__, map(rshift, self, repeat(bits - deepest)))
+            depth = _depth([k for k in (p, x, s) if k is not None], bits)
+            levels += _build_levels(list(leaves), bits, depth, deepest + 1)
         self._prev[x] = p
         self._next[x] = s
         if p is not None:
             self._next[p] = x
         if s is not None:
             self._prev[s] = x
-        bits, levels = self.bits, self._levels
         leaf = (x, x)  # shared by every prefix x is now alone beneath
         old: Optional[Entry] = None
         new: Optional[Entry] = None
@@ -191,14 +202,11 @@ class XFastTrie(PredecessorStructure):
                 old, new = entry, (entry[0], x)
                 table[prefix] = new
         self._root = levels[0][0]
-        if len(levels[-1]) < len(self._next):
-            # x shares its deepest stored prefix with a neighbour: store the levels that part them
-            depth = _depth([k for k in (p, x, s) if k is not None], bits)
-            levels += _build_levels(list(self), bits, depth, len(levels))
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent and ParameterError if it is the last key."""
-        self.universe.check_key(x)
+        if type(x) is not int or x >> self.bits:
+            self.universe.check_key(x)
         p, s = self._prev[x], self._next[x]
         if p is None and s is None:
             raise ParameterError("an x-fast trie keeps at least one key")
@@ -245,7 +253,8 @@ class XFastTrie(PredecessorStructure):
         if depth < 1 or len(levels[depth]) != len(walk):
             raise AssertionError(f"deepest stored level {depth} holds {len(levels[depth])} prefixes "
                                  f"for {len(walk)} keys; it must be at least 1 with one prefix per key")
-        for level, (got, want) in enumerate(zip(levels, _build_levels(walk, self.bits, depth))):
+        rebuilt = _build_levels(list(zip(walk, walk)), self.bits, depth)
+        for level, (got, want) in enumerate(zip(levels, rebuilt)):
             if got != want:
                 prefix = min(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
                 raise AssertionError(f"level {level}: prefix {prefix} maps to {got.get(prefix)}, "

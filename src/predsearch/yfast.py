@@ -91,15 +91,20 @@ class YFastTrie(PredecessorStructure):
             yield from self._buckets[rep]
 
     def __contains__(self, key: int) -> bool:
-        return self._search(self.universe.check_key(key))[0] == key
+        if type(key) is not int or key >> self.bits:
+            self.universe.check_key(key)
+        return self._search(key)[0] == key
 
     def predecessor(self, q: int) -> Optional[int]:
-        self.universe.check_key(q)
+        if type(q) is not int or q >> self.bits:
+            self.universe.check_key(q)
         return self._search(q)[0]
 
     def query_stats(self, q: int) -> QueryStats:
         """Answer plus the prefix-table probes spent routing to its bucket (0 on the list route)."""
-        answer, probes = self._search(self.universe.check_key(q))
+        if type(q) is not int or q >> self.bits:
+            self.universe.check_key(q)
+        answer, probes = self._search(q)
         return QueryStats(answer=answer, level_probes=probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:
@@ -118,7 +123,8 @@ class YFastTrie(PredecessorStructure):
 
     def insert(self, x: int) -> None:
         """Add key x; inserting a present key is a no-op."""
-        self.universe.check_key(x)
+        if type(x) is not int or x >> self.bits:
+            self.universe.check_key(x)
         reps = self._reps
         if reps is not None:
             r = bisect_right(reps, x)
@@ -155,7 +161,8 @@ class YFastTrie(PredecessorStructure):
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent."""
-        self.universe.check_key(x)
+        if type(x) is not int or x >> self.bits:
+            self.universe.check_key(x)
         reps = self._reps
         if reps is not None:
             r = bisect_right(reps, x)

@@ -13,10 +13,13 @@ from predsearch import (
     ParameterError,
     UniverseSpec,
     WeightedDistribution,
+    WorkloadSpec,
     entropy,
+    generate_distribution,
     oracle_predecessor,
     output_distribution,
     padded_log2,
+    sample_keys,
 )
 from predsearch.core import meets_threshold
 
@@ -112,6 +115,26 @@ class TestEntropy:
                        for _ in range(rnd.randrange(1, 40))}
             d = WeightedDistribution(weights)
             assert entropy(d) == pytest.approx(hp_entropy(weights), abs=1e-9)
+
+    def test_subnormal_weight(self):
+        # total / w overflows to inf for the smallest double; the term itself is about 5e-321
+        weights = {1: 1.0, 2: 5e-324}
+        h = entropy(WeightedDistribution(weights))
+        assert h == pytest.approx(hp_entropy(weights), abs=1e-9)
+        assert 0.0 < h < 1e-300
+        out = output_distribution(KeySet([1, 2]), WeightedDistribution(weights))
+        assert out.entropy_bits() == pytest.approx(hp_entropy(weights), abs=1e-9)
+        assert output_distribution(KeySet([1]), WeightedDistribution({1: 3.0})).entropy_bits() == 0.0
+
+    def test_readme_geometric_example(self):
+        """The README's 1024-key geometric (ratio 0.5) weights: total / w overflows in the tail."""
+        keys = sample_keys(UniverseSpec(16), 1024, seed=7)
+        dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
+        assert dist.total / min(w for _, w in dist.items()) == math.inf
+        h = entropy(dist)
+        assert h == pytest.approx(hp_entropy(dict(dist.items())), abs=1e-9)
+        assert h == pytest.approx(2.0, abs=1e-9)
+        assert output_distribution(keys, dist).entropy_bits() == pytest.approx(2.0, abs=1e-9)
 
     def test_invalid_distribution(self):
         with pytest.raises(InvalidDistributionError):

@@ -13,6 +13,7 @@ from predsearch import (
     ParameterError,
     ThresholdMode,
     UniverseSpec,
+    WeightedDistribution,
     WorkingSetLayered,
     WorkloadSpec,
     XFastTrie,
@@ -78,6 +79,64 @@ def test_query_type_and_range_errors(bits):
             assert structure.predecessor(np.uint64(k)) == k, type(structure)
 
 
+@pytest.mark.parametrize("bits", [8, 64])
+def test_update_and_membership_guards(bits):
+    """query_stats, insert, delete and y-fast membership check the key as predecessor does."""
+    universe = UniverseSpec(bits)
+    keys = sample_keys(universe, 40, seed=bits)
+    for trie in (XFastTrie(keys, universe), YFastTrie(keys, universe)):
+        calls = [trie.query_stats, trie.insert, trie.delete]
+        if isinstance(trie, YFastTrie):
+            calls.append(trie.__contains__)
+        for call in calls:
+            with pytest.raises(ParameterError, match="key must be an int, got 3.5 of type float"):
+                call(3.5)
+            for q in (-1, 1 << bits):
+                with pytest.raises(KeyRangeError, match=f"key {q} outside {bits}-bit universe"):
+                    call(q)
+        assert list(trie) == list(keys.keys)
+        trie.audit()
+        for k in keys.keys[::7]:
+            assert trie.query_stats(np.uint64(k)).answer == k
+        if isinstance(trie, YFastTrie):
+            assert np.uint64(keys.keys[7]) in trie and (True in trie) == (1 in keys)
+
+
+@pytest.mark.parametrize("mode", [ThresholdMode.mode_a(0.5), ThresholdMode.mode_b(0.5)])
+def test_front_table_hits_take_exact_ints_only(mode):
+    """A float, bool or NumPy query equal to a table key is checked by the fallback, not looked up."""
+    universe = UniverseSpec(8)
+    keys = KeySet([0, 3, 40, 200])
+    front = HashFront(keys, WeightedDistribution({1: 8.0, 50: 4.0, 7: 1.0}), universe, mode)
+    for k in (1, 50):
+        assert k in front.table
+        for call in (front.predecessor, front.query_stats):
+            with pytest.raises(ParameterError, match=f"key must be an int, got {float(k)} of type float"):
+                call(float(k))
+            with pytest.raises(ParameterError, match="of type list"):
+                call([k])  # unhashable: never reaches the table
+        assert front.predecessor(np.uint64(k)) == oracle_predecessor(keys, k)
+        assert front.query_stats(np.uint64(k)).answer == oracle_predecessor(keys, k)
+    assert front.predecessor(True) == front.query_stats(True).answer == oracle_predecessor(keys, 1)
+    front.audit()
+
+
+def test_rejected_query_leaves_working_set_unchanged():
+    """The first layer checks the key before any layer answers or anything is promoted."""
+    universe = UniverseSpec(8)
+    keys = sample_keys(universe, 100, seed=8)
+    cascade = WorkingSetLayered(keys, universe)
+    for q in (250, 17, 250, 90):
+        cascade.predecessor(q)
+    before = cascade.layer_contents()
+    for q in (3.5, "7", -1, 1 << 8):
+        for call in (cascade.predecessor, cascade.query_stats):
+            with pytest.raises((ParameterError, KeyRangeError)):
+                call(q)
+    assert cascade.layer_contents() == before
+    cascade.audit()
+
+
 def _stale_root(trie):
     """Delete the minimum but keep the root entry it replaced."""
     root = trie._root
@@ -129,10 +188,22 @@ def _overfill_front_table(front):
     front.table.update((q, None) for q in range(int(capacity) + 1))
 
 
+def _float_front_key(front):
+    front.table[0.5] = None
+
+
+def _front_key_outside_universe(front):
+    front.table[front.universe.size] = None
+
+
 def _drop_key_from_last_layer(cascade):
     layer = cascade.layers[-1]
     layer.delete(next(iter(layer)))
 
+
+FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
+                      (_float_front_key, "front table key 0.5 is not an int in the 8-bit universe"),
+                      (_front_key_outside_universe, "front table key 256 is not an int in the 8-bit")]
 
 # broken invariants per structure, each with the audit message it must raise
 BREAK_INVARIANTS = {
@@ -143,8 +214,8 @@ BREAK_INVARIANTS = {
               (_list_rep_above_bucket_minimum, "representative .* does not lead its bucket"),
               (_list_route_holds_a_stale_bucket, "list route buckets are not"),
               (_list_route_over_too_many_buckets, "list route over 13 buckets, above 8")],
-    "hashfront-a": [(_overfill_front_table, "front table holds")],
-    "hashfront-b": [(_overfill_front_table, "front table holds")],
+    "hashfront-a": FRONT_TABLE_FAULTS,
+    "hashfront-b": FRONT_TABLE_FAULTS,
     "layered": [(_drop_key_from_last_layer, "layers do not partition the key set"),
                 (lambda c: _list_route_holds_a_stale_bucket(c.layers[1]),
                  "list route buckets are not")],

@@ -282,6 +282,25 @@ class TestDepth:
         assert len(XFastTrie(KeySet(ref), universe)._levels) - 1 < 64
         check_around()
 
+    def test_deepening_insert_shares_leaf_tuples(self):
+        """The appended levels reuse each stored key's (k, k) tuple, as a fresh build shares it."""
+        universe = UniverseSpec(64)
+        rnd = random.Random(9)
+        ref = sorted({rnd.randrange(universe.size) for _ in range(4096)})
+        trie = XFastTrie(KeySet(ref), universe)
+        depth = len(trie._levels) - 1
+        x = ref[100] + 1
+        trie.insert(x)
+        insort(ref, x)
+        assert len(trie._levels) - 1 > depth
+        trie.audit()
+
+        def distinct_entries(t):
+            return len({id(e) for table in t._levels for e in table.values()})
+
+        assert distinct_entries(trie) == distinct_entries(XFastTrie(KeySet(ref), universe))
+        assert distinct_entries(trie) == 2 * len(ref) - 1
+
     @pytest.mark.parametrize("bits", [8, 32, 64])
     def test_churn_never_shrinks_the_depth(self, bits):
         universe = UniverseSpec(bits)
