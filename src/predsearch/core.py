@@ -257,7 +257,7 @@ class QueryStats:
     answer: Optional[int]
     level_probes: int = 0   # prefix-table probes in trie searches, at most ceil(log2(depth + 1)) each
                             # for a trie storing levels 0..depth (depth <= bits); fewer when a probe
-                            # meets a single-key prefix, 0 on a y-fast list route
+                            # meets a single-key prefix, 0 on a flat y-fast trie
     layers_probed: int = 0  # layers visited (layer cascade structures only)
     table_probes: int = 0   # front-table lookups (hash-fronted structures only)
     table_hit: bool = False

@@ -172,7 +172,8 @@ def expected_probe_bound(dist: WeightedDistribution, universe: UniverseSpec,
     for key, w in dist.items():
         p = w / total
         (hit if meets_threshold(p, t) else miss).append(p)
-        bounds[key] = padded_log2(padded_log2(total / w))
+        # padded_log2(total / w) without the division, which overflows for subnormal w
+        bounds[key] = padded_log2(math.log2(total + 2.0 * w) - math.log2(w))
     return ProbeBoundReport(
         threshold=t,
         hit_mass=math.fsum(hit),

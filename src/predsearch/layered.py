@@ -18,10 +18,11 @@ Two ways of ranking keys into layers:
   key shifts down one layer to keep all occupancies at capacity.
 
 Every layer is a bucketed trie, whose insert/delete the self-adjusting variant
-relies on.  A bucketed trie of at most ``bits`` buckets routes by a bisect over
-its bucket minima and carries no x-fast trie.  A layer of at most
-``bits * bits`` keys is built with at most ``bits`` buckets, so at 32 bits the
-4-, 16- and 256-key layers (1, 1 and 8 buckets) each cost two bisects a probe.
+relies on.  A bucketed trie of at most ``bits * bits`` keys is one sorted list
+and carries no x-fast trie, so at 32 bits the 4-, 16- and 256-key layers each
+cost one bisect a probe.  Promotion shifts stale keys from the deepest layer
+up, so each layer loses a key before it gains one and never holds more than
+its capacity: a layer of exactly ``bits * bits`` keys stays a list.
 
 ``predecessor`` and ``query_stats`` (which adds the layers probed) run one
 scan; the self-adjusting variant promotes the answer as its last step.
@@ -180,14 +181,17 @@ class WorkingSetLayered(_LayeredBase):
             rec[0].pop(x)
             rec[0][x] = None
             return
-        self.layers[j].delete(x)
+        layers = self.layers
+        layers[j].delete(x)
         rec[j].pop(x)
-        for k in range(j):
+        # deepest first: each layer loses its stalest key before it gains one,
+        # so no layer ever holds more than its capacity
+        for k in range(j - 1, -1, -1):
             stale, _ = rec[k].popitem(last=False)
-            self.layers[k].delete(stale)
-            self.layers[k + 1].insert(stale)
+            layers[k].delete(stale)
+            layers[k + 1].insert(stale)
             rec[k + 1][stale] = None
-        self.layers[0].insert(x)
+        layers[0].insert(x)
         rec[0][x] = None
 
     def layer_contents(self) -> list[tuple[int, ...]]:

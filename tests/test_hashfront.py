@@ -11,9 +11,12 @@ from predsearch import (
     ThresholdMode,
     UniverseSpec,
     WeightedDistribution,
+    WorkloadSpec,
     expected_probe_bound,
+    generate_distribution,
     oracle_predecessor,
     padded_log2,
+    sample_keys,
 )
 from predsearch.core import meets_threshold
 
@@ -176,3 +179,15 @@ class TestExpectedProbeBound:
         report = expected_probe_bound(dist, universe, ThresholdMode.mode_b(0.5))
         assert report.element_bounds[1] == pytest.approx(padded_log2(padded_log2(4 / 3)))
         assert report.element_bounds[2] == pytest.approx(padded_log2(padded_log2(4.0)))
+
+    def test_element_bounds_finite_for_subnormal_weights(self):
+        """The README's geometric example reaches weights near 1e-308, where total / w overflows."""
+        universe = UniverseSpec(16)
+        keys = sample_keys(universe, 1024, seed=7)
+        dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
+        report = expected_probe_bound(dist, universe, ThresholdMode.mode_a(0.5))
+        assert len(report.element_bounds) == 1024
+        assert all(map(math.isfinite, report.element_bounds.values()))
+        key, w = min(dist.items(), key=lambda kw: kw[1])
+        assert report.element_bounds[key] == pytest.approx(
+            padded_log2(math.log2(dist.total) - math.log2(w)))

@@ -161,26 +161,34 @@ def _overfill_first_bucket(trie):
     bucket.extend([bucket[-1]] * trie.size_band()[1])
 
 
-def _shrink_to_list_route(trie):
-    """Delete all but the 24 smallest keys: three buckets, routed by their minima list."""
-    for k in list(trie)[24:]:
-        trie.delete(k)
-    assert trie._reps is not None
-    return trie
+def _rep_above_bucket_minimum(trie):
+    trie._buckets[trie.representatives()[-1]].pop(0)
 
 
-def _list_rep_above_bucket_minimum(trie):
-    _shrink_to_list_route(trie)._buckets[trie._reps[-1]].pop(0)
+def _miscount_bucket_keys(trie):
+    trie._size += 1
 
 
-def _list_route_holds_a_stale_bucket(trie):
-    if trie._reps is None:
-        _shrink_to_list_route(trie)
-    trie._rep_buckets[0] = list(trie._rep_buckets[0])
+def _flat_keys_out_of_order(trie):
+    """Swap two keys of the flat list, after deleting down to 24 keys if the trie has buckets."""
+    if trie._flat is None:
+        for k in list(trie)[24:]:
+            trie.delete(k)  # at most 8 * 8 // 2 keys: the trie is flat again
+    flat = trie._flat
+    flat[0], flat[1] = flat[1], flat[0]
 
 
-def _list_route_over_too_many_buckets(trie):
-    trie._reps, trie._rep_trie = list(trie.representatives()), None
+def _flat_over_cap(trie):
+    trie._flat, trie._buckets, trie._rep_trie = list(trie), None, None
+
+
+def _both_forms(trie):
+    trie._flat = list(trie)
+
+
+def _buckets_at_flatten_floor(trie):
+    """Cut 32 keys (8 * 8 // 2) into buckets, as if a delete had not made the trie flat."""
+    trie._to_buckets(list(trie)[:32])
 
 
 def _overfill_front_table(front):
@@ -211,14 +219,17 @@ BREAK_INVARIANTS = {
               (_pop_deepest_level, "deepest stored level 7 holds .* prefixes for 100 keys")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
               (lambda y: _stale_root(y._rep_trie), "stale root"),
-              (_list_rep_above_bucket_minimum, "representative .* does not lead its bucket"),
-              (_list_route_holds_a_stale_bucket, "list route buckets are not"),
-              (_list_route_over_too_many_buckets, "list route over 13 buckets, above 8")],
+              (_rep_above_bucket_minimum, "representative .* does not lead its bucket"),
+              (_miscount_bucket_keys, "buckets hold 100 keys, counted 101"),
+              (_flat_keys_out_of_order, "flat keys do not ascend"),
+              (_flat_over_cap, r"flat list of 100 keys, above bits \* bits = 64"),
+              (_both_forms, "exactly one of the flat list and the routed buckets"),
+              (_buckets_at_flatten_floor, "bucket form over only 32 keys, at or below the flatten "
+                                          "floor 32")],
     "hashfront-a": FRONT_TABLE_FAULTS,
     "hashfront-b": FRONT_TABLE_FAULTS,
     "layered": [(_drop_key_from_last_layer, "layers do not partition the key set"),
-                (lambda c: _list_route_holds_a_stale_bucket(c.layers[1]),
-                 "list route buckets are not")],
+                (lambda c: _flat_keys_out_of_order(c.layers[1]), "flat keys do not ascend")],
     "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 80\]")],
 }
 
@@ -227,7 +238,7 @@ BREAK_INVARIANTS = {
 def test_contract_answers_and_audit(name):
     """predecessor and query_stats agree with the oracle; audit passes, then catches each fault."""
     universe = UniverseSpec(8)
-    keys = sample_keys(universe, 100, seed=8)  # 13 y-fast buckets: above 8, so a routing trie
+    keys = sample_keys(universe, 100, seed=8)  # above 8 * 8 keys, so y-fast buckets
     dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
     epsilon = 0.5 if name.startswith("hashfront") else None
     structure = build_structure(name, keys, dist, universe, epsilon)

@@ -14,6 +14,7 @@ from predsearch import (
     WeightedDistribution,
     WorkingSetLayered,
     WorkingSetTracker,
+    YFastTrie,
     layer_capacities,
     oracle_predecessor,
     output_distribution,
@@ -219,10 +220,10 @@ class TestWorkingSetQuery:
 
 class TestFrontLayers:
     def test_front_layers_hold_no_routing_trie(self, rnd):
-        """At 32 bits only a layer of over 32 buckets has a routing trie, also after promotion.
+        """At 32 bits only a layer of over 32 * 32 keys has buckets, also after promotion.
 
-        The 4-, 16- and 256-key layers (1, 1 and 8 buckets) bisect their bucket
-        minima; the last layer of 1224 keys (39 buckets) routes by trie.
+        The 4-, 16- and 256-key layers are one sorted list each, searched by one
+        bisect; the last layer of 1224 keys routes its buckets by trie.
         """
         universe = UniverseSpec(32)
         keys = random_keyset(rnd, universe, 1500)
@@ -233,9 +234,39 @@ class TestFrontLayers:
         for structure in (static, ws):
             assert structure.layer_sizes() == [4, 16, 256, 1224]
             *front, last = structure.layers
-            assert all(len(layer.representatives()) <= 32 for layer in front)
-            assert all(layer._rep_trie is None for layer in front)
-            assert len(last.representatives()) > 32 and last._rep_trie is not None
+            assert all(layer._flat is not None and layer._rep_trie is None for layer in front)
+            assert last._flat is None and last._rep_trie is not None
+            structure.audit()
+
+    def test_promotion_never_overfills_a_layer(self, monkeypatch):
+        """Promotion shifts stale keys from the deepest layer up, so after every y-fast update
+        no layer holds more than its capacity, and the 256-key layer at 16 bits (16 * 16
+        keys, the flat cap) never switches to buckets."""
+        universe = UniverseSpec(16)
+        rnd = random.Random(16)
+        keys = KeySet(sorted(rnd.sample(range(universe.size), 2000)))
+        ws = WorkingSetLayered(keys, universe)
+        assert ws.capacities == [4, 16, 256, 1724]
+        position = {id(layer): j for j, layer in enumerate(ws.layers)}
+
+        def checked(update):
+            def call(layer, x):
+                update(layer, x)
+                j = position[id(layer)]
+                assert len(layer) <= ws.capacities[j], (j, len(layer))
+                assert ws.layers[2]._flat is not None
+            return call
+
+        monkeypatch.setattr(YFastTrie, "insert", checked(YFastTrie.insert))
+        monkeypatch.setattr(YFastTrie, "delete", checked(YFastTrie.delete))
+        promotions = 0
+        while promotions < 300:
+            q = rnd.randrange(universe.size)
+            stats = ws.query_stats(q)
+            assert stats.answer == oracle_predecessor(keys, q)
+            promotions += stats.answer is not None and stats.layers_probed > 1
+        assert ws.layer_sizes() == ws.capacities
+        ws.audit()
 
 
 class WorkingSetMachine(RuleBasedStateMachine):

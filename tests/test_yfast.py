@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from predsearch import KeySet, UniverseSpec, XFastTrie, YFastTrie, oracle_predecessor
+from predsearch import KeySet, QueryStats, UniverseSpec, XFastTrie, YFastTrie, oracle_predecessor
 
 
 def audit_band(trie: YFastTrie) -> None:
     sizes = trie.bucket_sizes()
     lo, hi = trie.size_band()
-    if len(sizes) == 1:
-        assert sizes[0] <= hi
-    else:
-        assert all(lo <= s <= hi for s in sizes), sizes
+    assert all(lo <= s <= hi for s in sizes), sizes
     # buckets partition the key set in order, and minima are the representatives
     reps = trie.representatives()
     assert list(reps) == sorted(reps)
@@ -28,8 +25,9 @@ def audit_band(trie: YFastTrie) -> None:
 class TestBuild:
     def test_single_key(self):
         trie = YFastTrie(KeySet([9]), UniverseSpec(8))
-        assert trie.bucket_sizes() == [1]
-        assert trie.representatives() == (9,)
+        assert trie._flat == [9] and trie._rep_trie is None
+        assert trie.bucket_sizes() == [] and trie.representatives() == ()
+        assert trie.query_stats(200) == QueryStats(answer=9, level_probes=0)
 
     def test_representative_count_band(self, rnd):
         universe = UniverseSpec(16)
@@ -72,7 +70,7 @@ class TestPredecessor:
 
 
 class TestEarlyExit:
-    """Routing through an x-fast trie (more than bits buckets) stops at the first prefix
+    """Routing through an x-fast trie (more than bits * bits keys) stops at the first prefix
     with a single representative beneath it: the oracle's answers, never more probes
     than the full-depth reference on the routing trie, fewer on some."""
 
@@ -130,7 +128,7 @@ class TestUpdates:
     def test_minimum_churn_with_routing_trie(self):
         """Inserts below every bucket minimum re-key the first bucket through the trie's root."""
         universe = UniverseSpec(16)
-        ref = list(range(40_000, 40_960, 3))  # 320 keys in 20 buckets of 16: above bits, so a trie
+        ref = list(range(40_000, 40_960, 3))  # 320 keys in 20 buckets of 16: above 16 * 16, so a trie
         trie = YFastTrie(KeySet(ref), universe)
         assert len(trie.representatives()) == 20
         x = ref[0]
@@ -209,11 +207,12 @@ class TestUpdates:
 
     @pytest.mark.parametrize("bits", [1, 4, 8, 16, 32])
     def test_walk_across_routing_threshold(self, bits, monkeypatch):
-        """Going above bits buckets builds the trie once; only bits // 2 or fewer drop it.
+        """Going above bits * bits keys builds the routing trie once; only max(1, bits * bits // 2)
+        or fewer keys make the trie flat again.
 
-        The walk climbs past the threshold and falls to bits // 2 twice, then
-        drains the set.  Universes of 16 keys or fewer never hold more than
-        bits buckets, so at 1 and 4 bits the list routes the whole walk.
+        The walk climbs past the cap and falls to the floor twice, then drains
+        the set.  A universe of at most bits * bits keys never leaves the flat
+        form, so at 4 bits the list holds the whole walk.
         """
         builds = []
         build = XFastTrie.__init__
@@ -224,50 +223,54 @@ class TestUpdates:
 
         monkeypatch.setattr(XFastTrie, "__init__", counting_build)
         universe = UniverseSpec(bits)
-        size, low = universe.size, max(1, bits // 2)
+        size, cap, floor = universe.size, bits * bits, max(1, bits * bits // 2)
         rnd = random.Random(bits)
         model = [rnd.randrange(size)]
         trie = YFastTrie(KeySet(model), universe)
-        routed, crossings = False, 0
+        bucketed, crossings = False, 0
 
         def step(x, is_insert):
-            nonlocal routed, crossings
-            before, built = len(trie._buckets), len(builds)
+            nonlocal bucketed, crossings
+            built = len(builds)
             if is_insert:
                 trie.insert(x)
                 insort(model, x)
             else:
                 trie.delete(x)
                 model.remove(x)
-            after = len(trie._buckets)
-            if before <= bits < after:
+            n, was = len(model), bucketed
+            bucketed = n > cap or (was and n > floor)
+            if bucketed and not was:
                 crossings += 1
+                assert n == cap + 1
                 assert builds[built:] == [trie.representatives()]
-                assert len(builds[-1]) == bits + 1
+                assert len(builds[-1]) in (bits, bits + 1)  # buckets of bits keys, the tail joined
             else:
                 assert builds[built:] == []
-            routed = after > bits or (routed and after > low)
-            assert (trie._rep_trie is not None) == routed
-            assert (trie._reps is None) == routed
+            assert (trie._flat is None) == (trie._rep_trie is not None) == bucketed
+            if not bucketed:
+                assert trie._flat == model
             for q in {min(max(x + d, 0), size - 1) for d in (-1, 0, 1)} | {0, size - 1}:
                 i = bisect_right(model, q)
                 expected = model[i - 1] if i else None
                 assert trie.predecessor(q) == expected
+                stats = trie.query_stats(q)
+                assert stats.answer == expected and (bucketed or stats.level_probes == 0)
                 assert (q in trie) == (expected == q)
             trie.audit()
 
         for _ in range(2):
-            while len(trie._buckets) <= bits and len(model) < size:
+            while len(model) <= cap and len(model) < size:
                 x = rnd.randrange(size)
                 while x in model:
                     x = rnd.randrange(size)
                 step(x, True)
-            while len(trie._buckets) > low:
+            while len(model) > floor:
                 step(rnd.choice(model), False)
         while model:
             step(rnd.choice(model), False)
-        assert trie.representatives() == () and trie._reps == []
-        assert crossings == len(builds) == (2 if bits >= 8 else 0)
+        assert trie._flat == [] and trie.representatives() == ()
+        assert crossings == len(builds) == (2 if size > cap else 0)
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255)), max_size=60),
            st.sets(st.integers(0, 255), min_size=1, max_size=30))
@@ -304,12 +307,19 @@ class YFastMachine(RuleBasedStateMachine):
         self.universe = UniverseSpec(bits)
         size = self.universe.size
         self.key = st.integers(0, size - 1)
-        # at least two initial chunks, so the first steps already see several buckets;
-        # up to 8 bits the set may start above bits buckets, routed by a trie
+        # up to 8 bits the set may start above bits * bits keys, in bucket form,
+        # and short runs cross both form thresholds
         most = (bits + 2) * bits if bits <= 8 else 4 * bits
         n = data.draw(st.integers(min(size, 2 * bits), min(size, most)))
         self.model = sorted(data.draw(st.sets(self.key, min_size=n, max_size=n)))
         self.trie = YFastTrie(KeySet(self.model), self.universe)
+        self.bucketed = n > bits * bits
+
+    def _track_form(self):
+        """The form the count's history calls for: buckets above bits * bits keys, flat again at
+        max(1, bits * bits // 2) or fewer."""
+        n, cap = len(self.model), self.universe.bits ** 2
+        self.bucketed = n > cap or (self.bucketed and n > max(1, cap // 2))
 
     @rule(data=st.data())
     def insert(self, data):
@@ -317,6 +327,7 @@ class YFastMachine(RuleBasedStateMachine):
         self.trie.insert(x)
         if x not in self.model:
             insort(self.model, x)
+        self._track_form()
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -324,16 +335,18 @@ class YFastMachine(RuleBasedStateMachine):
         x = data.draw(st.sampled_from(self.model))
         self.trie.delete(x)
         self.model.remove(x)
+        self._track_form()
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def delete_run(self, data):
-        """Delete consecutive keys: shrinks one bucket to a merge, or drains the set."""
+        """Delete consecutive keys: shrinks one bucket to a merge, flattens, or drains the set."""
         i = data.draw(st.integers(0, len(self.model) - 1))
         j = data.draw(st.integers(i + 1, len(self.model)))
         for x in self.model[i:j]:
             self.trie.delete(x)
-        del self.model[i:j]
+            self.model.remove(x)
+            self._track_form()
 
     @precondition(lambda self: len(self.model) < self.universe.size)
     @rule(data=st.data())
@@ -367,19 +380,18 @@ class YFastMachine(RuleBasedStateMachine):
         audit_band(self.trie)
 
     @invariant()
-    def route_matches_bucket_minima(self):
-        """The list route is the bucket minima; a routing trie equals a fresh build over them."""
-        trie, bits = self.trie, self.universe.bits
-        minima = sorted(trie._buckets)
-        assert all(trie._buckets[r][0] == r for r in minima)
-        assert list(trie.representatives()) == minima
-        if trie._reps is not None:
-            assert trie._rep_trie is None
-            assert trie._reps == minima and len(minima) <= bits
-            assert len(trie._rep_buckets) == len(minima)
-            assert all(b is trie._buckets[r] for b, r in zip(trie._rep_buckets, minima))
+    def form_follows_count(self):
+        """Flat until the count first goes above bits * bits, buckets from then until it falls
+        to max(1, bits * bits // 2); a routing trie equals a fresh build over the bucket minima."""
+        trie = self.trie
+        if not self.bucketed:
+            assert trie._flat == self.model
+            assert trie._buckets is None and trie._rep_trie is None
         else:
-            assert len(minima) > max(1, bits // 2)
+            assert trie._flat is None
+            minima = sorted(trie._buckets)
+            assert all(trie._buckets[r][0] == r for r in minima)
+            assert list(trie.representatives()) == minima
             assert_same_as_fresh_build(trie._rep_trie, minima)
         trie.audit()
 
@@ -391,10 +403,10 @@ TestYFastMachine.settings = settings(max_examples=100, stateful_step_count=60, d
 class TestSpace:
     def test_linear_space_flat_constant(self, rnd):
         universe = UniverseSpec(16)
-        # 16 buckets of 16 keys: the list routes, so only the bucket slots count
+        # 16 * 16 keys: one flat list, so only the key slots count
         keys = KeySet(sorted(rnd.sample(range(universe.size), 2 ** 8)))
         trie = YFastTrie(keys, universe)
-        assert trie._rep_trie is None and trie.table_entries() == 2 ** 8
+        assert trie._flat is not None and trie.table_entries() == 2 ** 8
         ratios = []
         for n in (2 ** 10, 2 ** 12, 2 ** 14):
             keys = KeySet(sorted(rnd.sample(range(universe.size), n)))
