@@ -10,24 +10,36 @@ stored key set.  Two threshold shapes are supported:
   2**((log2 U)**epsilon) entries.
 
 Only the distribution's support is scanned at build time; keys with zero
-probability can never meet a positive threshold.
+probability can never meet a positive threshold.  The build makes C-level
+passes, not a Python call per support key: the support is checked against
+the universe once, by its largest key; ``ThresholdMode.front_keys`` keeps the
+keys whose probability clears a slightly lower bound in one ``compress`` pass
+and applies the inclusive ``meets_threshold`` rule only to those; and each
+table key's answer is a ``bisect_right`` into the stored keys.
+``expected_probe_bound`` takes its hit mass from the same ``front_keys``, so
+it is by construction the mass of the table's keys.
 
 A hit checks only the query's type.  Every table key is an int inside the
-universe (the build checks each one and ``WeightedDistribution`` accepts only
-ints), so an exact int that hits the table is a valid key.  Anything else,
-including ``bool``, ``float`` and NumPy integers, which can hash equal to a
-table key, is never looked up: it goes to the fallback, whose own check
-raises the typed error or accepts the int-like.  ``audit`` checks the table
-keys this rests on.
+universe (``WeightedDistribution`` accepts only ints >= 0 and the build checks
+the largest support key), so an exact int that hits the table is a valid key.
+Anything else, including ``bool``, ``float`` and NumPy integers, which can
+hash equal to a table key, is never looked up: it goes to the fallback, whose
+own check raises the typed error or accepts the int-like.  ``audit`` checks
+the table keys this rests on.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, repeat
+from operator import ge
 from typing import Mapping, Optional
 
 from .core import (
+    REL_TOL,
     KeySet,
     ParameterError,
     PredecessorStructure,
@@ -35,7 +47,6 @@ from .core import (
     UniverseSpec,
     WeightedDistribution,
     meets_threshold,
-    oracle_predecessor,
     padded_log2,
 )
 from .yfast import YFastTrie
@@ -81,6 +92,18 @@ class ThresholdMode:
             return 2.0 ** (bits * self.epsilon)
         return 2.0 ** (bits ** self.epsilon)
 
+    def front_keys(self, dist: WeightedDistribution, bits: int) -> list[int]:
+        """Support keys, ascending, whose probability meets the threshold (``meets_threshold``).
+
+        Every probability that meets it is at least ``t * (1 - REL_TOL)``, so a
+        C-level pass against ``t * (1 - 4 * REL_TOL)`` drops only keys that
+        cannot, and the inclusive rule runs on the few that remain.
+        """
+        t = self.threshold(bits)
+        ps = list(dist.probabilities())
+        near = compress(zip(dist.support, ps), map(ge, ps, repeat(t * (1 - 4 * REL_TOL))))
+        return [key for key, p in near if meets_threshold(p, t)]
+
 
 class HashFront(PredecessorStructure):
     """Threshold table in front of a YFastTrie fallback over the key set."""
@@ -90,17 +113,17 @@ class HashFront(PredecessorStructure):
     def __init__(self, keys: KeySet, dist: WeightedDistribution,
                  universe: UniverseSpec, mode: ThresholdMode):
         universe.check_key(keys.keys[-1])
-        t = mode.threshold(universe.bits)
-        table: dict[int, Optional[int]] = {}
-        total = dist.total
-        for key, w in dist.items():
-            universe.check_key(key)
-            if meets_threshold(w / total, t):
-                table[key] = oracle_predecessor(keys, key)
+        bits = universe.bits
+        support = dist.support
+        if support[-1] >> bits:  # support keys are ints >= 0, so the largest decides
+            universe.check_key(support[bisect_left(support, 1 << bits)])  # raises for the smallest
+        front = mode.front_keys(dist, bits)
+        ks = keys.keys
+        answers = (None, *ks)  # answers[bisect_right(ks, q)] is the predecessor of q
         self.universe = universe
         self.mode = mode
-        self.threshold = t
-        self.table = table
+        self.threshold = mode.threshold(bits)
+        self.table = dict(zip(front, map(answers.__getitem__, map(partial(bisect_right, ks), front))))
         self.fallback = YFastTrie(keys, universe)
 
     @property
@@ -164,18 +187,17 @@ class ProbeBoundReport:
 
 def expected_probe_bound(dist: WeightedDistribution, universe: UniverseSpec,
                          mode: ThresholdMode) -> ProbeBoundReport:
-    t = mode.threshold(universe.bits)
+    front = set(mode.front_keys(dist, universe.bits))
     total = dist.total
     hit = []
     miss = []
     bounds: dict[int, float] = {}
     for key, w in dist.items():
-        p = w / total
-        (hit if meets_threshold(p, t) else miss).append(p)
+        (hit if key in front else miss).append(w / total)
         # padded_log2(total / w) without the division, which overflows for subnormal w
         bounds[key] = padded_log2(math.log2(total + 2.0 * w) - math.log2(w))
     return ProbeBoundReport(
-        threshold=t,
+        threshold=mode.threshold(universe.bits),
         hit_mass=math.fsum(hit),
         miss_mass=math.fsum(miss),
         element_bounds=bounds,

@@ -12,7 +12,8 @@ Two ways of ranking keys into layers:
 
 * the static variant sorts keys by how much query mass they answer for
   (descending, ties by ascending key), so frequent answers sit in the tiny
-  front layers;
+  front layers; it is one C-level sort keyed by the mass map, stable under
+  ``reverse=True``, over the ascending key tuple;
 * the self-adjusting variant ranks by recency: every reported answer moves to
   the front layer and, for each layer above the one it came from, the stalest
   key shifts down one layer to keep all occupancies at capacity.
@@ -60,9 +61,7 @@ def layer_capacities(n: int) -> list[int]:
 
 def _successor_map(keys: KeySet) -> dict[int, Optional[int]]:
     ks = keys.keys
-    succ: dict[int, Optional[int]] = {ks[i]: ks[i + 1] for i in range(len(ks) - 1)}
-    succ[ks[-1]] = None  # top sentinel: nothing in S is larger
-    return succ
+    return dict(zip(ks, ks[1:] + (None,)))  # top sentinel None: nothing in S is larger
 
 
 class _LayeredBase(PredecessorStructure):
@@ -143,8 +142,8 @@ class LayeredStructure(_LayeredBase):
         universe.check_key(keys.keys[-1])
         self.universe = universe
         self.output = output_distribution(keys, dist)
-        p_star = self.output.p_star
-        ordered = sorted(keys.keys, key=lambda k: (-p_star(k), k))
+        # descending mass; the sort is stable under reverse=True, so ties keep ascending key order
+        ordered = sorted(keys.keys, key=self.output.masses.__getitem__, reverse=True)
         self._build_layers(ordered, universe)
         self._succ = _successor_map(keys)
 
@@ -163,9 +162,7 @@ class WorkingSetLayered(_LayeredBase):
         self.capacities = [len(s) for s in slices]
         # Front of each queue is the stalest key in that layer.  Untouched keys
         # keep their build order (ascending), so they shift down smallest-first.
-        self._recency: list[OrderedDict[int, None]] = [
-            OrderedDict((k, None) for k in s) for s in slices
-        ]
+        self._recency: list[OrderedDict[int, None]] = [OrderedDict.fromkeys(s) for s in slices]
         self._succ = _successor_map(keys)
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:

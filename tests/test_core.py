@@ -11,6 +11,7 @@ from predsearch import (
     KeyRangeError,
     KeySet,
     ParameterError,
+    QueryStats,
     UniverseSpec,
     WeightedDistribution,
     WorkloadSpec,
@@ -278,3 +279,31 @@ def test_meets_threshold_tie_rule():
     assert not meets_threshold(t * (1 - 1e-9), t)
     assert meets_threshold(t * 2, t)
     assert not meets_threshold(t / 2, t)
+
+
+class TestQueryStats:
+    def test_defaults_and_fields(self):
+        st = QueryStats(answer=9)
+        assert (st.answer, st.level_probes, st.layers_probed, st.table_probes, st.table_hit) == \
+            (9, 0, 0, 0, False)
+        assert QueryStats(None, 3, 2, 1, True).layers_probed == 2
+
+    def test_immutable(self):
+        st = QueryStats(answer=1)
+        with pytest.raises(AttributeError):
+            st.answer = 2
+
+    def test_equality_and_hash(self):
+        a = QueryStats(answer=5, layers_probed=2)
+        b = QueryStats(5, 0, 2)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != QueryStats(answer=5, layers_probed=3)
+        assert len({a, b, QueryStats(answer=None)}) == 2
+
+    def test_never_equal_to_a_bare_tuple(self):
+        st = QueryStats(answer=5, table_probes=1, table_hit=True)
+        same_fields = (5, 0, 0, 1, True)
+        assert tuple(st) == same_fields
+        assert st != same_fields and same_fields != st
+        assert not st == same_fields and not same_fields == st
+        assert same_fields not in {st} and st not in [same_fields]
