@@ -19,7 +19,6 @@ from .hashfront import HashFront, ProbeBoundReport, ThresholdMode, expected_prob
 from .layered import (
     LayeredStructure,
     WorkingSetLayered,
-    WorkingSetTracker,
     layer_capacities,
 )
 from .workload import (
@@ -48,7 +47,6 @@ __all__ = [
     "UniverseSpec",
     "WeightedDistribution",
     "WorkingSetLayered",
-    "WorkingSetTracker",
     "WorkloadSpec",
     "XFastTrie",
     "YFastTrie",

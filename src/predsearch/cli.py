@@ -31,6 +31,7 @@ from .core import (
     ParameterError,
     UniverseSpec,
     WeightedDistribution,
+    check_support,
     entropy,
     oracle_predecessor,
     output_distribution,
@@ -49,6 +50,9 @@ from .xfast import XFastTrie
 from .yfast import YFastTrie
 
 STRUCTURES = ("xfast", "yfast", "hashfront-a", "hashfront-b", "layered", "layered-ws")
+#: Structures whose queries change them: bench counts stats on a fresh build, verify
+#: audits after every scripted access.
+MUTATING = ("layered-ws",)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,7 +206,7 @@ def _load_instance(args) -> tuple[UniverseSpec, KeySet, WeightedDistribution, st
         dist = generate_distribution(WorkloadSpec(kind=kind, support=keys.keys, ratio=ratio, s=s))
         dist_kind = kind
         dist_param = {"geometric": ratio, "zipf": s}.get(kind)
-    universe.check_key(dist.support[-1])
+    check_support(dist, universe)
     return universe, keys, dist, dist_kind, dist_param
 
 
@@ -290,7 +294,7 @@ def cmd_bench(args) -> int:
     answers = list(map(structure.predecessor, queries))
     elapsed = time.perf_counter_ns() - t0
     counted = structure
-    if args.structure == "layered-ws":
+    if args.structure in MUTATING:
         counted = build_structure(args.structure, keys, dist, universe, args.epsilon)
     stats = [counted.query_stats(q) for q in queries]
 
@@ -367,7 +371,7 @@ def cmd_verify(args) -> int:
             universe.check_key(q)
     else:
         queries = range(universe.size)
-    audited = args.query_file is not None and isinstance(structure, WorkingSetLayered)
+    audited = args.query_file is not None and args.structure in MUTATING
     for q in queries:
         got = structure.predecessor(q)
         expected = oracle_predecessor(keys, q)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
@@ -55,7 +56,7 @@ class UniverseSpec:
     bits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or not 1 <= self.bits <= 64:
+        if type(self.bits) is not int or not 1 <= self.bits <= 64:  # bool passes isinstance
             raise ParameterError(f"universe bits must be an integer in [1, 64], got {self.bits!r}")
 
     @property
@@ -103,11 +104,6 @@ class KeySet:
             raise ParameterError(f"keys must be strictly increasing ({a} before {b})")
         self.keys = ks
 
-    @classmethod
-    def from_iterable(cls, keys: Iterable[int]) -> "KeySet":
-        """Sort and deduplicate, then construct."""
-        return cls(sorted(set(keys)))
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -121,9 +117,6 @@ class KeySet:
         i = bisect_right(self.keys, key) - 1
         return i >= 0 and self.keys[i] == key
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, KeySet) and self.keys == other.keys
-
     def __repr__(self) -> str:
         return f"KeySet(n={len(self.keys)}, min={self.keys[0]}, max={self.keys[-1]})"
 
@@ -131,12 +124,12 @@ class KeySet:
 class WeightedDistribution:
     """Sparse nonnegative weights over universe keys.
 
-    The probability of key i is weight(i) / total; keys without an entry have
-    probability zero.  Zero-weight entries are dropped at construction since
-    they are indistinguishable from absent keys.
+    The probability of a support key is its weight / total; keys without an
+    entry have probability zero.  Zero-weight entries are dropped at
+    construction since they are indistinguishable from absent keys.
     """
 
-    __slots__ = ("_weights", "_support_weights", "support", "total")
+    __slots__ = ("_support_weights", "support", "total")
 
     def __init__(self, weights: Mapping[int, float]):
         cleaned: dict[int, float] = {}
@@ -150,10 +143,14 @@ class WeightedDistribution:
                 raise KeyRangeError(f"negative key {key}")
             if w > 0.0:
                 cleaned[key] = w
-        total = math.fsum(cleaned.values())
+        try:
+            total = math.fsum(cleaned.values())
+        except OverflowError:  # finite weights, so only a total above the largest float
+            raise InvalidDistributionError(
+                f"total weight of {len(cleaned)} keys overflows a float "
+                f"(sum above {sys.float_info.max!r})") from None
         if total <= 0.0:
             raise InvalidDistributionError("total weight must be positive")
-        self._weights = cleaned
         self.support = tuple(sorted(cleaned))
         # aligned with support: the build passes read weights in key order without a dict
         # lookup per key, whose hops across a dict filled in another order dominate them
@@ -163,12 +160,6 @@ class WeightedDistribution:
     @property
     def support_size(self) -> int:
         return len(self.support)
-
-    def weight(self, key: int) -> float:
-        return self._weights.get(key, 0.0)
-
-    def probability(self, key: int) -> float:
-        return self._weights.get(key, 0.0) / self.total
 
     def items(self) -> Iterator[tuple[int, float]]:
         """(key, weight) pairs in ascending key order, paired at C speed (no Python frame per key)."""
@@ -180,6 +171,17 @@ class WeightedDistribution:
 
     def __repr__(self) -> str:
         return f"WeightedDistribution(support={len(self.support)}, total={self.total!r})"
+
+
+def check_support(dist: WeightedDistribution, universe: UniverseSpec) -> None:
+    """Raise KeyRangeError, naming the smallest one, if any support key is outside the universe.
+
+    Support keys are ints >= 0, so the largest decides, and one bisect finds
+    the smallest offender without a Python step per key.
+    """
+    support = dist.support
+    if support[-1] >> universe.bits:
+        universe.check_key(support[bisect_left(support, 1 << universe.bits)])
 
 
 def entropy(dist: WeightedDistribution) -> float:
@@ -210,9 +212,6 @@ class OutputDistribution:
 
     def p_star(self, key: int) -> float:
         return self.masses.get(key, 0.0)
-
-    def total_mass(self) -> float:
-        return math.fsum(self.masses.values()) + self.bottom_mass
 
     def entropy_bits(self) -> float:
         """Entropy over the n+1 outcomes (each stored key, plus "no answer")."""
@@ -282,9 +281,9 @@ class PredecessorStructure:
 
     ``predecessor`` is the plain query path; ``query_stats`` answers the same
     query and also reports what finding the answer cost.  Every public call
-    (these two, and ``insert``, ``delete`` and ``in`` where a structure has
-    them) checks its key exactly once, before it reads or changes anything:
-    an inline ``type(q) is int`` and shift test, with ``UniverseSpec.check_key``
+    (these two, and ``insert`` and ``delete`` where a structure has them)
+    checks its key exactly once, before it reads or changes anything: an
+    inline ``type(q) is int`` and shift test, with ``UniverseSpec.check_key``
     called only to raise or to accept another int-like.  A structure that
     delegates the whole query, as a cascade does to its first layer, leaves
     the check to the call it delegates to.

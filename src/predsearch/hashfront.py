@@ -11,11 +11,12 @@ stored key set.  Two threshold shapes are supported:
 
 Only the distribution's support is scanned at build time; keys with zero
 probability can never meet a positive threshold.  The build makes C-level
-passes, not a Python call per support key: the support is checked against
-the universe once, by its largest key; ``ThresholdMode.front_keys`` keeps the
-keys whose probability clears a slightly lower bound in one ``compress`` pass
-and applies the inclusive ``meets_threshold`` rule only to those; and each
-table key's answer is a ``bisect_right`` into the stored keys.
+passes, not a Python call per support key: ``check_support`` checks the
+support against the universe by its largest key, as the static cascade's
+build does; ``ThresholdMode.front_keys`` keeps the keys whose probability
+clears a slightly lower bound in one ``compress`` pass and applies the
+inclusive ``meets_threshold`` rule only to those; and each table key's answer
+is a ``bisect_right`` into the stored keys.
 ``expected_probe_bound`` takes its hit mass from the same ``front_keys``, so
 it is by construction the mass of the table's keys.
 
@@ -31,7 +32,7 @@ the table keys this rests on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
@@ -46,6 +47,7 @@ from .core import (
     QueryStats,
     UniverseSpec,
     WeightedDistribution,
+    check_support,
     meets_threshold,
     padded_log2,
 )
@@ -108,21 +110,17 @@ class ThresholdMode:
 class HashFront(PredecessorStructure):
     """Threshold table in front of a YFastTrie fallback over the key set."""
 
-    __slots__ = ("universe", "mode", "threshold", "table", "fallback")
+    __slots__ = ("universe", "mode", "table", "fallback")
 
     def __init__(self, keys: KeySet, dist: WeightedDistribution,
                  universe: UniverseSpec, mode: ThresholdMode):
         universe.check_key(keys.keys[-1])
-        bits = universe.bits
-        support = dist.support
-        if support[-1] >> bits:  # support keys are ints >= 0, so the largest decides
-            universe.check_key(support[bisect_left(support, 1 << bits)])  # raises for the smallest
-        front = mode.front_keys(dist, bits)
+        check_support(dist, universe)
+        front = mode.front_keys(dist, universe.bits)
         ks = keys.keys
         answers = (None, *ks)  # answers[bisect_right(ks, q)] is the predecessor of q
         self.universe = universe
         self.mode = mode
-        self.threshold = mode.threshold(bits)
         self.table = dict(zip(front, map(answers.__getitem__, map(partial(bisect_right, ks), front))))
         self.fallback = YFastTrie(keys, universe)
 

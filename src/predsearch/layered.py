@@ -42,6 +42,7 @@ from .core import (
     QueryStats,
     UniverseSpec,
     WeightedDistribution,
+    check_support,
     output_distribution,
 )
 from .yfast import YFastTrie
@@ -110,13 +111,6 @@ class _LayeredBase(PredecessorStructure):
         answer, probed = self._scan(q)
         return QueryStats(answer=answer, layers_probed=probed)
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    def layer_sizes(self) -> list[int]:
-        return [len(layer) for layer in self.layers]
-
     def table_entries(self) -> int:
         """Stored entries across all layers plus the successor pointers."""
         return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
@@ -140,6 +134,7 @@ class LayeredStructure(_LayeredBase):
     def __init__(self, keys: KeySet, dist: WeightedDistribution,
                  universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
+        check_support(dist, universe)
         self.universe = universe
         self.output = output_distribution(keys, dist)
         # descending mass; the sort is stable under reverse=True, so ties keep ascending key order
@@ -191,9 +186,6 @@ class WorkingSetLayered(_LayeredBase):
         layers[0].insert(x)
         rec[0][x] = None
 
-    def layer_contents(self) -> list[tuple[int, ...]]:
-        return [tuple(sorted(r)) for r in self._recency]
-
     def audit(self) -> None:
         """Raise AssertionError unless occupancies, recency queues and the partition are intact."""
         sizes = [len(r) for r in self._recency]
@@ -203,32 +195,3 @@ class WorkingSetLayered(_LayeredBase):
             if r.keys() != set(layer):
                 raise AssertionError("recency queue and layer structure disagree")
         super().audit()
-
-
-class WorkingSetTracker:
-    """Reference bookkeeping for recency bounds (test and verify builds only).
-
-    Keeps reported answers in most-recent-first order; the number of distinct
-    predecessors reported since a key's previous report is its position in
-    that order at the moment it is reported again.
-    """
-
-    def __init__(self) -> None:
-        self._order: list[int] = []
-
-    def observe(self, answer: Optional[int]) -> Optional[int]:
-        """Record a report; returns distinct reports since its last one.
-
-        Returns None for queries with no predecessor (they report nothing) and
-        for first-time reports (working-set number "n / never reported").
-        """
-        if answer is None:
-            return None
-        try:
-            i = self._order.index(answer)
-        except ValueError:
-            self._order.insert(0, answer)
-            return None
-        del self._order[i]
-        self._order.insert(0, answer)
-        return i

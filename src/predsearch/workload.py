@@ -7,9 +7,7 @@ reproducible.  Weight assignment itself is deterministic in the support order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -112,12 +110,3 @@ def sample_queries(dist: WeightedDistribution, seed: int, count: int) -> list[in
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(support) - 1)
     return support[idx].tolist()
-
-
-def empirical_entropy(samples: Sequence[int]) -> float:
-    """Entropy of the empirical frequency distribution of samples, in bits."""
-    if not len(samples):
-        raise ParameterError("no samples")
-    _, counts = np.unique(np.asarray(samples, dtype=np.uint64), return_counts=True)
-    total = float(len(samples))
-    return math.fsum((c / total) * math.log2(total / c) for c in counts.tolist())

@@ -113,10 +113,6 @@ class XFastTrie(PredecessorStructure):
             yield k
             k = nxt[k]
 
-    @property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def neighbours(self, x: int) -> tuple[Optional[int], Optional[int]]:
         """The stored keys just below and just above stored key x (None at the ends)."""
         return self._prev[x], self._next[x]
@@ -259,9 +255,6 @@ class XFastTrie(PredecessorStructure):
                 prefix = min(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
                 raise AssertionError(f"level {level}: prefix {prefix} maps to {got.get(prefix)}, "
                                      f"the leaf walk gives {want.get(prefix)}")
-
-    def level_sizes(self) -> list[int]:
-        return [len(t) for t in self._levels]
 
     def table_entries(self) -> int:
         """Total prefix-table entries across the stored levels (space audit)."""

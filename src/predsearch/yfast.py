@@ -110,11 +110,6 @@ class YFastTrie(PredecessorStructure):
             return iter(flat)
         return chain.from_iterable(map(self._buckets.__getitem__, self._rep_trie))
 
-    def __contains__(self, key: int) -> bool:
-        if type(key) is not int or key >> self.bits:
-            self.universe.check_key(key)
-        return self._search(key)[0] == key
-
     def predecessor(self, q: int) -> Optional[int]:
         if type(q) is not int or q >> self.bits:
             self.universe.check_key(q)
@@ -230,17 +225,14 @@ class YFastTrie(PredecessorStructure):
         if len(kept) > self._max_size:
             self._split(keep)
 
-    # audit helpers
+    # the bucket form's shape, which audit() checks
 
     def representatives(self) -> tuple[int, ...]:
         """The bucket minima in ascending order; none in flat form."""
-        return self._rep_trie.leaves if self._rep_trie is not None else ()
+        return tuple(self._rep_trie) if self._rep_trie is not None else ()
 
     def bucket_sizes(self) -> list[int]:
         return [len(self._buckets[r]) for r in self.representatives()]
-
-    def size_band(self) -> tuple[int, int]:
-        return self._min_size, self._max_size
 
     def audit(self) -> None:
         """Raise AssertionError unless exactly one form is set and it is intact.
@@ -266,7 +258,7 @@ class YFastTrie(PredecessorStructure):
             raise AssertionError(f"bucket form over only {self._size} keys, at or below the "
                                  f"flatten floor {self._flat_floor}")
         trie.audit()
-        reps = trie.leaves
+        reps = tuple(trie)
         if set(reps) != buckets.keys():
             raise AssertionError("representatives are not the bucket keys")
         for r in reps:

@@ -1,10 +1,13 @@
+import math
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 
 from predsearch import (
     KeySet,
+    ParameterError,
     UniverseSpec,
     WeightedDistribution,
     WorkloadSpec,
@@ -79,7 +82,7 @@ def probes_saved(structure, trie: XFastTrie, keys: KeySet, queries) -> int:
 
     Returns how many queries took strictly fewer probes than the reference.
     """
-    routed = KeySet(trie.leaves)
+    routed = KeySet(trie)
     levels = reference_levels(routed.keys, trie.bits)
     fewer = 0
     for q in queries:
@@ -108,7 +111,7 @@ def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     fresh = XFastTrie(KeySet(keys), trie.universe)
     assert stored_depth(trie, keys) >= len(fresh._levels) - 1
     assert trie._prev == fresh._prev and trie._next == fresh._next
-    assert trie.leaves == tuple(keys)
+    assert tuple(trie) == tuple(keys)
 
 
 def random_distribution(rnd: random.Random, universe: UniverseSpec,
@@ -122,6 +125,44 @@ def random_distribution(rnd: random.Random, universe: UniverseSpec,
     spec = WorkloadSpec(kind=kind, support=tuple(sorted(support)),
                         ratio=0.25 + 0.5 * rnd.random(), s=0.5 + rnd.random())
     return generate_distribution(spec)
+
+
+def empirical_entropy(samples: Sequence[int]) -> float:
+    """Entropy of the empirical frequency distribution of samples, in bits."""
+    if not len(samples):
+        raise ParameterError("no samples")
+    _, counts = np.unique(np.asarray(samples, dtype=np.uint64), return_counts=True)
+    total = float(len(samples))
+    return math.fsum((c / total) * math.log2(total / c) for c in counts.tolist())
+
+
+class WorkingSetTracker:
+    """Reference bookkeeping for the working-set bound, which tests hold the cascade to.
+
+    Keeps reported answers in most-recent-first order; the number of distinct
+    predecessors reported since a key's previous report is its position in
+    that order at the moment it is reported again.
+    """
+
+    def __init__(self) -> None:
+        self._order: list[int] = []
+
+    def observe(self, answer: Optional[int]) -> Optional[int]:
+        """Record a report; returns distinct reports since its last one.
+
+        Returns None for queries with no predecessor (they report nothing) and
+        for first-time reports (working-set number "n / never reported").
+        """
+        if answer is None:
+            return None
+        try:
+            i = self._order.index(answer)
+        except ValueError:
+            self._order.insert(0, answer)
+            return None
+        del self._order[i]
+        self._order.insert(0, answer)
+        return i
 
 
 @pytest.fixture

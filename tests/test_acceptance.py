@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import KIND_CYCLE, random_distribution
+from conftest import KIND_CYCLE, WorkingSetTracker, random_distribution
 
 from predsearch import (
     HashFront,
@@ -21,7 +21,6 @@ from predsearch import (
     UniverseSpec,
     WeightedDistribution,
     WorkingSetLayered,
-    WorkingSetTracker,
     WorkloadSpec,
     XFastTrie,
     YFastTrie,
@@ -90,8 +89,8 @@ def test_criterion_2_hashfront_space_bounds():
                         hf = HashFront(keys, dist, universe, mode)
                         assert len(hf.table) <= mode.table_capacity(bits)
                         t = mode.threshold(bits)
-                        expected = {k for k, _ in dist.items()
-                                    if meets_threshold(dist.probability(k), t)}
+                        expected = {k for k, w in dist.items()
+                                    if meets_threshold(w / dist.total, t)}
                         assert set(hf.table) == expected
 
 
@@ -105,13 +104,15 @@ def test_criterion_3_individual_probe_shape():
         dist = WeightedDistribution(
             {k: max(0.5 ** i, 5e-324) for i, k in enumerate(support)})
         bound = math.ceil(math.log2(universe.bits + 1)) + 2
+        weights = dict(dist.items())
         for mode in (ThresholdMode.mode_a(0.5), ThresholdMode.mode_b(0.5)):
             hf = HashFront(keys, dist, universe, mode)
+            t = mode.threshold(universe.bits)
 
             def check(q):
                 st = hf.query_stats(q)
                 assert st.table_probes == 1
-                if meets_threshold(dist.probability(q), hf.threshold):
+                if meets_threshold(weights[q] / dist.total, t):
                     assert st.table_hit and st.level_probes == 0
                 else:
                     assert not st.table_hit and st.level_probes <= bound
@@ -180,7 +181,7 @@ def test_criterion_5_working_set_bound():
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
                 assert distinct >= 2 ** (2 ** (probed - 1)), (step, q, probed, distinct)
-            assert ws.layer_sizes() == ws.capacities, step
+            assert [len(layer) for layer in ws.layers] == ws.capacities, step
             if step % 500 == 0:
                 ws.audit()
         ws.audit()
@@ -237,8 +238,7 @@ def test_criterion_8_layered_space_flat():
             keys = KeySet(sorted(rnd.sample(range(universe.size), n)))
             dist = WeightedDistribution({k: 1.0 for k in keys})
             structure = LayeredStructure(keys, dist, universe)
-            sizes = structure.layer_sizes()
-            assert sum(sizes) == n  # one membership per key across layers
+            assert sum(map(len, structure.layers)) == n  # one membership per key across layers
             merged = sorted(k for layer in structure.layers for k in layer)
             assert merged == list(keys)
             ratios.append(structure.table_entries() / n)

@@ -41,10 +41,10 @@ def reference_masses(keys: KeySet, dist: WeightedDistribution) -> tuple[dict[int
     masses = {s: 0.0 for s in sks}
     bottom = 0.0
     j = -1  # index of the greatest stored key <= current support key
-    for x in dist.support:
+    for x, w in dist.items():
         while j + 1 < n and sks[j + 1] <= x:
             j += 1
-        p = dist.weight(x) / dist.total
+        p = w / dist.total
         if j < 0:
             bottom += p
         else:
@@ -74,9 +74,9 @@ def reference_table(keys: KeySet, dist: WeightedDistribution, universe: Universe
     """Every support key checked and tested against the threshold, in ascending order."""
     t = mode.threshold(universe.bits)
     table = {}
-    for key in dist.support:
+    for key, w in dist.items():
         universe.check_key(key)
-        if meets_threshold(dist.weight(key) / dist.total, t):
+        if meets_threshold(w / dist.total, t):
             table[key] = oracle_predecessor(keys, key)
     return table
 
@@ -103,7 +103,8 @@ def assert_builds_match(keys: KeySet, dist: WeightedDistribution, universe: Univ
         hf = HashFront(keys, dist, universe, mode)
         assert list(hf.table.items()) == list(reference_table(keys, dist, universe, mode).items())
         report = expected_probe_bound(dist, universe, mode)
-        assert report.hit_mass == math.fsum(dist.probability(k) for k in hf.table)
+        weights = dict(dist.items())
+        assert report.hit_mass == math.fsum(weights[k] / dist.total for k in hf.table)
 
 
 def test_zero_mass_ties():
@@ -129,7 +130,7 @@ def test_support_below_smallest_and_above_largest_key():
     dist = WeightedDistribution({0: 1.0, 5: 2.0, 999: 0.25, 1_000: 1.0, 2_500: 0.5,
                                  40_000: 3.0, 50_000: 4.0, 65_535: 0.125})
     masses, bottom = reference_masses(keys, dist)
-    assert bottom > 0.0 and masses[40_000] > dist.probability(40_000)
+    assert bottom > 0.0 and masses[40_000] > dict(dist.items())[40_000] / dist.total
     assert_builds_match(keys, dist, universe)
 
 
@@ -173,7 +174,7 @@ def test_threshold_edges(factor, in_table):
     edge = support[100]
     dist = WeightedDistribution({k: factor if k == edge else 1.0 for k in support})
     t = mode.threshold(universe.bits)
-    p = dist.probability(edge)
+    p = dict(dist.items())[edge] / dist.total
     if factor == 1.0:
         assert p == t
     assert meets_threshold(p, t) is in_table
@@ -186,10 +187,13 @@ def test_threshold_edges(factor, in_table):
 
 
 def test_out_of_universe_support_names_smallest_offending_key():
+    """The static cascade and the hash-front reject the same support with the same error."""
     universe = UniverseSpec(8)
     keys = KeySet([1, 50, 200])
     dist = WeightedDistribution({3: 1.0, 7_000: 1.0, 300: 2.0, 256: 0.5, 255: 1.0})
     with pytest.raises(KeyRangeError, match=r"^key 256 outside 8-bit universe$"):
         HashFront(keys, dist, universe, ThresholdMode.mode_a(0.5))
+    with pytest.raises(KeyRangeError, match=r"^key 256 outside 8-bit universe$"):
+        LayeredStructure(keys, dist, universe)
     with pytest.raises(KeyRangeError, match=r"^key 256 outside 8-bit universe$"):
         reference_table(keys, dist, universe, ThresholdMode.mode_a(0.5))

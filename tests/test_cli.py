@@ -124,6 +124,14 @@ class TestParsing:
         assert run("bench", "--universe-bits", 12, "--n", 8,
                    "--structure", "btree") == EXIT_USAGE
 
+    def test_weights_file_with_overflowing_total(self, tmp_path, capsys):
+        keys = gen_keys(tmp_path)
+        dist = tmp_path / "w.tsv"
+        dist.write_text("1\t1e308\n2\t1e308\n")
+        assert run("bench", "--universe-bits", 12, "--keys", keys, "--dist", dist,
+                   "--structure", "yfast") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: total weight of 2 keys overflows a float")
+
     def test_keys_beyond_universe_rejected(self, tmp_path):
         keys = tmp_path / "keys.txt"
         keys.write_text("1\n5000\n")
@@ -372,8 +380,32 @@ class TestBench:
                                    "--structure", "layered-ws", "--dist-kind", "zipf",
                                    "--queries", 300, "--seed", 4)
         assert len(built) == 2 and built[0] is not built[1]
-        assert built[0].layer_contents() == built[1].layer_contents()
+        first, second = ([tuple(layer) for layer in ws.layers] for ws in built)
+        assert first == second
         assert report["oracle_mismatches"] == 0 and report["mean_layers_probed"] >= 1
+
+
+class TestMutationPolicy:
+    @pytest.mark.parametrize("mutating", [(), ("layered-ws",)])
+    def test_bench_and_verify_read_one_definition(self, mutating, tmp_path, capsys, monkeypatch):
+        """bench counts stats on a fresh build, and verify audits every scripted access,
+        for exactly the structures that MUTATING names."""
+        monkeypatch.setattr("predsearch.cli.MUTATING", mutating)
+        built = []
+        real = build_structure
+
+        def recording_build(*a, **k):
+            built.append(real(*a, **k))
+            return built[-1]
+
+        monkeypatch.setattr("predsearch.cli.build_structure", recording_build)
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("0\n1023\n17\n")
+        instance = ("--universe-bits", 10, "--n", 200, "--seed", 4, "--structure", "layered-ws")
+        assert run("bench", *instance, "--queries", 300, "--out", tmp_path / "r.json") == EXIT_OK
+        assert len(built) == (2 if mutating else 1)
+        assert run("verify", *instance, "--query-file", qfile) == EXIT_OK
+        assert ("per-access audits" in capsys.readouterr().out) == bool(mutating)
 
 
 class TestVerify:

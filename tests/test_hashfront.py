@@ -77,7 +77,7 @@ class TestBuild:
         universe = UniverseSpec(16)
         keys = KeySet([0])
         hf = HashFront(keys, geometric_64(), universe, ThresholdMode.mode_b(0.5))
-        assert hf.threshold == 1 / 16
+        assert hf.mode.threshold(universe.bits) == 1 / 16
         assert len(hf.table) <= 16
 
     def test_uniform_below_threshold_gives_empty_table(self, rnd):
@@ -110,7 +110,7 @@ class TestBuild:
                          ThresholdMode.mode_b(0.25), ThresholdMode.mode_b(0.9)):
                 hf = HashFront(keys, dist, universe, mode)
                 t = mode.threshold(universe.bits)
-                expected = {k for k, _ in dist.items() if meets_threshold(dist.probability(k), t)}
+                expected = {k for k, w in dist.items() if meets_threshold(w / dist.total, t)}
                 assert set(hf.table) == expected
                 assert len(hf.table) <= mode.table_capacity(universe.bits)
 
@@ -138,9 +138,10 @@ class TestPredecessor:
         dist = geometric_64()
         hf = HashFront(keys, dist, universe, ThresholdMode.mode_a(0.5))
         bound = math.ceil(math.log2(universe.bits + 1)) + 2
-        for key, _ in dist.items():
+        t = hf.mode.threshold(universe.bits)
+        for key, w in dist.items():
             st = hf.query_stats(key)
-            if meets_threshold(dist.probability(key), hf.threshold):
+            if meets_threshold(w / dist.total, t):
                 assert st.table_probes == 1 and st.table_hit and st.level_probes == 0
             else:
                 assert st.table_probes == 1 and not st.table_hit

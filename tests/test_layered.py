@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import random_keyset
+from conftest import WorkingSetTracker, random_keyset
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -13,7 +13,6 @@ from predsearch import (
     UniverseSpec,
     WeightedDistribution,
     WorkingSetLayered,
-    WorkingSetTracker,
     YFastTrie,
     layer_capacities,
     oracle_predecessor,
@@ -52,13 +51,13 @@ class TestStaticBuild:
         out = output_distribution(keys, dist)
         expected_order = sorted(keys, key=lambda k: (-out.p_star(k), k))
         assert set(structure.layers[0]) == set(expected_order[:4])
-        assert structure.layer_sizes() == [4, 16]
+        assert [len(layer) for layer in structure.layers] == [4, 16]
 
     def test_partition(self, rnd):
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 300)))
         structure = LayeredStructure(keys, uniform_over(keys), universe)
-        assert structure.layer_sizes() == [4, 16, 256, 24]
+        assert [len(layer) for layer in structure.layers] == [4, 16, 256, 24]
         merged = sorted(k for layer in structure.layers for k in layer)
         assert merged == list(keys)
 
@@ -80,7 +79,7 @@ class TestStaticQuery:
         stats = structure.query_stats(5)
         answer, probed = stats.answer, stats.layers_probed
         assert answer is None
-        assert probed == structure.num_layers == 3
+        assert probed == len(structure.layers) == 3
 
     def test_oracle_equivalence_and_probe_bound(self):
         universe = UniverseSpec(16)
@@ -122,9 +121,9 @@ class TestWorkingSetBuild:
         keys = KeySet(sorted(rnd.sample(range(universe.size), 25)))
         ws = WorkingSetLayered(keys, universe)
         assert ws.capacities == [4, 16, 5]
-        assert ws.layer_sizes() == [4, 16, 5]
+        assert [len(layer) for layer in ws.layers] == [4, 16, 5]
         # initial assignment is by ascending key
-        assert ws.layer_contents()[0] == keys.keys[:4]
+        assert tuple(ws.layers[0]) == keys.keys[:4]
 
     def test_reported_answer_lands_in_front_layer(self, rnd):
         universe = UniverseSpec(12)
@@ -133,7 +132,7 @@ class TestWorkingSetBuild:
         x = keys.keys[20]
         answer = ws.query_stats(x).answer
         assert answer == x
-        assert x in ws.layer_contents()[0]
+        assert x in tuple(ws.layers[0])
         ws.audit()
 
     def test_occupancies_survive_deep_promotion(self, rnd):
@@ -143,7 +142,7 @@ class TestWorkingSetBuild:
         stats = ws.query_stats(keys.keys[299])
         answer, probed = stats.answer, stats.layers_probed
         assert probed == 4
-        assert ws.layer_sizes() == [4, 16, 256, 24]
+        assert [len(layer) for layer in ws.layers] == [4, 16, 256, 24]
         ws.audit()
 
 
@@ -177,11 +176,11 @@ class TestWorkingSetQuery:
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(50, universe.size), 30)))
         ws = WorkingSetLayered(keys, universe)
-        before = ws.layer_contents()
+        before = [tuple(layer) for layer in ws.layers]
         stats = ws.query_stats(5)
         answer, probed = stats.answer, stats.layers_probed
-        assert answer is None and probed == ws.num_layers
-        assert ws.layer_contents() == before
+        assert answer is None and probed == len(ws.layers)
+        assert [tuple(layer) for layer in ws.layers] == before
 
     def test_partial_layer_promotions(self):
         # small key sets leave the last layer partial; promotion must keep
@@ -195,7 +194,7 @@ class TestWorkingSetQuery:
                 q = rnd.randrange(universe.size)
                 answer = ws.query_stats(q).answer
                 assert answer == oracle_predecessor(keys, q)
-                assert ws.layer_sizes() == ws.capacities
+                assert [len(layer) for layer in ws.layers] == ws.capacities
             ws.audit()
 
     def test_random_sequence_oracle_audit_and_bound(self):
@@ -212,7 +211,7 @@ class TestWorkingSetQuery:
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
                 assert distinct >= 2 ** (2 ** (probed - 1))
-            assert ws.layer_sizes() == ws.capacities
+            assert [len(layer) for layer in ws.layers] == ws.capacities
             if step % 200 == 0:
                 ws.audit()
         ws.audit()
@@ -232,7 +231,7 @@ class TestFrontLayers:
         for q in rnd.sample(keys.keys, 150):
             ws.query_stats(q)
         for structure in (static, ws):
-            assert structure.layer_sizes() == [4, 16, 256, 1224]
+            assert [len(layer) for layer in structure.layers] == [4, 16, 256, 1224]
             *front, last = structure.layers
             assert all(layer._flat is not None and layer._rep_trie is None for layer in front)
             assert last._flat is None and last._rep_trie is not None
@@ -265,7 +264,7 @@ class TestFrontLayers:
             stats = ws.query_stats(q)
             assert stats.answer == oracle_predecessor(keys, q)
             promotions += stats.answer is not None and stats.layers_probed > 1
-        assert ws.layer_sizes() == ws.capacities
+        assert [len(layer) for layer in ws.layers] == ws.capacities
         ws.audit()
 
 
@@ -287,7 +286,7 @@ class WorkingSetMachine(RuleBasedStateMachine):
         stats = self.ws.query_stats(q)
         answer, probed = stats.answer, stats.layers_probed
         assert answer == oracle_predecessor(self.keys, q)
-        assert 1 <= probed <= self.ws.num_layers
+        assert 1 <= probed <= len(self.ws.layers)
 
     @rule(data=st.data())
     def query_stored(self, data):
@@ -302,9 +301,9 @@ class WorkingSetMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.keys[0] > 0)
     @rule(data=st.data())
     def query_below_minimum(self, data):
-        before = self.ws.layer_contents()
+        before = [tuple(layer) for layer in self.ws.layers]
         self._check(data.draw(st.integers(0, self.keys[0] - 1)))
-        assert self.ws.layer_contents() == before  # no answer, nothing promoted
+        assert [tuple(layer) for layer in self.ws.layers] == before  # no answer, nothing promoted
 
     @invariant()
     def audited(self):
@@ -334,7 +333,7 @@ class TestSpace:
         for n in (256, 1024, 4096):
             keys = KeySet(sorted(rnd.sample(range(universe.size), n)))
             structure = LayeredStructure(keys, uniform_over(keys), universe)
-            assert sum(structure.layer_sizes()) == n
+            assert sum(map(len, structure.layers)) == n
             ratios.append(structure.table_entries() / n)
         for a, b in zip(ratios, ratios[1:]):
             assert max(a, b) / min(a, b) < 1.5, ratios

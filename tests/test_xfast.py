@@ -32,17 +32,17 @@ class TestBuild:
         # 2 = 0b010 and 5 = 0b101 part at their top bit, so level 1 already holds one
         # key per prefix: the depth is 1, and levels 2 and 3 are not stored.
         trie = XFastTrie(KeySet([2, 5]), UniverseSpec(3))
-        assert trie.leaves == (2, 5)
+        assert tuple(trie) == (2, 5)
         assert trie._levels == [{0: (2, 5)}, {0b0: (2, 2), 0b1: (5, 5)}]
 
     def test_single_key_one_bit(self):
         trie = XFastTrie(KeySet([0]), UniverseSpec(1))
-        assert trie.leaves == (0,)
-        assert trie.level_sizes() == [1, 1]
+        assert tuple(trie) == (0,)
+        assert [len(table) for table in trie._levels] == [1, 1]
 
     def test_complete_universe(self):
         trie = XFastTrie(KeySet(range(16)), UniverseSpec(4))
-        assert trie.level_sizes() == [2 ** level for level in range(5)]
+        assert [len(table) for table in trie._levels] == [2 ** level for level in range(5)]
 
     def test_key_outside_universe(self):
         with pytest.raises(KeyRangeError):
@@ -50,8 +50,8 @@ class TestBuild:
 
     def test_descendant_pointers_reference_real_leaves(self):
         trie = XFastTrie(KeySet([3, 9, 17, 40]), UniverseSpec(6))
-        assert trie.leaves == (3, 9, 17, 40)
-        leaves = set(trie.leaves)
+        assert tuple(trie) == (3, 9, 17, 40)
+        leaves = set(trie)
         for level, table in enumerate(trie._levels):
             shift = trie.bits - level
             for prefix, (mn, mx) in table.items():
@@ -136,7 +136,7 @@ class TestEarlyExit:
         trie = XFastTrie(KeySet([0, 2 ** 63]), UniverseSpec(64))
         stats = trie.query_stats(5)
         assert stats.answer == 0 and stats.level_probes == 1
-        assert reference_search(trie, reference_levels(trie.leaves, 64), 5) == (0, 6)
+        assert reference_search(trie, reference_levels(tuple(trie), 64), 5) == (0, 6)
 
     def test_single_key_above_the_query(self):
         # the single-key prefix holds a key above q: the answer is the leaf linked before it
@@ -222,7 +222,7 @@ class TestUpdates:
                 ref.insert(0, x)
             else:
                 trie.delete(ref.pop(0))
-            assert trie.leaves[0] == next(iter(trie)) == ref[0]
+            assert next(iter(trie)) == ref[0]
             assert_same_as_fresh_build(trie, ref)
             trie.audit()
 
