@@ -102,6 +102,9 @@ class XFastTrie(PredecessorStructure):
         self._levels = _build_levels(list(zip(leaves, leaves)), self.bits, _depth(leaves, self.bits))
         self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
+    # `x in trie` would fall back to a linear walk of __iter__ with no key check
+    __contains__ = None
+
     def __len__(self) -> int:
         return len(self._next)
 

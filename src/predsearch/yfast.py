@@ -100,6 +100,9 @@ class YFastTrie(PredecessorStructure):
         self._buckets = self._rep_trie = None
         self._size = 0
 
+    # `x in trie` would fall back to a linear walk of __iter__ with no key check
+    __contains__ = None
+
     def __len__(self) -> int:
         flat = self._flat
         return len(flat) if flat is not None else self._size
@@ -231,9 +234,6 @@ class YFastTrie(PredecessorStructure):
         """The bucket minima in ascending order; none in flat form."""
         return tuple(self._rep_trie) if self._rep_trie is not None else ()
 
-    def bucket_sizes(self) -> list[int]:
-        return [len(self._buckets[r]) for r in self.representatives()]
-
     def audit(self) -> None:
         """Raise AssertionError unless exactly one form is set and it is intact.
 
@@ -261,11 +261,12 @@ class YFastTrie(PredecessorStructure):
         reps = tuple(trie)
         if set(reps) != buckets.keys():
             raise AssertionError("representatives are not the bucket keys")
+        sizes = []
         for r in reps:
-            if buckets[r][:1] != [r]:
-                raise AssertionError(f"representative {r} does not lead its bucket "
-                                     f"{buckets[r][:1]}")
-        sizes = self.bucket_sizes()
+            b = buckets[r]
+            if b[:1] != [r]:
+                raise AssertionError(f"representative {r} does not lead its bucket {b[:1]}")
+            sizes.append(len(b))
         lo, hi = self._min_size, self._max_size
         if max(sizes) > hi or min(sizes) < lo:
             raise AssertionError(f"bucket sizes {min(sizes)}..{max(sizes)} outside [{lo}, {hi}]")

@@ -94,7 +94,10 @@ def assert_builds_match(keys: KeySet, dist: WeightedDistribution, universe: Univ
 
     layered = LayeredStructure(keys, dist, universe)
     assert [tuple(layer) for layer in layered.layers] == reference_layers(keys, masses)
-    assert list(layered._succ.items()) == list(reference_successors(keys).items())
+    # only front-layer keys keep a pointer: the last layer's candidate needs no proof
+    succ = reference_successors(keys)
+    front = sorted(k for layer in layered.layers[:-1] for k in layer)
+    assert list(layered._succ.items()) == [(k, succ[k]) for k in front]
     assert hexed(layered.output.masses) == hexed(masses)
     ws = WorkingSetLayered(keys, universe)
     assert list(ws._succ.items()) == list(reference_successors(keys).items())

@@ -93,6 +93,9 @@ def test_update_and_membership_guards(bits):
                     call(q)
         assert list(trie) == list(keys.keys)
         trie.audit()
+        for x in (keys.keys[0], 3.5):
+            with pytest.raises(TypeError, match="not a container"):
+                x in trie  # no linear walk of the keys, and no silent False
         for k in keys.keys[::7]:
             assert trie.query_stats(np.uint64(k)).answer == k
 
@@ -204,6 +207,19 @@ def _drop_key_from_last_layer(cascade):
     layer.delete(next(iter(layer)))
 
 
+def _clear_a_successor(cascade):
+    """Point a key with a larger stored key at None, as if it were the largest."""
+    k = next(k for k, s in cascade._succ.items() if s is not None)
+    cascade._succ[k] = None
+
+
+def _pointer_for_a_last_layer_key(cascade):
+    """A correct successor pointer, but for a key of the last layer, which keeps none."""
+    ks = sorted(k for layer in cascade.layers for k in layer)
+    k = next(iter(cascade.layers[-1]))
+    cascade._succ[k] = ks[ks.index(k) + 1]
+
+
 FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
                       (_float_front_key, "front table key 0.5 is not an int in the 8-bit universe"),
                       (_front_key_outside_universe, "front table key 256 is not an int in the 8-bit")]
@@ -224,8 +240,12 @@ BREAK_INVARIANTS = {
     "hashfront-a": FRONT_TABLE_FAULTS,
     "hashfront-b": FRONT_TABLE_FAULTS,
     "layered": [(_drop_key_from_last_layer, "layers do not partition the key set"),
-                (lambda c: _flat_keys_out_of_order(c.layers[1]), "flat keys do not ascend")],
-    "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 80\]")],
+                (lambda c: _flat_keys_out_of_order(c.layers[1]), "flat keys do not ascend"),
+                (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+"),
+                (_pointer_for_a_last_layer_key,
+                 r"21 successor pointers, not one per front-layer key \(20\)")],
+    "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 80\]"),
+                   (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+")],
 }
 
 

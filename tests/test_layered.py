@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from conftest import WorkingSetTracker, random_keyset
@@ -266,6 +267,64 @@ class TestFrontLayers:
             promotions += stats.answer is not None and stats.layers_probed > 1
         assert [len(layer) for layer in ws.layers] == ws.capacities
         ws.audit()
+
+
+def reference_scan(layer_keys: list[tuple[int, ...]], keys: KeySet, q: int):
+    """(answer, layers probed) of the scan that looks up the best candidate's successor in
+    the full key set after every layer, the last one included."""
+    ks = keys.keys
+    best, probed = None, 0
+    for layer in layer_keys:
+        probed += 1
+        i = bisect_right(layer, q)
+        if i and (best is None or layer[i - 1] > best):
+            best = layer[i - 1]
+        if best is not None:
+            j = bisect_right(ks, best)
+            if j == len(ks) or ks[j] > q:
+                break
+    return best, probed
+
+
+SHAPES = [1, 4, 5, 20, 21, 276, 277]  # one layer; exactly full front layers; one key past them
+
+
+class TestCascadeShapes:
+    """Cascades whose last layer is their only one, exactly fills the front, or holds one key."""
+
+    @pytest.mark.parametrize("n", SHAPES)
+    def test_static(self, n):
+        universe = UniverseSpec(12)
+        rnd = random.Random(n)
+        keys = KeySet(sorted(rnd.sample(range(50, universe.size), n)))
+        dist = WeightedDistribution({k: rnd.random() + 1e-6 for k in keys})
+        structure = LayeredStructure(keys, dist, universe)
+        caps = layer_capacities(n)
+        assert [len(layer) for layer in structure.layers] == caps
+        assert len(structure._succ) == n - caps[-1]
+        structure.audit()
+        layer_keys = [tuple(layer) for layer in structure.layers]
+        for _ in range(3000):
+            q = rnd.choice(keys.keys) if rnd.random() < 0.3 else rnd.randrange(universe.size)
+            answer, probed = reference_scan(layer_keys, keys, q)
+            assert answer == oracle_predecessor(keys, q)
+            assert structure.predecessor(q) == answer
+            assert structure.query_stats(q) == QueryStats(answer=answer, layers_probed=probed)
+
+    @pytest.mark.parametrize("n", SHAPES)
+    def test_working_set_promotion_stream(self, n):
+        universe = UniverseSpec(12)
+        rnd = random.Random(100 + n)
+        keys = KeySet(sorted(rnd.sample(range(50, universe.size), n)))
+        hot = rnd.sample(keys.keys, min(n, 40))  # more than the 4 + 16 front keys: deep promotions
+        ws = WorkingSetLayered(keys, universe)
+        for _ in range(3000):
+            q = rnd.choice(hot) if rnd.random() < 0.6 else rnd.randrange(universe.size)
+            expected = reference_scan([tuple(layer) for layer in ws.layers], keys, q)
+            stats = ws.query_stats(q)
+            assert (stats.answer, stats.layers_probed) == expected
+            assert stats.answer == oracle_predecessor(keys, q)
+            ws.audit()
 
 
 class WorkingSetMachine(RuleBasedStateMachine):
