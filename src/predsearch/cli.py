@@ -235,6 +235,11 @@ def build_structure(name: str, keys: KeySet, dist: WeightedDistribution,
 
 def cmd_gen(args) -> int:
     if args.dist_kind:
+        for flag, value in (("--n", args.n), ("--universe-bits", args.universe_bits),
+                            ("--seed", args.seed)):
+            if value is not None:
+                raise ParameterError(f"{flag} applies only to a keys file, not --dist-kind "
+                                     f"{args.dist_kind}")
         ratio, s = _shape_params(args.dist_kind, args.ratio, args.s)
         if not args.support:
             raise ParameterError("gen --dist-kind needs --support KEYS_FILE")
@@ -242,11 +247,13 @@ def cmd_gen(args) -> int:
         spec = WorkloadSpec(kind=args.dist_kind, support=support.keys, ratio=ratio, s=s)
         write_weights(args.out, generate_distribution(spec))
     else:
+        if args.support:
+            raise ParameterError("--support applies only to --dist-kind, not a keys file")
         _shape_params("a keys file", args.ratio, args.s)
         if args.universe_bits is None or args.n is None:
             raise ParameterError("gen needs either --dist-kind or both --universe-bits and --n")
         universe = UniverseSpec(args.universe_bits)
-        write_keys(args.out, sample_keys(universe, args.n, args.seed))
+        write_keys(args.out, sample_keys(universe, args.n, args.seed or 0))
     return EXIT_OK
 
 
@@ -381,7 +388,7 @@ def cmd_verify(args) -> int:
             try:
                 structure.audit()
             except AssertionError as exc:
-                print(f"capacity audit failed after q={q}: {exc}", file=sys.stderr)
+                print(f"structural invariant failed after q={q}: {exc}", file=sys.stderr)
                 return EXIT_MISMATCH
     if not _audit_after_run(structure):
         return EXIT_MISMATCH
@@ -418,7 +425,7 @@ def build_parser() -> _Parser:
     gen = subs.add_parser("gen", help="write a keys or weights file")
     gen.add_argument("--universe-bits", type=int, help="universe is {0..2^bits-1}")
     gen.add_argument("--n", type=int, help="number of distinct keys to draw")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="keys-file seed (default 0)")
     gen.add_argument("--dist-kind", choices=KINDS, help="write weights instead of keys")
     gen.add_argument("--ratio", type=float, help="geometric decay per rank (default 0.5)")
     gen.add_argument("--s", type=float, help="zipf exponent (default 1.0)")

@@ -156,15 +156,20 @@ class HashFront(PredecessorStructure):
         return len(self.table) + self.fallback.table_entries()
 
     def audit(self) -> None:
-        """Raise AssertionError if the front table holds more entries than its capacity,
-        or a key that is not an int inside the universe (a hit checks nothing else)."""
+        """Raise AssertionError if the front table holds more entries than its capacity, a key
+        that is not an int inside the universe (a hit checks nothing else) or an answer other
+        than the fallback's, or if the fallback's own audit fails."""
         bits = self.universe.bits
         capacity = self.mode.table_capacity(bits)
         if len(self.table) > capacity:
             raise AssertionError(f"front table holds {len(self.table)} entries, bound {capacity}")
-        for key in self.table:
+        self.fallback.audit()
+        for key, answer in self.table.items():
             if type(key) is not int or key >> bits:
                 raise AssertionError(f"front table key {key!r} is not an int in the {bits}-bit universe")
+            expected = self.fallback.predecessor(key)
+            if answer != expected:
+                raise AssertionError(f"front table maps {key} to {answer}, the fallback gives {expected}")
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,19 @@ A trie holds its keys in exactly one of two forms, chosen by their count:
   empty list.
 * ``_buckets`` routed by ``_rep_trie``, above that count.  The keys are
   partitioned into consecutive sorted buckets whose sizes stay inside
-  [ceil(bits/4), 2*bits], each keyed by its minimum.  An x-fast trie over the
-  minima finds the one bucket that can hold a query's predecessor, and a
-  binary search inside the bucket finishes.  The trie's O(bits) ``insert``
-  and ``delete`` keep it current through splits, merges and replaced minima,
-  and its leaf links give the buckets in key order.
+  [ceil(bits/4), 2*bits].  Each bucket is keyed by a separator fixed when the
+  bucket is made: the first bucket's is 0, and a bucket cut off by a split
+  takes its first key.  A bucket's keys lie in [its separator, the next
+  separator), and none of them needs to equal the separator.  An x-fast trie
+  over the separators finds the one bucket whose range holds a query, and a
+  binary search inside the bucket finishes; a query below that bucket's first
+  key takes the last key of the bucket before it, found by the trie's leaf
+  links, which also give the buckets in key order.  Inserts and deletes edit
+  a bucket in place, so the route changes only when a bucket splits or
+  merges, by one O(bits) trie ``insert`` or ``delete``.
 
 An insert that takes the count above ``bits * bits`` cuts the list into
-buckets of ``bits`` keys and builds the x-fast trie over their minima.  A
+buckets of ``bits`` keys and builds the x-fast trie over their separators.  A
 delete that takes the count down to ``max(1, bits * bits // 2)`` joins the
 buckets back into one list.  These are constants derived from ``bits``.  Each
 switch costs O(bits**2), and the gap between the two thresholds keeps that
@@ -30,9 +35,11 @@ amortised O(1) per update:
 
 Without the gap, a set that hovers at the threshold would pay an O(bits**2)
 switch on every other update.  In bucket form the count stays above
-bits**2 / 2, so from 4 bits up there are always at least two buckets, and
-every bucket stays in band: below 4 bits the band's floor is one key, and an
-emptied bucket goes away.
+bits**2 / 2, so there are always at least two buckets, and every bucket stays
+in band.  No bucket ever empties: bucket form exists only at 1 bit, where any
+delete flattens, and from 5 bits up, where the band's floor of at least two
+keys merges a bucket before it can empty (from 2 to 4 bits the universe holds
+at most bits**2 keys).
 
 A flat update moves up to ``bits**2`` list pointers.  Measured in-process
 against buckets of the same keys routed by a bisect over their minima (CPython 3.11,
@@ -45,7 +52,8 @@ probes were no slower.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, islice
+from operator import lt
 from typing import Iterator, Optional, Sequence
 
 from .core import KeySet, PredecessorStructure, QueryStats, UniverseSpec
@@ -60,7 +68,7 @@ class YFastTrie(PredecessorStructure):
         universe.check_key(keys.keys[-1])
         self.universe = universe
         bits = self.bits = universe.bits
-        self._min_size = max(1, -(-bits // 4))
+        self._min_size = -(-bits // 4)
         self._max_size = 2 * bits
         self._flat_cap = bits * bits
         self._flat_floor = max(1, self._flat_cap // 2)
@@ -78,21 +86,22 @@ class YFastTrie(PredecessorStructure):
 
     def _to_buckets(self, ks: Sequence[int]) -> None:
         """Cut the ascending keys into buckets of bits keys (a short tail joins the last one)
-        and route them by an x-fast trie over their minima."""
-        reps: list[int] = []
+        and route them by an x-fast trie over their separators: 0, then each bucket's first key."""
+        seps: list[int] = []
         buckets: dict[int, list[int]] = {}
         chunk = self.bits
         for i in range(0, len(ks), chunk):
             part = list(ks[i:i + chunk])
-            if reps and len(part) < self._min_size:
-                buckets[reps[-1]].extend(part)
+            if seps and len(part) < self._min_size:
+                buckets[seps[-1]].extend(part)
             else:
-                reps.append(part[0])
-                buckets[part[0]] = part
+                sep = part[0] if seps else 0
+                seps.append(sep)
+                buckets[sep] = part
         self._flat = None
         self._buckets = buckets
         self._size = len(ks)
-        self._rep_trie = XFastTrie(KeySet(reps), self.universe)
+        self._rep_trie = XFastTrie(KeySet(seps), self.universe)
 
     def _to_flat(self) -> None:
         """Join the buckets, in key order, into one sorted list and drop the routing trie."""
@@ -134,11 +143,15 @@ class YFastTrie(PredecessorStructure):
         if flat is not None:
             i = bisect_right(flat, q)
             return (flat[i - 1] if i else None), 0
-        rep, probes = self._rep_trie._search(q)
-        if rep is None:
-            return None, probes
-        b = self._buckets[rep]
-        return b[bisect_right(b, q) - 1], probes
+        trie = self._rep_trie
+        sep, probes = trie._search(q)  # never None: the first separator is 0
+        b = self._buckets[sep]
+        i = bisect_right(b, q)
+        if i:
+            return b[i - 1], probes
+        # q lies between the separator and the bucket's first key: the bucket before answers
+        below = trie.neighbours(sep)[0]
+        return (self._buckets[below][-1] if below is not None else None), probes
 
     def insert(self, x: int) -> None:
         """Add key x; inserting a present key is a no-op."""
@@ -153,25 +166,15 @@ class YFastTrie(PredecessorStructure):
             if len(flat) > self._flat_cap:
                 self._to_buckets(flat)
             return
-        trie, buckets = self._rep_trie, self._buckets
-        rep = trie._search(x)[0]
-        if rep is not None:
-            b = buckets[rep]
-            i = bisect_right(b, x)
-            if b[i - 1] == x:
-                return
-            b.insert(i, x)
-        else:
-            # below every bucket minimum: x leads the first bucket
-            old = next(iter(trie))
-            b = buckets.pop(old)
-            trie.insert(x)
-            trie.delete(old)
-            b.insert(0, x)
-            buckets[x] = b
+        sep = self._rep_trie._search(x)[0]
+        b = self._buckets[sep]
+        i = bisect_right(b, x)
+        if i and b[i - 1] == x:
+            return
+        b.insert(i, x)
         self._size += 1
         if len(b) > self._max_size:
-            self._split(b[0])
+            self._split(sep)
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent."""
@@ -184,64 +187,49 @@ class YFastTrie(PredecessorStructure):
                 raise KeyError(x)
             del flat[i]
             return
-        trie, buckets = self._rep_trie, self._buckets
-        rep = trie._search(x)[0]
-        if rep is None:
-            raise KeyError(x)
-        b = buckets[rep]
-        i = bisect_right(b, x) - 1  # at least 0, since b[0] <= x
-        if b[i] != x:
+        sep = self._rep_trie._search(x)[0]
+        b = self._buckets[sep]
+        i = bisect_left(b, x)
+        if i == len(b) or b[i] != x:
             raise KeyError(x)
         del b[i]
         self._size -= 1
         if self._size <= self._flat_floor:
-            self._to_flat()  # before the trie loses a minimum: it must keep at least one
-            return
-        if not i:
-            # x was the bucket minimum: re-key the bucket under its new one, or forget it
-            del buckets[x]
-            if not b:
-                trie.delete(x)
-                return
-            buckets[b[0]] = b
-            trie.insert(b[0])
-            trie.delete(x)
-        if len(b) < self._min_size:
-            self._merge(b[0])
+            self._to_flat()
+        elif len(b) < self._min_size:
+            self._merge(sep)
 
-    def _split(self, rep: int) -> None:
-        """Move the upper half of rep's bucket to a new bucket."""
-        b = self._buckets[rep]
+    def _split(self, sep: int) -> None:
+        """Move the upper half of sep's bucket to a new bucket, keyed by its first key."""
+        b = self._buckets[sep]
         mid = len(b) // 2
         upper = b[mid:]
         del b[mid:]
         self._buckets[upper[0]] = upper
         self._rep_trie.insert(upper[0])
 
-    def _merge(self, rep: int) -> None:
-        """Fold the undersized bucket under rep into a neighbour, splitting if overfull."""
-        below, above = self._rep_trie.neighbours(rep)
-        keep, gone = (below, rep) if below is not None else (rep, above)
+    def _merge(self, sep: int) -> None:
+        """Fold the undersized bucket under sep into a neighbour, splitting if overfull.
+
+        The lower of the two buckets keeps its separator, so the first stays 0.
+        """
+        below, above = self._rep_trie.neighbours(sep)
+        keep, gone = (below, sep) if below is not None else (sep, above)
         kept = self._buckets[keep]
         kept.extend(self._buckets.pop(gone))
         self._rep_trie.delete(gone)
         if len(kept) > self._max_size:
             self._split(keep)
 
-    # the bucket form's shape, which audit() checks
-
-    def representatives(self) -> tuple[int, ...]:
-        """The bucket minima in ascending order; none in flat form."""
-        return tuple(self._rep_trie) if self._rep_trie is not None else ()
-
     def audit(self) -> None:
         """Raise AssertionError unless exactly one form is set and it is intact.
 
         The flat list ascends and holds at most bits * bits keys.  The bucket
         form holds more than max(1, bits * bits // 2); its routing trie runs
-        its own audit first, its representatives are the buckets' keys and
-        lead their buckets, every bucket is in band, and the buckets hold the
-        counted number of keys.
+        its own audit first, its separators are the buckets' keys and the
+        first is 0, every bucket is in band, the buckets hold the counted number
+        of keys, the keys ascend bucket by bucket, and every bucket lies within
+        [its separator, the next separator).
         """
         flat, trie, buckets = self._flat, self._rep_trie, self._buckets
         if (flat is None) == (trie is None) or (trie is None) != (buckets is None):
@@ -258,20 +246,25 @@ class YFastTrie(PredecessorStructure):
             raise AssertionError(f"bucket form over only {self._size} keys, at or below the "
                                  f"flatten floor {self._flat_floor}")
         trie.audit()
-        reps = tuple(trie)
-        if set(reps) != buckets.keys():
-            raise AssertionError("representatives are not the bucket keys")
-        sizes = []
-        for r in reps:
-            b = buckets[r]
-            if b[:1] != [r]:
-                raise AssertionError(f"representative {r} does not lead its bucket {b[:1]}")
-            sizes.append(len(b))
+        seps = tuple(trie)
+        if set(seps) != buckets.keys():
+            raise AssertionError("separators are not the bucket keys")
+        if seps[0]:
+            raise AssertionError(f"first separator is {seps[0]}, not 0")
+        sizes = list(map(len, buckets.values()))
         lo, hi = self._min_size, self._max_size
         if max(sizes) > hi or min(sizes) < lo:
             raise AssertionError(f"bucket sizes {min(sizes)}..{max(sizes)} outside [{lo}, {hi}]")
         if sum(sizes) != self._size:
             raise AssertionError(f"buckets hold {sum(sizes)} keys, counted {self._size}")
+        keys = list(self)
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise AssertionError("bucket keys do not ascend in separator order")
+        for sep, end in zip(seps, seps[1:] + (self.universe.size,)):
+            b = buckets[sep]
+            if b[0] < sep or b[-1] >= end:
+                raise AssertionError(f"bucket {sep} holds keys {b[0]}..{b[-1]} outside "
+                                     f"[{sep}, {end})")
 
     def table_entries(self) -> int:
         """Prefix-table entries of the routing trie, if any, plus key slots."""

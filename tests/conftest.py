@@ -114,6 +114,11 @@ def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     assert tuple(trie) == tuple(keys)
 
 
+def separators(trie) -> tuple[int, ...]:
+    """A y-fast trie's bucket separators in ascending order; none in flat form."""
+    return tuple(trie._rep_trie) if trie._rep_trie is not None else ()
+
+
 def random_distribution(rnd: random.Random, universe: UniverseSpec,
                         keys: KeySet, kind: str) -> WeightedDistribution:
     """Distribution over a random support mixing stored and unrelated keys."""

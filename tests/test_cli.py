@@ -208,6 +208,29 @@ class TestDroppedFlags:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--dist-kind", "zipf", "--n", 999), "--n applies only to a keys file, not --dist-kind zipf"),
+        (("--dist-kind", "uniform", "--universe-bits", 3),
+         "--universe-bits applies only to a keys file, not --dist-kind uniform"),
+        (("--dist-kind", "geometric", "--seed", 5),
+         "--seed applies only to a keys file, not --dist-kind geometric"),
+        (("--dist-kind", "zipf", "--n", 999, "--universe-bits", 3, "--seed", 5),
+         "--n applies only to a keys file, not --dist-kind zipf"),
+        (("--universe-bits", 8, "--n", 20), "--support applies only to --dist-kind, not a keys file"),
+    ])
+    def test_gen_flag_outside_its_mode(self, tmp_path, capsys, argv, message):
+        """gen writes weights from --support or keys from --universe-bits, --n and --seed;
+        a flag of the other mode is rejected, never ignored."""
+        keys = gen_keys(tmp_path, bits=8, n=20)
+        assert run("gen", *argv, "--support", keys, "--out", tmp_path / "out") == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_keys_seed_defaults_to_zero(self, tmp_path):
+        unseeded = tmp_path / "unseeded.txt"
+        assert run("gen", "--universe-bits", 12, "--n", 64, "--out", unseeded) == EXIT_OK
+        assert unseeded.read_bytes() == gen_keys(tmp_path, seed=0).read_bytes()
+
     def test_query_file_with_queries(self, tmp_path, capsys):
         qfile = tmp_path / "queries.txt"
         qfile.write_text("0\n17\n")
@@ -494,6 +517,29 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "structural invariant failed after run: planted fault" in err
         assert "mismatch" not in err
+
+    def test_per_access_audit_failure_names_the_access(self, tmp_path, capsys, monkeypatch):
+        """verify runs the whole audit after each scripted layered-ws access."""
+        class FailsSecondAudit:
+            def __init__(self, structure):
+                self.structure, self.audits = structure, 0
+
+            def predecessor(self, q):
+                return self.structure.predecessor(q)
+
+            def audit(self):
+                self.audits += 1
+                if self.audits == 2:
+                    raise AssertionError("planted fault")
+
+        real = build_structure
+        monkeypatch.setattr("predsearch.cli.build_structure",
+                            lambda *a, **k: FailsSecondAudit(real(*a, **k)))
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("17\n90\n200\n")
+        assert run("verify", "--universe-bits", 8, "--n", 10, "--seed", 2,
+                   "--structure", "layered-ws", "--query-file", qfile) == EXIT_MISMATCH
+        assert "structural invariant failed after q=90: planted fault" in capsys.readouterr().err
 
     def test_verify_mismatch_reproducer(self, capsys, monkeypatch):
         class Liar:

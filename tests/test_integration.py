@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import separators
 
 from predsearch import (
     HashFront,
@@ -155,12 +156,27 @@ def _pop_deepest_level(trie):
 
 
 def _overfill_first_bucket(trie):
-    bucket = trie._buckets[trie.representatives()[0]]
+    bucket = trie._buckets[separators(trie)[0]]
     bucket.extend([bucket[-1]] * trie._max_size)
 
 
-def _rep_above_bucket_minimum(trie):
-    trie._buckets[trie.representatives()[-1]].pop(0)
+def _first_separator_not_zero(trie):
+    """Re-key the first bucket under its first key, through the routing trie's own updates."""
+    first = trie._buckets[0][0]
+    trie._rep_trie.insert(first)
+    trie._rep_trie.delete(0)
+    trie._buckets[first] = trie._buckets.pop(0)
+
+
+def _key_at_next_separator(trie):
+    """Move the second bucket's first key, its separator, to the end of the first bucket."""
+    seps = separators(trie)
+    trie._buckets[seps[0]].append(trie._buckets[seps[1]].pop(0))
+
+
+def _bucket_keys_out_of_order(trie):
+    bucket = trie._buckets[separators(trie)[1]]
+    bucket[0], bucket[1] = bucket[1], bucket[0]
 
 
 def _miscount_bucket_keys(trie):
@@ -202,6 +218,15 @@ def _front_key_outside_universe(front):
     front.table[front.universe.size] = None
 
 
+def _wrong_front_answer(front):
+    """Answer the smallest table key with the largest stored key."""
+    front.table[min(front.table)] = max(front.fallback)
+
+
+def _miscount_fallback_keys(front):
+    front.fallback._size += 1
+
+
 def _drop_key_from_last_layer(cascade):
     layer = cascade.layers[-1]
     layer.delete(next(iter(layer)))
@@ -222,7 +247,9 @@ def _pointer_for_a_last_layer_key(cascade):
 
 FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
                       (_float_front_key, "front table key 0.5 is not an int in the 8-bit universe"),
-                      (_front_key_outside_universe, "front table key 256 is not an int in the 8-bit")]
+                      (_front_key_outside_universe, "front table key 256 is not an int in the 8-bit"),
+                      (_wrong_front_answer, "front table maps 3 to 253, the fallback gives 3"),
+                      (_miscount_fallback_keys, "buckets hold 100 keys, counted 101")]
 
 # broken invariants per structure, each with the audit message it must raise
 BREAK_INVARIANTS = {
@@ -230,7 +257,9 @@ BREAK_INVARIANTS = {
               (_pop_deepest_level, "deepest stored level 7 holds .* prefixes for 100 keys")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
               (lambda y: _stale_root(y._rep_trie), "stale root"),
-              (_rep_above_bucket_minimum, "representative .* does not lead its bucket"),
+              (_first_separator_not_zero, "first separator is 3, not 0"),
+              (_key_at_next_separator, r"bucket 0 holds keys 3\.\.19 outside \[0, 19\)"),
+              (_bucket_keys_out_of_order, "bucket keys do not ascend in separator order"),
               (_miscount_bucket_keys, "buckets hold 100 keys, counted 101"),
               (_flat_keys_out_of_order, "flat keys do not ascend"),
               (_flat_over_cap, r"flat list of 100 keys, above bits \* bits = 64"),

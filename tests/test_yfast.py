@@ -2,7 +2,7 @@ import random
 from bisect import bisect_right, insort
 
 import pytest
-from conftest import assert_same_as_fresh_build, probes_saved
+from conftest import assert_same_as_fresh_build, probes_saved, separators
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -12,16 +12,18 @@ from predsearch import KeySet, QueryStats, UniverseSpec, XFastTrie, YFastTrie, o
 
 def bucket_sizes(trie: YFastTrie) -> list[int]:
     """Key count of each bucket, in key order; none in flat form."""
-    return [len(trie._buckets[r]) for r in trie.representatives()]
+    return [len(trie._buckets[s]) for s in separators(trie)]
 
 
 def audit_band(trie: YFastTrie) -> None:
     sizes = bucket_sizes(trie)
     lo, hi = trie._min_size, trie._max_size
     assert all(lo <= s <= hi for s in sizes), sizes
-    # buckets partition the key set in order, and minima are the representatives
-    reps = trie.representatives()
-    assert list(reps) == sorted(reps)
+    # buckets partition the key set in order, each within [its separator, the next)
+    seps = separators(trie)
+    assert list(seps) == sorted(seps)
+    for sep, end in zip(seps, seps[1:] + (trie.universe.size,)):
+        assert all(sep <= k < end for k in trie._buckets[sep])
     flattened = list(trie)
     assert flattened == sorted(set(flattened))
     assert len(flattened) == len(trie)
@@ -31,15 +33,15 @@ class TestBuild:
     def test_single_key(self):
         trie = YFastTrie(KeySet([9]), UniverseSpec(8))
         assert trie._flat == [9] and trie._rep_trie is None
-        assert bucket_sizes(trie) == [] and trie.representatives() == ()
+        assert bucket_sizes(trie) == [] and separators(trie) == ()
         assert trie.query_stats(200) == QueryStats(answer=9, level_probes=0)
 
     def test_representative_count_band(self, rnd):
         universe = UniverseSpec(16)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 4096)))
         trie = YFastTrie(keys, universe)
-        reps = trie.representatives()
-        assert 128 <= len(reps) <= 1025
+        seps = separators(trie)
+        assert 128 <= len(seps) <= 1025 and seps[0] == 0
         assert all(4 <= s <= 32 for s in bucket_sizes(trie))
 
     def test_buckets_partition_keys(self, rnd):
@@ -131,13 +133,15 @@ class TestUpdates:
         audit_band(trie)
 
     def test_minimum_churn_with_routing_trie(self):
-        """Inserts below every bucket minimum re-key the first bucket through the trie's root."""
+        """Inserts below every key and deletes of the smallest edit the first bucket, whose
+        separator stays 0, and the route changes only when that bucket splits or merges."""
         universe = UniverseSpec(16)
         ref = list(range(40_000, 40_960, 3))  # 320 keys in 20 buckets of 16: above 16 * 16, so a trie
         trie = YFastTrie(KeySet(ref), universe)
-        assert len(trie.representatives()) == 20
+        assert len(separators(trie)) == 20
         x = ref[0]
         for step in range(300):
+            before = separators(trie)
             if step % 3 == 2:
                 trie.delete(ref.pop(0))
             else:
@@ -145,7 +149,9 @@ class TestUpdates:
                 trie.insert(x)
                 ref.insert(0, x)
             assert trie._rep_trie is not None
-            assert next(iter(trie)) == trie.representatives()[0] == ref[0]
+            after = separators(trie)
+            assert next(iter(trie)) == trie._buckets[0][0] == ref[0] and after[0] == 0
+            assert after == before or len(after) == len(before) + 1  # unchanged, or a split
             trie.audit()
         assert list(trie) == ref
         keys = KeySet(ref)
@@ -223,7 +229,7 @@ class TestUpdates:
         build = XFastTrie.__init__
 
         def counting_build(trie, keys, universe):
-            builds.append(keys.keys)  # the minima a trie was built over
+            builds.append(keys.keys)  # the separators a trie was built over
             build(trie, keys, universe)
 
         monkeypatch.setattr(XFastTrie, "__init__", counting_build)
@@ -248,7 +254,7 @@ class TestUpdates:
             if bucketed and not was:
                 crossings += 1
                 assert n == cap + 1
-                assert builds[built:] == [trie.representatives()]
+                assert builds[built:] == [separators(trie)]
                 assert len(builds[-1]) in (bits, bits + 1)  # buckets of bits keys, the tail joined
             else:
                 assert builds[built:] == []
@@ -273,7 +279,7 @@ class TestUpdates:
                 step(rnd.choice(model), False)
         while model:
             step(rnd.choice(model), False)
-        assert trie._flat == [] and trie.representatives() == ()
+        assert trie._flat == [] and separators(trie) == ()
         assert crossings == len(builds) == (2 if size > cap else 0)
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255)), max_size=60),
@@ -300,6 +306,62 @@ class TestUpdates:
             assert trie.predecessor(q) == (ref[i] if i >= 0 else None)
         if ref:
             audit_band(trie)
+
+
+class TestFixedSeparators:
+    """A bucket keeps the separator it was made with, so the routing trie is updated only by
+    a split (one insert) or a merge (one delete), never by a key that leads its bucket."""
+
+    def test_route_changes_only_on_split_and_merge(self, monkeypatch):
+        calls = {"insert": 0, "delete": 0, "_split": 0, "_merge": 0}
+
+        def counted(cls, name):
+            fn = getattr(cls, name)
+
+            def wrapper(self, x):
+                calls[name] += 1
+                fn(self, x)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        universe = UniverseSpec(32)
+        rnd = random.Random(32)
+        ref = sorted({rnd.randrange(universe.size) for _ in range(1 << 16)})
+        trie = YFastTrie(KeySet(ref), universe)
+        for cls, name in ((XFastTrie, "insert"), (XFastTrie, "delete"),
+                          (YFastTrie, "_split"), (YFastTrie, "_merge")):
+            counted(cls, name)
+        for x in ref[:20_000]:
+            trie.delete(x)
+        # buckets of 32 keys: each merge folds 7 keys into the next bucket, leaving 39, no split
+        assert calls == {"insert": 0, "delete": 625, "_split": 0, "_merge": 625}
+        del ref[:20_000]
+        low = range(ref[0] - 20_000, ref[0])
+        for x in reversed(low):
+            trie.insert(x)
+        assert calls["insert"] == calls["_split"] > 0
+        assert calls["delete"] == calls["_merge"] == 625
+        ref[:0] = low
+        trie.audit()
+        assert list(trie) == ref
+        keys = KeySet(ref)
+        for q in [0, universe.size - 1] + [k + d for k in rnd.sample(ref, 500) for d in (-1, 0)]:
+            assert trie.predecessor(q) == oracle_predecessor(keys, q)
+
+    def test_minimum_churn_keeps_build_depth(self, rnd):
+        """Deleting and re-inserting every bucket's first key, with no split or merge, leaves the
+        routing trie as built: its separators and its stored levels."""
+        universe = UniverseSpec(32)
+        trie = YFastTrie(KeySet(sorted(rnd.sample(range(universe.size), 1 << 12))), universe)
+        seps, depth = separators(trie), len(trie._rep_trie._levels)
+        firsts = [trie._buckets[sep][0] for sep in seps]
+        for _ in range(3):
+            for first in firsts:
+                trie.delete(first)
+                trie.insert(first)
+        assert len(trie._rep_trie._levels) == depth
+        assert separators(trie) == seps
+        trie.audit()
 
 
 class YFastMachine(RuleBasedStateMachine):
@@ -386,17 +448,18 @@ class YFastMachine(RuleBasedStateMachine):
     @invariant()
     def form_follows_count(self):
         """Flat until the count first goes above bits * bits, buckets from then until it falls
-        to max(1, bits * bits // 2); a routing trie equals a fresh build over the bucket minima."""
+        to max(1, bits * bits // 2); a routing trie equals a fresh build over the bucket
+        separators, the first of which is 0."""
         trie = self.trie
         if not self.bucketed:
             assert trie._flat == self.model
             assert trie._buckets is None and trie._rep_trie is None
         else:
             assert trie._flat is None
-            minima = sorted(trie._buckets)
-            assert all(trie._buckets[r][0] == r for r in minima)
-            assert list(trie.representatives()) == minima
-            assert_same_as_fresh_build(trie._rep_trie, minima)
+            seps = sorted(trie._buckets)
+            assert seps[0] == 0
+            assert list(separators(trie)) == seps
+            assert_same_as_fresh_build(trie._rep_trie, seps)
         trie.audit()
 
 
