@@ -145,6 +145,8 @@ class _LayeredBase(PredecessorStructure):
             raise AssertionError("layers do not partition the key set")
         ks = sorted(seen)
         following = dict(zip(ks, ks[1:] + [None]))
+        if self._succ.items() <= following.items():  # one C-level pass; name the bad one below
+            return
         for k, s in self._succ.items():
             if k not in following or following[k] != s:
                 raise AssertionError(f"successor pointer {k} -> {s}, next key is "

@@ -1,42 +1,62 @@
 """Hashed prefix-level trie: predecessor search in O(log bits) table probes.
 
-For a universe of ``w`` bits, table L is keyed by the top-L bits of every
-stored key and maps each present prefix to the smallest and largest stored
-key beneath it.  The trie keeps tables 0..D only, where every level-D prefix
-holds one key; a build takes the shallowest such level D >= 1.  Below D every
-prefix would hold the same single key as its level-D ancestor, so the deeper
-tables could only repeat level D's answer.  A binary search over the stored
-levels looks for the longest stored prefix of the query, making at most
-ceil(log2(D + 1)) probes; the (min, max) descendant pointers plus the doubly
-linked leaf list then resolve the predecessor with O(1) additional work:
+For a universe of ``w`` bits, table L is keyed by the top-L bits of stored
+keys and maps each stored prefix to the smallest and largest stored key
+beneath it.  Tables 0 and 1 store every non-empty prefix; a deeper prefix is
+stored only if its parent holds two or more keys.  So each key's path stops
+at its *leaf level*: the shallowest level >= 1 at which it is alone, which is
+the deeper of the levels where it parts from its two neighbours.  Below that
+every prefix would hold the same single key.  The trie keeps tables 0..D,
+where D is the deepest leaf level.  A stored prefix's parent is stored too,
+so along any query's path the stored prefixes run from level 0 down to the
+longest one, and a search over the levels finds that longest stored prefix.
+The (min, max) descendant pointers plus the doubly linked leaf list then
+resolve the predecessor with O(1) additional work:
 
 * the search stops at the first probed prefix with a single key k beneath it
   (min == max), since every other stored key lies wholly below or wholly
   above that prefix: the answer is k if k <= query, else the leaf linked
   before k;
-* otherwise the longest stored prefix branches.  If the query diverges from
-  it by a 1-bit, every stored key under the prefix sits in its 0-subtree, so
-  the prefix's max leaf is the answer;
+* otherwise the longest stored prefix holds two or more keys, so its child
+  towards the query holds none (a child with a key would be stored).  If the
+  query diverges from it by a 1-bit, every stored key under the prefix sits
+  in its 0-subtree, so the prefix's max leaf is the answer;
 * if it diverges by a 0-bit, every stored key under the prefix is larger than
   the query, so the answer is the leaf linked before the prefix's min.
 
-The tables are built bottom-up from level D: each level is derived from the
-one below it with C-level ``map``/``zip`` passes, no Python work per
-(level, key).  The (min, max) entries are immutable tuples, and a prefix with
-a single child shares its child's tuple, so after a build the O(n * D) table
-slots point at only 2n - 1 distinct entries (one per key and one per
-branching prefix).  On a 64-bit universe with 2^16 uniform keys D is about 32,
-so the trie stores about half of the ``w + 1`` tables.
+The search is a binary search tree over levels 1..D.  While the longest
+stored prefix's level is known to lie in [lo, hi], it probes level
+``mids[lo][hi]``, the weighted median of levels lo+1..hi, and keeps
+[mid, hi] if the query's prefix there is stored, [lo, mid - 1] if not.
+Level L weighs n + (D + 1) * (number of keys whose leaf level is L): half of
+the weight is spread evenly, half sits where keys become alone, which is
+where a search that meets a single key ends.  So most searches end in one or
+two probes.  Each subtree of the probe tree weighs at most half of its
+parent, every level weighs at least n and all D levels weigh at most
+(2D + 1) * n, so no search takes more than floor(log2(D + 1)) + 2 probes,
+at most 2 more than halving the levels would.  The (D + 1)^2 table is built
+with the tables and rebuilt, in O(D^2), only when an insert deepens the trie;
+the weights it was built from go stale under updates, which changes neither
+the answers nor the bound.
 
-``insert`` and ``delete`` touch only the D + 1 prefix entries on the key's
-path plus its two leaf neighbours, so an update costs O(D) table operations.
-They replace entries rather than mutate them, which keeps the sharing safe,
-and levels that shared the replaced entry share its replacement.  An insert
-that would leave two keys under one level-D prefix first appends the levels
-down to the one that separates them, at O(n) per level, built from the
-stored (k, k) leaf tuples so no key gets a second one.  The depth never
-shrinks until the next build, so over a trie's life this stays within what a
-full-depth build (``w + 1`` tables) would pay up front.
+The build is one bottom-up pass over the stored entries only: each level is
+derived from the one below it with C-level ``map``/``zip`` passes.  The
+(min, max) entries are immutable tuples, and a prefix with a single child
+shares its child's tuple, so a build stores n leaf entries plus one per
+prefix with two or more keys (about 2.4n for uniform keys, at most n * (D +
+1)), pointing at only 2n - 1 distinct tuples (one per key and one per
+branching prefix).
+
+``insert`` and ``delete`` edit the at most D + 1 entries on the key's own
+path, plus its two leaf neighbours' links, so an update costs O(D) table
+operations.  At most one neighbour's leaf level moves, the one that shares
+the longer prefix with the key: an insert next to a key that was alone on
+the shared path moves that key's (k, k) tuple down to the level where the
+two part and stores their shared prefixes in between, and a delete moves it
+back up.  Updates replace entries rather than mutate them, which keeps the
+sharing safe, and levels that shared the replaced entry share its
+replacement.  An insert that deepens the trie appends empty tables; the
+depth never shrinks until the next build.
 The trie always holds at least one key, like the key set it is built from.
 Plain dicts provide the expected-O(1) tables; a perfect-hash construction
 would also satisfy the contract but is unnecessary here.
@@ -44,8 +64,8 @@ would also satisfy the contract but is unnecessary here.
 
 from __future__ import annotations
 
-from itertools import compress, islice, repeat
-from operator import eq, itemgetter, rshift, xor
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, itemgetter, rshift, sub, xor
 from typing import Iterator, Optional, Sequence
 
 from .core import KeySet, ParameterError, PredecessorStructure, QueryStats, UniverseSpec
@@ -53,44 +73,93 @@ from .core import KeySet, ParameterError, PredecessorStructure, QueryStats, Univ
 Entry = tuple[int, int]  # (min, max) stored key beneath a prefix
 
 
-def _depth(leaves: Sequence[int], bits: int) -> int:
-    """The shallowest level, at least 1, at which every prefix of the ascending leaves holds one key.
+def _build_levels(leaves: Sequence[int], bits: int) -> tuple[list[dict[int, Entry]], list[int]]:
+    """Prefix tables 0..D over the ascending keys, shallowest level first, and the number
+    of keys whose leaf level is L, for L = 0..D.
 
-    Adjacent keys a < b share their level-L prefix iff (a ^ b) >> (bits - L) == 0,
-    so they first part at level bits + 1 - (a ^ b).bit_length(); a single key gives 1.
+    Adjacent keys a < b first part at level bits + 1 - (a ^ b).bit_length(),
+    so a key's leaf level is the deeper of its two parting levels (1 for a
+    lone key), and D is the deepest.  The pass starts at level D and works
+    upwards.  Level L holds the parents of the level-(L + 1) prefixes, taken
+    in key order, so the two children of a branching prefix sit next to each
+    other: only those adjacent pairs get a new (left min, right max) tuple,
+    and every other parent takes its only child's tuple.  The keys whose leaf
+    level is L join with their (k, k) tuples, and one sort of the level's
+    prefixes restores key order for the level above.
     """
-    split = min(map(int.bit_length, map(xor, leaves, islice(leaves, 1, None))), default=bits)
-    return max(1, bits + 1 - split)
-
-
-def _build_levels(entries: list[Entry], bits: int, depth: int, top: int = 0) -> list[dict[int, Entry]]:
-    """Prefix tables top..depth over ascending (k, k) leaf tuples, shallowest level first.
-
-    Every level-depth prefix must hold one key (depth >= _depth(keys, bits)):
-    the pass starts there with the given tuple per key and works upwards.
-    Sorted order puts the two children of a branching prefix next to each
-    other, so only those adjacent pairs get a new (left min, right max) tuple;
-    every other parent takes its only child's tuple.  A level with no
-    branching prefix keeps the entry list of the level below.
-    """
-    table = dict(zip(map(rshift, map(itemgetter(0), entries), repeat(bits - depth)), entries))
-    levels = [table]
-    for _ in range(depth - top):
-        parents = list(map(rshift, table, repeat(1)))
+    parts = list(map(sub, repeat(bits + 1), map(int.bit_length, map(xor, leaves, islice(leaves, 1, None)))))
+    alone: list[list[Entry]] = [[] for _ in range(max(parts, default=1) + 1)]
+    for k, level in zip(leaves, map(max, chain((1,), parts), chain(parts, (1,)))):
+        alone[level].append((k, k))
+    prefixes: list[int] = []
+    entries: list[Entry] = []
+    levels = []
+    for level in range(len(alone) - 1, -1, -1):
+        parents = list(map(rshift, prefixes, repeat(1)))
         table = dict(zip(parents, entries))
-        if len(table) < len(parents):
+        branching = len(table) < len(parents)
+        if branching:
             siblings = list(map(eq, parents, islice(parents, 1, None)))  # i and i + 1 share a parent
             table.update(zip(compress(parents, siblings),
                              zip(map(itemgetter(0), compress(entries, siblings)),
                                  map(itemgetter(1), compress(islice(entries, 1, None), siblings)))))
+        new = alone[level]
+        if new:
+            table.update(zip(map(rshift, map(itemgetter(0), new), repeat(bits - level)), new))
+            prefixes = sorted(table)
+            entries = list(map(table.__getitem__, prefixes))
+        elif branching:
+            prefixes = list(table)
             entries = list(table.values())
+        else:
+            prefixes = parents
         levels.append(table)
     levels.reverse()
-    return levels
+    return levels, list(map(len, alone))
+
+
+def _leaf_counts(levels: Sequence[dict[int, Entry]]) -> list[int]:
+    """The number of keys whose leaf level is L, for L = 0..D, read from the tables: the
+    single-key entries of each level >= 1 (a key is stored alone at its leaf level only)."""
+    return [0] + [sum(map(eq, map(itemgetter(0), t.values()), map(itemgetter(1), t.values())))
+                  for t in islice(levels, 1, None)]
+
+
+def _probe_order(alone: Sequence[int]) -> list[list[int]]:
+    """The probe table mids[lo][hi] for 0 <= lo < hi <= D (other entries are 0).
+
+    alone[L] counts the keys whose leaf level is L (alone[0] is not read), n is
+    their sum, and level L weighs n + (D + 1) * alone[L].  mids[lo][hi] is the
+    shallowest level mid such that levels lo+1..mid hold at least half of the
+    weight of levels lo+1..hi, so the levels on either side of it hold at most
+    half.  For a fixed lo the median never moves up as hi grows, so one
+    forward scan per row builds the table in O(D^2).
+    """
+    depth = len(alone) - 1
+    n = sum(islice(alone, 1, None))
+    total = list(accumulate((n + (depth + 1) * c for c in islice(alone, 1, None)), initial=0))
+    mids = []
+    for lo in range(depth + 1):
+        row = [0] * (depth + 1)
+        mid = lo + 1
+        for hi in range(lo + 1, depth + 1):
+            while 2 * total[mid] < total[lo] + total[hi]:
+                mid += 1
+            row[hi] = mid
+        mids.append(row)
+    return mids
+
+
+def _probe_height(mids: Sequence[Sequence[int]], lo: int, hi: int) -> int:
+    """Most probes a search can take once the longest stored prefix's level is in [lo, hi]."""
+    if lo >= hi:
+        return 0
+    mid = mids[lo][hi]
+    return 1 + max(_probe_height(mids, lo, mid - 1), _probe_height(mids, mid, hi))
 
 
 class XFastTrie(PredecessorStructure):
-    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_root")
+    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_mids", "_root")
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -99,7 +168,8 @@ class XFastTrie(PredecessorStructure):
         self.universe = universe
         self._prev: dict[int, Optional[int]] = dict(zip(leaves, (None,) + leaves[:-1]))
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
-        self._levels = _build_levels(list(zip(leaves, leaves)), self.bits, _depth(leaves, self.bits))
+        self._levels, alone = _build_levels(leaves, self.bits)
+        self._mids = _probe_order(alone)
         self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
     # `x in trie` would fall back to a linear walk of __iter__ with no key check
@@ -135,19 +205,20 @@ class XFastTrie(PredecessorStructure):
     def _search(self, q: int) -> tuple[Optional[int], int]:
         """Weak predecessor of q and the prefix-table probes spent on it.
 
-        The level search binary-searches the stored levels 0..D and returns at
-        the first probed prefix with a single key beneath it (see the module
-        docstring).  Every level-D prefix is such a prefix, so a search that
-        gets past the loop ends at a branching prefix or the root above level
-        D, and that prefix's (min, max) entry decides.
+        The level search walks the probe table over the stored levels 0..D and
+        returns at the first probed prefix with a single key beneath it (see
+        the module docstring).  A search that gets past the loop ends at the
+        longest stored prefix of q, which holds two or more keys or is the
+        root, and that prefix's (min, max) entry decides.
         """
         bits = self.bits
         levels = self._levels
+        mids = self._mids
         probes = 0
         lo, hi = 0, len(levels) - 1
         entry = self._root
         while lo < hi:
-            mid = (lo + hi + 1) >> 1
+            mid = mids[lo][hi]
             e = levels[mid].get(q >> (bits - mid))
             probes += 1
             if e is not None:
@@ -171,36 +242,47 @@ class XFastTrie(PredecessorStructure):
             return
         s = self._root[0] if p is None else self._next[p]
         bits, levels = self.bits, self._levels
-        deepest = len(levels) - 1
-        if x >> (bits - deepest) in levels[deepest]:
-            # x would share its deepest stored prefix with a neighbour: store the levels that part
-            # them first, built from the stored leaf tuples, and let the loop below add x to all
-            leaves = map(levels[deepest].__getitem__, map(rshift, self, repeat(bits - deepest)))
-            depth = _depth([k for k in (p, x, s) if k is not None], bits)
-            levels += _build_levels(list(leaves), bits, depth, deepest + 1)
+        # x's leaf level: the deeper of the levels where it parts from its neighbours
+        leaf = bits + 1 - min((x ^ k).bit_length() for k in (p, s) if k is not None)
+        deepens = leaf >= len(levels)
+        if deepens:
+            levels += [{} for _ in range(leaf + 1 - len(levels))]
         self._prev[x] = p
         self._next[x] = s
         if p is not None:
             self._next[p] = x
         if s is not None:
             self._prev[s] = x
-        leaf = (x, x)  # shared by every prefix x is now alone beneath
         old: Optional[Entry] = None
         new: Optional[Entry] = None
-        for level, table in enumerate(levels):
+        moved: Optional[Entry] = None  # the leaf tuple of a neighbour that was alone on x's path
+        for level in range(leaf):
+            table = levels[level]
             prefix = x >> (bits - level)
             entry = table.get(prefix)
-            if entry is None:
-                table[prefix] = leaf
-            elif entry is old:  # shared with the level above: share its replacement too
+            if entry is None or entry is old:
+                # shared with the level above, or below the moved neighbour's old leaf level,
+                # where x and that neighbour share the prefix: share the replacement too
                 table[prefix] = new
-            elif x < entry[0]:
-                old, new = entry, (x, entry[1])
-                table[prefix] = new
-            elif x > entry[1]:
-                old, new = entry, (entry[0], x)
-                table[prefix] = new
+                continue
+            k, m = entry
+            if x < k:
+                new = (x, m)
+            elif x > m:
+                new = (k, x)
+            else:
+                continue
+            if k == m:
+                moved = entry
+            old = entry
+            table[prefix] = new
+        table = levels[leaf]
+        table[x >> (bits - leaf)] = (x, x)
+        if moved is not None:
+            table[moved[0] >> (bits - leaf)] = moved
         self._root = levels[0][0]
+        if deepens:
+            self._mids = _probe_order(_leaf_counts(levels))
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent and ParameterError if it is the last key."""
@@ -214,29 +296,44 @@ class XFastTrie(PredecessorStructure):
             self._next[p] = s
         if s is not None:
             self._prev[s] = p
-        bits = self.bits
+        bits, levels = self.bits, self._levels
         old: Optional[Entry] = None
         new: Optional[Entry] = None
-        for level, table in enumerate(self._levels):
+        for level, table in enumerate(levels):
             prefix = x >> (bits - level)
             entry = table[prefix]
-            if entry is old:
+            if entry is old:  # shared with the level above: share its replacement too
                 table[prefix] = new
-            elif entry[0] == x:
-                if entry[1] == x:
-                    del table[prefix]
-                else:
-                    # the subtree still holds a key above x: its min is x's successor
-                    old, new = entry, (s, entry[1])
-                    table[prefix] = new
-            elif entry[1] == x:
-                old, new = entry, (entry[0], p)
-                table[prefix] = new
-        self._root = self._levels[0][0]
+                continue
+            k, m = entry
+            if k == m:  # x's leaf: nothing below it is stored
+                del table[prefix]
+                break
+            if k == x:
+                new = (s, m)  # the subtree still holds a key above x: its min is x's successor
+            elif m == x:
+                new = (k, p)
+            else:
+                continue
+            y = new[0]
+            if y == new[1]:
+                # y is alone from this level (or from level 1, the shallowest leaf level): move
+                # its leaf tuple up from where it parted from x, and drop the path they shared
+                leaf = bits + 1 - (x ^ y).bit_length()
+                moved = levels[leaf].pop(y >> (bits - leaf))
+                for below in range(level, leaf + 1):
+                    del levels[below][x >> (bits - below)]
+                for up in range(level, max(level, 1) + 1):
+                    levels[up][y >> (bits - up)] = moved
+                break
+            old = entry
+            table[prefix] = new
+        self._root = levels[0][0]
 
     def audit(self) -> None:
-        """Raise AssertionError unless the root, the leaf links and every prefix table agree,
-        and the deepest stored level holds one prefix per key."""
+        """Raise AssertionError unless the root, the leaf links, every prefix table and the
+        probe table agree: the tables are a fresh build's, plus any empty deeper tables, and
+        the probe table probes within each level range and within its probe bound."""
         levels, nxt, prev = self._levels, self._next, self._prev
         if self._root is not levels[0].get(0):
             raise AssertionError(f"stale root {self._root}: level 0 holds {levels[0].get(0)}")
@@ -248,16 +345,29 @@ class XFastTrie(PredecessorStructure):
         if (walk != sorted(nxt) or prev.keys() != nxt.keys()
                 or list(map(prev.get, walk)) != [None] + walk[:-1]):
             raise AssertionError("leaf links do not walk the stored keys in ascending order")
+        rebuilt = _build_levels(walk, self.bits)[0]
         depth = len(levels) - 1
-        if depth < 1 or len(levels[depth]) != len(walk):
-            raise AssertionError(f"deepest stored level {depth} holds {len(levels[depth])} prefixes "
-                                 f"for {len(walk)} keys; it must be at least 1 with one prefix per key")
-        rebuilt = _build_levels(list(zip(walk, walk)), self.bits, depth)
+        if depth < len(rebuilt) - 1:
+            raise AssertionError(f"levels 0..{depth} stored, the leaf walk needs "
+                                 f"0..{len(rebuilt) - 1}")
+        rebuilt += [{} for _ in range(depth + 1 - len(rebuilt))]
         for level, (got, want) in enumerate(zip(levels, rebuilt)):
             if got != want:
                 prefix = min(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
                 raise AssertionError(f"level {level}: prefix {prefix} maps to {got.get(prefix)}, "
                                      f"the leaf walk gives {want.get(prefix)}")
+        mids = self._mids
+        if len(mids) != depth + 1 or any(len(row) != depth + 1 for row in mids):
+            raise AssertionError(f"probe table is not {depth + 1} x {depth + 1}")
+        for lo in range(depth):
+            for hi in range(lo + 1, depth + 1):
+                if not lo < mids[lo][hi] <= hi:
+                    raise AssertionError(f"probe table: mids[{lo}][{hi}] = {mids[lo][hi]} "
+                                         f"outside ({lo}, {hi}]")
+        height, bound = _probe_height(mids, 0, depth), (depth + 1).bit_length() + 1
+        if height > bound:
+            raise AssertionError(f"probe table takes up to {height} probes, above "
+                                 f"floor(log2({depth} + 1)) + 2 = {bound}")
 
     def table_entries(self) -> int:
         """Total prefix-table entries across the stored levels (space audit)."""

@@ -6,8 +6,8 @@ A trie holds its keys in exactly one of two forms, chosen by their count:
   A query is one ``bisect_right``, an insert one bisect and one
   ``list.insert``, a delete one bisect and one ``del``.  At most ``bits**2``
   keys take at most 2 * log2(bits) + 1 comparisons, the same O(log bits) as
-  the x-fast level search and far cheaper in CPython.  An empty trie is an
-  empty list.
+  the x-fast level search (at most floor(log2(bits + 1)) + 2 hashed probes)
+  and far cheaper in CPython.  An empty trie is an empty list.
 * ``_buckets`` routed by ``_rep_trie``, above that count.  The keys are
   partitioned into consecutive sorted buckets whose sizes stay inside
   [ceil(bits/4), 2*bits].  Each bucket is keyed by a separator fixed when the

@@ -30,11 +30,8 @@ def random_keyset(rnd: random.Random, universe: UniverseSpec, n: int) -> KeySet:
 
 
 def reference_levels(keys, bits: int) -> list[dict[int, tuple[int, int]]]:
-    """All bits + 1 x-fast prefix tables built top-down, rescanning every key at every level.
-
-    The reference for the trie's bottom-up build, which stores the same tables
-    down to its depth only.
-    """
+    """All bits + 1 dense x-fast prefix tables built top-down, rescanning every key at every
+    level: every non-empty prefix, down to the leaves."""
     levels = []
     for level in range(bits + 1):
         shift = bits - level
@@ -48,13 +45,33 @@ def reference_levels(keys, bits: int) -> list[dict[int, tuple[int, int]]]:
     return levels
 
 
+def rule_levels(keys, bits: int) -> list[dict[int, tuple[int, int]]]:
+    """The dense reference tables filtered by the x-fast table rule, down to the last
+    non-empty level: levels 0 and 1 keep every prefix, a deeper level only the prefixes whose
+    parent in the dense table holds two or more keys (min != max).
+
+    The reference for the trie's bottom-up build, computed without leaf levels.
+    """
+    dense = reference_levels(keys, bits)
+    levels = dense[:2]
+    for level in range(2, bits + 1):
+        table = {}
+        for p, e in dense[level].items():
+            lo, hi = dense[level - 1][p >> 1]
+            if lo != hi:
+                table[p] = e
+        if not table:
+            break
+        levels.append(table)
+    return levels
+
+
 def reference_search(trie: XFastTrie, levels, q: int) -> tuple[Optional[int], int]:
     """The x-fast level search run to full depth: (weak predecessor of q, probes).
 
     levels are reference_levels over trie's keys.  The reference for the
-    trie's search, which stops at the first single-key prefix above its
-    depth: this one always binary-searches all bits + 1 levels down to q's
-    longest stored prefix.
+    trie's search, which stops at the first single-key prefix: this one always
+    halves all bits + 1 dense levels down to q's longest stored prefix.
     """
     bits = trie.bits
     probes = 0
@@ -76,40 +93,52 @@ def reference_search(trie: XFastTrie, levels, q: int) -> tuple[Optional[int], in
     return trie._prev[entry[0]], probes
 
 
-def probes_saved(structure, trie: XFastTrie, keys: KeySet, queries) -> int:
-    """Check structure's answers against the oracle and its level probes against the
-    full-depth reference on trie (the structure itself or its routing trie).
+def probe_bound(bits: int) -> int:
+    """Most level probes one x-fast search may take in a bits-bit universe."""
+    return math.ceil(math.log2(bits + 1)) + 2
 
-    Returns how many queries took strictly fewer probes than the reference.
+
+def probes_saved(structure, trie: XFastTrie, keys: KeySet, queries) -> tuple[int, int]:
+    """Check structure's answers against the oracle and its level probes against the probe
+    bound, and count them against the full-depth reference on trie (the structure itself
+    or its routing trie).
+
+    Returns how many queries took strictly fewer probes than the reference, and
+    how many probes they took in all below the reference's total.  A biased
+    probe order may spend one probe more than halving on a query that ends on a
+    light level, so only the total is held below the reference's, by callers.
     """
     routed = KeySet(trie)
     levels = reference_levels(routed.keys, trie.bits)
-    fewer = 0
+    bound = probe_bound(trie.bits)
+    fewer = saved = 0
     for q in queries:
         stats = structure.query_stats(q)
         assert stats.answer == oracle_predecessor(keys, q), q
         answer, full = reference_search(trie, levels, q)
         assert answer == oracle_predecessor(routed, q), q
-        assert stats.level_probes <= full, (q, stats.level_probes, full)
+        assert stats.level_probes <= bound, (q, stats.level_probes, bound)
         fewer += stats.level_probes < full
-    return fewer
+        saved += full - stats.level_probes
+    return fewer, saved
 
 
 def stored_depth(trie: XFastTrie, keys) -> int:
-    """The depth of the deepest table trie stores, after checking that its tables 0..depth
-    are the reference's and that every level-depth prefix holds one key."""
-    depth = len(trie._levels) - 1
-    reference = reference_levels(keys, trie.bits)
-    assert trie._levels == reference[:depth + 1]
-    assert len(reference[depth]) == len(keys)
-    return depth
+    """The depth of the deepest table trie stores, after checking that its tables are the
+    reference's under the table rule, followed only by empty tables."""
+    expected = rule_levels(keys, trie.bits)
+    assert trie._levels[:len(expected)] == expected
+    assert not any(trie._levels[len(expected):])
+    return len(trie._levels) - 1
 
 
 def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
-    """An updated trie holds the reference tables down to a depth no shallower than a fresh
-    build's (updates never make it shrink), and a fresh build's leaf links."""
+    """An updated trie holds a fresh build's tables level for level, plus any empty deeper
+    tables (updates never make it shrink), and a fresh build's leaf links."""
     fresh = XFastTrie(KeySet(keys), trie.universe)
-    assert stored_depth(trie, keys) >= len(fresh._levels) - 1
+    depth = len(fresh._levels) - 1
+    assert stored_depth(fresh, keys) == depth and fresh._levels[depth]
+    assert stored_depth(trie, keys) >= depth
     assert trie._prev == fresh._prev and trie._next == fresh._next
     assert tuple(trie) == tuple(keys)
 

@@ -155,6 +155,23 @@ def _pop_deepest_level(trie):
     trie._levels.pop()
 
 
+def _single_key_below_its_leaf(trie):
+    """Store a key's (k, k) tuple again one level below its leaf level, where its path stops."""
+    level, k = next((level, lo) for level, table in enumerate(trie._levels[:-1])
+                    for lo, hi in table.values() if lo == hi)
+    trie._levels[level + 1][k >> (trie.bits - level - 1)] = (k, k)
+
+
+def _drop_a_leaf_entry(trie):
+    """Delete the first (k, k) entry of the deepest level, where every entry is a key's leaf."""
+    table = trie._levels[-1]
+    del table[next(iter(table))]
+
+
+def _mid_outside_its_range(trie):
+    trie._mids[0][len(trie._levels) - 1] = 0
+
+
 def _overfill_first_bucket(trie):
     bucket = trie._buckets[separators(trie)[0]]
     bucket.extend([bucket[-1]] * trie._max_size)
@@ -254,7 +271,11 @@ FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
 # broken invariants per structure, each with the audit message it must raise
 BREAK_INVARIANTS = {
     "xfast": [(_stale_root, "stale root"), (_wrong_max_at_one_level, "level 3: prefix .* leaf walk"),
-              (_pop_deepest_level, "deepest stored level 7 holds .* prefixes for 100 keys")],
+              (_pop_deepest_level, r"levels 0\.\.7 stored, the leaf walk needs 0\.\.8"),
+              (_single_key_below_its_leaf,
+               r"level \d+: prefix \d+ maps to \((\d+), \1\), the leaf walk gives None"),
+              (_drop_a_leaf_entry, r"level 8: prefix \d+ maps to None, the leaf walk gives \((\d+), \1\)"),
+              (_mid_outside_its_range, r"probe table: mids\[0\]\[8\] = 0 outside \(0, 8\]")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
               (lambda y: _stale_root(y._rep_trie), "stale root"),
               (_first_separator_not_zero, "first separator is 3, not 0"),

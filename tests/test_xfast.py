@@ -5,7 +5,9 @@ from bisect import insort
 import pytest
 from conftest import (
     assert_same_as_fresh_build,
+    probe_bound,
     probes_saved,
+    random_keyset,
     reference_levels,
     reference_search,
     stored_depth,
@@ -21,10 +23,7 @@ from predsearch import (
     XFastTrie,
     oracle_predecessor,
 )
-
-
-def probe_bound(bits: int) -> int:
-    return math.ceil(math.log2(bits + 1)) + 2
+from predsearch.xfast import _probe_order
 
 
 class TestBuild:
@@ -65,8 +64,8 @@ def distinct_entries(trie: XFastTrie) -> int:
 
 
 class TestBottomUpBuild:
-    """The bottom-up build gives the top-down reference's tables down to the minimal depth,
-    with one tuple per key and per branching prefix."""
+    """The bottom-up build gives the top-down reference's tables filtered by the table rule,
+    down to the deepest leaf level, with one tuple per key and per branching prefix."""
 
     @pytest.mark.parametrize("bits", range(1, 65))
     def test_edge_key_sets(self, bits):
@@ -88,7 +87,8 @@ class TestBottomUpBuild:
                                         max_size=min(1 << bits, 64))))
         trie = XFastTrie(KeySet(keys), UniverseSpec(bits))
         depth = stored_depth(trie, keys)
-        assert depth == 1 or len(trie._levels[depth - 1]) < len(keys)  # the level above branches
+        # the deepest level is some key's leaf level: the level above holds it with a neighbour
+        assert depth == 1 or any(lo != hi for lo, hi in trie._levels[depth - 1].values())
         assert distinct_entries(trie) == 2 * len(keys) - 1
 
 
@@ -129,7 +129,8 @@ class TestPredecessor:
 
 class TestEarlyExit:
     """The level search stops at the first prefix with a single key beneath it: the
-    oracle's answers, never more probes than the full-depth reference, fewer on some."""
+    oracle's answers, no query above the probe bound, fewer probes in all than the
+    full-depth reference, and fewer on some queries."""
 
     def test_two_keys_64_bits(self):
         # level 32 holds 5's prefix, and only key 0 lies beneath it
@@ -142,26 +143,30 @@ class TestEarlyExit:
         # the single-key prefix holds a key above q: the answer is the leaf linked before it
         trie = XFastTrie(KeySet([3, 2 ** 40 + 7]), UniverseSpec(64))
         stats = trie.query_stats(2 ** 40)
-        # the keys part at bit 40, so the depth is 24 and the search starts at level 12:
-        # levels 12, 18, 21 and 23 hold both keys, and level 24 holds 2 ** 40 + 7 alone.
-        # A search over all 65 levels would have met that single key at level 32 first.
+        # the keys part at bit 40, so both are alone from level 24, the depth.  Levels 1..23
+        # weigh n = 2 each and level 24 weighs 2 + 25 * 2 = 52, over half of the total 98, so
+        # the search probes level 24 first and meets 2 ** 40 + 7 alone there.  Halving the 25
+        # stored levels would probe 12, 18, 21, 23 and 24; halving all 65 levels would meet
+        # that single key at level 32 first.
         assert len(trie._levels) == 25
-        assert stats.answer == 3 and stats.level_probes == 5
-        assert trie.query_stats(2).answer is None
+        assert stats.answer == 3 and stats.level_probes == 1
+        stats = trie.query_stats(2)  # 3 alone at level 24 is above the query: nothing below
+        assert stats.answer is None and stats.level_probes == 1
 
     @pytest.mark.parametrize("n", [1, 2, 256, 4096])
     def test_exhaustive_16_bits(self, n):
         universe = UniverseSpec(16)
         keys = KeySet(sorted(random.Random(n).sample(range(universe.size), n)))
         trie = XFastTrie(keys, universe)
-        assert probes_saved(trie, trie, keys, range(universe.size)) > 0
+        fewer, saved = probes_saved(trie, trie, keys, range(universe.size))
+        assert fewer > 0 and saved > 0
 
     def test_churn_64_bits(self):
         universe = UniverseSpec(64)
         rnd = random.Random(64)
         ref = sorted({rnd.randrange(universe.size) for _ in range(64)})
         trie = XFastTrie(KeySet(ref), universe)
-        fewer = 0
+        fewer = saved = 0
         for _ in range(300):
             if rnd.random() < 0.5 and len(ref) > 1:
                 x = rnd.choice(ref)
@@ -175,9 +180,11 @@ class TestEarlyExit:
             near = [k + d for k in rnd.sample(ref, min(8, len(ref))) for d in (-1, 0, 1)]
             queries = [q for q in near if 0 <= q < universe.size]
             queries += [0, universe.size - 1] + [rnd.randrange(universe.size) for _ in range(8)]
-            fewer += probes_saved(trie, trie, KeySet(ref), queries)
+            step_fewer, step_saved = probes_saved(trie, trie, KeySet(ref), queries)
+            fewer += step_fewer
+            saved += step_saved
         assert_same_as_fresh_build(trie, ref)
-        assert fewer > 0
+        assert fewer > 0 and saved > 0
 
 
 class TestUpdates:
@@ -283,7 +290,8 @@ class TestDepth:
         check_around()
 
     def test_deepening_insert_shares_leaf_tuples(self):
-        """The appended levels reuse each stored key's (k, k) tuple, as a fresh build shares it."""
+        """A deepening insert moves its neighbour's (k, k) tuple down to the new leaf level and
+        shares one tuple along the path the two share, as a fresh build does."""
         universe = UniverseSpec(64)
         rnd = random.Random(9)
         ref = sorted({rnd.randrange(universe.size) for _ in range(4096)})
@@ -335,3 +343,82 @@ class TestSpace:
             keys = KeySet(sorted(rnd.sample(range(universe.size), n)))
             trie = XFastTrie(keys, universe)
             assert trie.table_entries() <= n * (universe.bits + 1)
+
+    def test_uniform_64_bit_keys_store_at_most_three_entries_each(self):
+        """n leaf entries plus one per prefix with two or more keys: about 2.4n for uniform keys."""
+        universe = UniverseSpec(64)
+        keys = random_keyset(random.Random(12), universe, 1 << 12)
+        trie = XFastTrie(keys, universe)
+        assert trie.table_entries() <= 3 * len(keys)
+
+
+def probe_height(mids, lo: int, hi: int) -> int:
+    """Most probes the search takes through mids once the answer's level is in [lo, hi]."""
+    if lo >= hi:
+        return 0
+    mid = mids[lo][hi]
+    assert lo < mid <= hi, (lo, hi, mid)
+    return 1 + max(probe_height(mids, lo, mid - 1), probe_height(mids, mid, hi))
+
+
+class TestProbeOrder:
+    """The probe table probes inside every level range, and its tree stays within
+    floor(log2(D + 1)) + 2 probes however the keys' leaf levels fall."""
+
+    @pytest.mark.parametrize("depth", range(1, 65))
+    def test_every_range_and_the_height_bound(self, depth):
+        rnd = random.Random(depth)
+        patterns = {
+            "all on level 1": [1000] + [0] * (depth - 1),
+            "all on level D": [0] * (depth - 1) + [1000],
+            "spread evenly": [7] * depth,
+            "at random": [rnd.randrange(50) for _ in range(depth - 1)] + [1 + rnd.randrange(50)],
+            "one key": [0] * (depth - 1) + [1],
+        }
+        for name, counts in patterns.items():
+            mids = _probe_order([0] + counts)
+            assert len(mids) == depth + 1 and all(len(row) == depth + 1 for row in mids)
+            for lo in range(depth):
+                for hi in range(lo + 1, depth + 1):
+                    assert lo < mids[lo][hi] <= hi, (name, lo, hi)
+            assert probe_height(mids, 0, depth) <= math.floor(math.log2(depth + 1)) + 2, name
+
+    def test_heavy_leaf_level_is_probed_first(self):
+        # 300 of the 490 keys are alone at level 10, so it holds over half of the weight
+        mids = _probe_order([0] + [10] * 9 + [300] + [10] * 10)
+        assert mids[0][20] == 10
+
+
+class TestChurnAgainstFreshBuild:
+    @given(bits=st.integers(1, 64), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tables_audit_and_answers_after_every_step(self, bits, data):
+        """After every insert or delete the tables are a fresh build's level for level (plus
+        empty deeper ones, since the depth never shrinks), audit passes and the answers
+        match the oracle.  Half the inserts land next to a stored key, where leaf levels
+        move and the trie may deepen."""
+        size = 1 << bits
+        ref = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(size, 16))))
+        trie = XFastTrie(KeySet(ref), UniverseSpec(bits))
+        for _ in range(data.draw(st.integers(1, 40))):
+            if len(ref) > 1 and data.draw(st.booleans()):
+                x = data.draw(st.sampled_from(ref))
+                trie.delete(x)
+                ref.remove(x)
+            else:
+                if data.draw(st.booleans()):
+                    x = min(max(data.draw(st.sampled_from(ref)) + data.draw(st.sampled_from((-1, 1))), 0),
+                            size - 1)
+                else:
+                    x = data.draw(st.integers(0, size - 1))
+                trie.insert(x)
+                if x not in ref:
+                    insort(ref, x)
+            assert_same_as_fresh_build(trie, ref)
+            trie.audit()
+            keys = KeySet(ref)
+            near = [k + d for k in ref for d in (-1, 0, 1)]
+            for q in [q for q in near if 0 <= q < size] + [0, size - 1]:
+                stats = trie.query_stats(q)
+                assert stats.answer == oracle_predecessor(keys, q), q
+                assert stats.level_probes <= probe_bound(bits), q
