@@ -35,9 +35,10 @@ two probes.  Each subtree of the probe tree weighs at most half of its
 parent, every level weighs at least n and all D levels weigh at most
 (2D + 1) * n, so no search takes more than floor(log2(D + 1)) + 2 probes,
 at most 2 more than halving the levels would.  The (D + 1)^2 table is built
-with the tables and rebuilt, in O(D^2), only when an insert deepens the trie;
-the weights it was built from go stale under updates, which changes neither
-the answers nor the bound.
+with the tables and rebuilt, in O(D^2), only when an insert deepens the trie,
+from the build's leaf counts with a zero for each new level.  So the weights
+go stale under updates, which changes neither the answers nor the bound: the
+bound holds for any counts with a positive sum.
 
 The build is one bottom-up pass over the stored entries only: each level is
 derived from the one below it with C-level ``map``/``zip`` passes.  The
@@ -47,16 +48,18 @@ prefix with two or more keys (about 2.4n for uniform keys, at most n * (D +
 1)), pointing at only 2n - 1 distinct tuples (one per key and one per
 branching prefix).
 
-``insert`` and ``delete`` edit the at most D + 1 entries on the key's own
-path, plus its two leaf neighbours' links, so an update costs O(D) table
-operations.  At most one neighbour's leaf level moves, the one that shares
-the longer prefix with the key: an insert next to a key that was alone on
-the shared path moves that key's (k, k) tuple down to the level where the
-two part and stores their shared prefixes in between, and a delete moves it
-back up.  Updates replace entries rather than mutate them, which keeps the
-sharing safe, and levels that shared the replaced entry share its
-replacement.  An insert that deepens the trie appends empty tables; the
-depth never shrinks until the next build.
+``insert`` and ``delete`` link or unlink the key and add or drop its (k, k)
+leaf entry; an insert also stores its nearer neighbour's (k, k) tuple at that
+level if the neighbour was alone above it.  Then one rewrite applies the
+build's rule to the key's prefixes above its leaf level, deepest first: two
+stored children give a new (left min, right max) tuple, one stored child
+gives its own tuple, and a single-key child below level 1 with no stored
+sibling is dropped, its parent becoming that key's leaf.  The rewrite stops
+at the first entry that comes out unchanged.  So an update costs O(D) table
+operations and leaves exactly a fresh build's tables and 2n - 1 shared
+tuples; entries are replaced, never mutated, which keeps the sharing safe.
+An insert that deepens the trie appends empty tables; the depth never
+shrinks until the next build.
 The trie always holds at least one key, like the key set it is built from.
 Plain dicts provide the expected-O(1) tables; a perfect-hash construction
 would also satisfy the contract but is unnecessary here.
@@ -118,13 +121,6 @@ def _build_levels(leaves: Sequence[int], bits: int) -> tuple[list[dict[int, Entr
     return levels, list(map(len, alone))
 
 
-def _leaf_counts(levels: Sequence[dict[int, Entry]]) -> list[int]:
-    """The number of keys whose leaf level is L, for L = 0..D, read from the tables: the
-    single-key entries of each level >= 1 (a key is stored alone at its leaf level only)."""
-    return [0] + [sum(map(eq, map(itemgetter(0), t.values()), map(itemgetter(1), t.values())))
-                  for t in islice(levels, 1, None)]
-
-
 def _probe_order(alone: Sequence[int]) -> list[list[int]]:
     """The probe table mids[lo][hi] for 0 <= lo < hi <= D (other entries are 0).
 
@@ -159,7 +155,7 @@ def _probe_height(mids: Sequence[Sequence[int]], lo: int, hi: int) -> int:
 
 
 class XFastTrie(PredecessorStructure):
-    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_mids", "_root")
+    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_alone", "_mids", "_root")
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -168,8 +164,8 @@ class XFastTrie(PredecessorStructure):
         self.universe = universe
         self._prev: dict[int, Optional[int]] = dict(zip(leaves, (None,) + leaves[:-1]))
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
-        self._levels, alone = _build_levels(leaves, self.bits)
-        self._mids = _probe_order(alone)
+        self._levels, self._alone = _build_levels(leaves, self.bits)
+        self._mids = _probe_order(self._alone)
         self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
     # `x in trie` would fall back to a linear walk of __iter__ with no key check
@@ -186,7 +182,7 @@ class XFastTrie(PredecessorStructure):
             yield k
             k = nxt[k]
 
-    def neighbours(self, x: int) -> tuple[Optional[int], Optional[int]]:
+    def _neighbours(self, x: int) -> tuple[Optional[int], Optional[int]]:
         """The stored keys just below and just above stored key x (None at the ends)."""
         return self._prev[x], self._next[x]
 
@@ -242,47 +238,24 @@ class XFastTrie(PredecessorStructure):
             return
         s = self._root[0] if p is None else self._next[p]
         bits, levels = self.bits, self._levels
-        # x's leaf level: the deeper of the levels where it parts from its neighbours
-        leaf = bits + 1 - min((x ^ k).bit_length() for k in (p, s) if k is not None)
-        deepens = leaf >= len(levels)
-        if deepens:
+        # x's leaf level is where it parts from its nearer neighbour y, whose prefix there is
+        # stored already unless y was alone above it
+        y = min((k for k in (p, s) if k is not None), key=x.__xor__)
+        leaf = bits + 1 - (x ^ y).bit_length()
+        if leaf >= len(levels):
+            self._alone += [0] * (leaf + 1 - len(levels))
             levels += [{} for _ in range(leaf + 1 - len(levels))]
+            self._mids = _probe_order(self._alone)
         self._prev[x] = p
         self._next[x] = s
         if p is not None:
             self._next[p] = x
         if s is not None:
             self._prev[s] = x
-        old: Optional[Entry] = None
-        new: Optional[Entry] = None
-        moved: Optional[Entry] = None  # the leaf tuple of a neighbour that was alone on x's path
-        for level in range(leaf):
-            table = levels[level]
-            prefix = x >> (bits - level)
-            entry = table.get(prefix)
-            if entry is None or entry is old:
-                # shared with the level above, or below the moved neighbour's old leaf level,
-                # where x and that neighbour share the prefix: share the replacement too
-                table[prefix] = new
-                continue
-            k, m = entry
-            if x < k:
-                new = (x, m)
-            elif x > m:
-                new = (k, x)
-            else:
-                continue
-            if k == m:
-                moved = entry
-            old = entry
-            table[prefix] = new
         table = levels[leaf]
         table[x >> (bits - leaf)] = (x, x)
-        if moved is not None:
-            table[moved[0] >> (bits - leaf)] = moved
-        self._root = levels[0][0]
-        if deepens:
-            self._mids = _probe_order(_leaf_counts(levels))
+        table.setdefault(y >> (bits - leaf), (y, y))
+        self._repath(x, leaf)
 
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent and ParameterError if it is the last key."""
@@ -296,44 +269,43 @@ class XFastTrie(PredecessorStructure):
             self._next[p] = s
         if s is not None:
             self._prev[s] = p
+        bits = self.bits
+        leaf = bits + 1 - min((x ^ k).bit_length() for k in (p, s) if k is not None)
+        del self._levels[leaf][x >> (bits - leaf)]
+        self._repath(x, leaf)
+
+    def _repath(self, x: int, leaf: int) -> None:
+        """Rewrite x's prefixes above level leaf, deepest first, by the build's rule, once
+        the entries at level leaf and below are right.
+
+        A prefix with two stored children gets a new (left min, right max) tuple
+        and one with a single stored child shares that child's tuple.  If that
+        child holds a single key and lies below level 1, the prefix now holds the
+        key alone: it becomes the key's leaf and the child's entry is dropped.
+        Every entry the rewrite replaces changes value, so it stops at the first
+        entry that comes out equal to the one stored, and every entry above that
+        stays as it is.
+        """
         bits, levels = self.bits, self._levels
-        old: Optional[Entry] = None
-        new: Optional[Entry] = None
-        for level, table in enumerate(levels):
+        below = levels[leaf]
+        for level in range(leaf - 1, -1, -1):
+            table = levels[level]
             prefix = x >> (bits - level)
-            entry = table[prefix]
-            if entry is old:  # shared with the level above: share its replacement too
-                table[prefix] = new
-                continue
-            k, m = entry
-            if k == m:  # x's leaf: nothing below it is stored
-                del table[prefix]
+            left, right = below.get(prefix << 1), below.get(prefix << 1 | 1)
+            new = (left[0], right[1]) if left and right else left or right
+            if new == table.get(prefix):
                 break
-            if k == x:
-                new = (s, m)  # the subtree still holds a key above x: its min is x's successor
-            elif m == x:
-                new = (k, p)
-            else:
-                continue
-            y = new[0]
-            if y == new[1]:
-                # y is alone from this level (or from level 1, the shallowest leaf level): move
-                # its leaf tuple up from where it parted from x, and drop the path they shared
-                leaf = bits + 1 - (x ^ y).bit_length()
-                moved = levels[leaf].pop(y >> (bits - leaf))
-                for below in range(level, leaf + 1):
-                    del levels[below][x >> (bits - below)]
-                for up in range(level, max(level, 1) + 1):
-                    levels[up][y >> (bits - up)] = moved
-                break
-            old = entry
+            if level and new[0] == new[1]:  # a single key: the prefix has one child
+                del below[prefix << 1 | (left is None)]
             table[prefix] = new
+            below = table
         self._root = levels[0][0]
 
     def audit(self) -> None:
         """Raise AssertionError unless the root, the leaf links, every prefix table and the
-        probe table agree: the tables are a fresh build's, plus any empty deeper tables, and
-        the probe table probes within each level range and within its probe bound."""
+        probe table agree: the tables are a fresh build's, plus any empty deeper tables, their
+        entries share a build's 2n - 1 tuples, and the probe table probes within each level
+        range and within its probe bound."""
         levels, nxt, prev = self._levels, self._next, self._prev
         if self._root is not levels[0].get(0):
             raise AssertionError(f"stale root {self._root}: level 0 holds {levels[0].get(0)}")
@@ -356,6 +328,10 @@ class XFastTrie(PredecessorStructure):
                 prefix = min(p for p in got.keys() | want.keys() if got.get(p) != want.get(p))
                 raise AssertionError(f"level {level}: prefix {prefix} maps to {got.get(prefix)}, "
                                      f"the leaf walk gives {want.get(prefix)}")
+        shared = len({id(e) for table in levels for e in table.values()})
+        if shared != 2 * len(walk) - 1:
+            raise AssertionError(f"entries point at {shared} distinct tuples, a build shares "
+                                 f"2 * {len(walk)} - 1 = {2 * len(walk) - 1}")
         mids = self._mids
         if len(mids) != depth + 1 or any(len(row) != depth + 1 for row in mids):
             raise AssertionError(f"probe table is not {depth + 1} x {depth + 1}")

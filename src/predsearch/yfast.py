@@ -150,7 +150,7 @@ class YFastTrie(PredecessorStructure):
         if i:
             return b[i - 1], probes
         # q lies between the separator and the bucket's first key: the bucket before answers
-        below = trie.neighbours(sep)[0]
+        below = trie._neighbours(sep)[0]
         return (self._buckets[below][-1] if below is not None else None), probes
 
     def insert(self, x: int) -> None:
@@ -213,7 +213,7 @@ class YFastTrie(PredecessorStructure):
 
         The lower of the two buckets keeps its separator, so the first stays 0.
         """
-        below, above = self._rep_trie.neighbours(sep)
+        below, above = self._rep_trie._neighbours(sep)
         keep, gone = (below, sep) if below is not None else (sep, above)
         kept = self._buckets[keep]
         kept.extend(self._buckets.pop(gone))

@@ -132,13 +132,20 @@ def stored_depth(trie: XFastTrie, keys) -> int:
     return len(trie._levels) - 1
 
 
+def distinct_entries(trie: XFastTrie) -> int:
+    """The number of distinct (min, max) tuples the trie's table entries point at."""
+    return len({id(entry) for table in trie._levels for entry in table.values()})
+
+
 def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     """An updated trie holds a fresh build's tables level for level, plus any empty deeper
-    tables (updates never make it shrink), and a fresh build's leaf links."""
+    tables (updates never make it shrink), a fresh build's tuple sharing (2n - 1 distinct
+    tuples) and a fresh build's leaf links."""
     fresh = XFastTrie(KeySet(keys), trie.universe)
     depth = len(fresh._levels) - 1
     assert stored_depth(fresh, keys) == depth and fresh._levels[depth]
     assert stored_depth(trie, keys) >= depth
+    assert distinct_entries(trie) == distinct_entries(fresh) == 2 * len(keys) - 1
     assert trie._prev == fresh._prev and trie._next == fresh._next
     assert tuple(trie) == tuple(keys)
 

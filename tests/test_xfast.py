@@ -5,6 +5,7 @@ from bisect import insort
 import pytest
 from conftest import (
     assert_same_as_fresh_build,
+    distinct_entries,
     probe_bound,
     probes_saved,
     random_keyset,
@@ -57,10 +58,6 @@ class TestBuild:
                 assert mn in leaves and mx in leaves
                 assert mn >> shift == prefix and mx >> shift == prefix
                 assert mn <= mx
-
-
-def distinct_entries(trie: XFastTrie) -> int:
-    return len({id(entry) for table in trie._levels for entry in table.values()})
 
 
 class TestBottomUpBuild:
@@ -302,9 +299,6 @@ class TestDepth:
         insort(ref, x)
         assert len(trie._levels) - 1 > depth
         trie.audit()
-
-        def distinct_entries(t):
-            return len({id(e) for table in t._levels for e in table.values()})
 
         assert distinct_entries(trie) == distinct_entries(XFastTrie(KeySet(ref), universe))
         assert distinct_entries(trie) == 2 * len(ref) - 1
