@@ -68,10 +68,11 @@ class UniverseSpec:
         """Return key if it lies in the universe; raise ParameterError or KeyRangeError if not.
 
         This is the one definition of both errors and their messages.  The
-        structures' public calls check each key once, inline, with
+        structures' public calls check their key inline, with
         ``if type(q) is not int or q >> bits: universe.check_key(q)``, so an
         in-range int never pays for this call; it runs only to raise, or to
-        accept an int-like such as ``bool`` or ``numpy.uint64``.
+        accept an int-like such as ``bool`` or ``numpy.uint64``.  How often a
+        query runs the inline test is in ``PredecessorStructure``.
         """
         # one shift answers both range tests: a negative key shifts to -1,
         # a key of 2**bits or more to a positive value
@@ -136,6 +137,9 @@ class WeightedDistribution:
         for key, w in weights.items():
             if type(key) is not int:  # bool is an int subclass, so isinstance would pass it
                 raise ParameterError(f"keys must be ints, got {key!r} of type {type(key).__name__}")
+            if isinstance(w, (str, bytes, bytearray, bool)):  # float() would parse or count them
+                raise InvalidDistributionError(
+                    f"weight for key {key} must be a number, got {w!r} of type {type(w).__name__}")
             w = float(w)
             if not math.isfinite(w) or w < 0.0:
                 raise InvalidDistributionError(f"weight for key {key} must be finite and >= 0, got {w}")
@@ -282,11 +286,17 @@ class PredecessorStructure:
     ``predecessor`` is the plain query path; ``query_stats`` answers the same
     query and also reports what finding the answer cost.  Every public call
     (these two, and ``insert`` and ``delete`` where a structure has them)
-    checks its key exactly once, before it reads or changes anything: an
-    inline ``type(q) is int`` and shift test, with ``UniverseSpec.check_key``
-    called only to raise or to accept another int-like.  A structure that
-    delegates the whole query, as a cascade does to its first layer, leaves
-    the check to the call it delegates to.
+    checks its key before it reads or changes anything: an inline
+    ``type(q) is int`` and shift test, with ``UniverseSpec.check_key`` called
+    only to raise or to accept another int-like.  A structure that delegates
+    the query leaves the check to the call it delegates to.  A cascade
+    delegates to the public ``predecessor`` of every layer it probes, so its
+    first layer's test is the check and each further layer repeats it: a
+    cascade query runs the test ``layers_probed`` times, and a ``layered-ws``
+    promotion once more in each y-fast ``insert`` and ``delete`` it makes.
+    Those per-layer public calls stay until the benchmark stops counting
+    them: ``perfbench/tracing.py`` reads each layer's probes and time from
+    the traced ``YFastTrie.predecessor`` calls.
     """
 
     def predecessor(self, q: int) -> Optional[int]:

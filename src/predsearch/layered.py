@@ -9,22 +9,30 @@ successor exceeds the query the candidate is provably the global answer and
 the search stops.  Otherwise that successor is a stored key at or below the
 query that no front layer holds, so the last layer's local predecessor is at
 least that key and is the answer: the last layer's keys need no successor
-pointer.  A query below every stored key can only be recognized after all
-layers have answered empty.
+pointer.  So in both variants exactly the front-layer keys keep one.  A query
+below every stored key can only be recognized after all layers have answered
+empty.
+
+A pointer is computed when its key enters the front, as the smallest key
+above it in any layer: each layer gives its own next key (one bisect in a
+flat layer), and a promotion out of the last layer takes that layer's part
+from its ``delete``, which has just edited the bucket holding the next key.  A bisect
+over all n keys gives the same pointer, but on a promotion it misses cache at
+almost every step.
 
 Two ways of ranking keys into layers:
 
 * the static variant sorts keys by how much query mass they answer for
   (descending, ties by ascending key), so frequent answers sit in the tiny
   front layers; it is one C-level sort keyed by the mass map, stable under
-  ``reverse=True``, over the ascending key tuple.  Only its front-layer keys
-  keep a successor pointer;
+  ``reverse=True``, over the ascending key tuple;
 * the self-adjusting variant ranks by recency: every reported answer moves to
   the front layer and, for each layer above the one it came from, the stalest
-  key shifts down one layer to keep all occupancies at capacity.  Any key can
-  be promoted into the front, so every key keeps a successor pointer.  Only
-  the front layers keep a recency queue: no key ever leaves the last layer as
-  the stalest, so its order is never read.
+  key shifts down one layer to keep all occupancies at capacity.  A promotion
+  out of the last layer writes the promoted key's successor pointer and drops
+  the pointer of the stale key it pushes into the last layer.  Only the front
+  layers keep a recency queue: no key ever leaves the last layer as the
+  stalest, so its order is never read.
 
 Every layer is a bucketed trie, whose insert/delete the self-adjusting variant
 relies on.  A bucketed trie of at most ``bits * bits`` keys is one sorted list
@@ -36,18 +44,20 @@ its capacity: a layer of exactly ``bits * bits`` keys stays a list.
 ``predecessor`` and ``query_stats`` (which adds the layers probed) run one
 scan; the self-adjusting variant promotes the answer as its last step.
 ``audit`` checks each layer's own audit, that the layers partition the key
-set, and that every successor pointer names the next key of that set.
+set, and that exactly the front-layer keys keep a successor pointer, each
+naming the next key of that set, which it recomputes from the layers once
+they are known to partition it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import OrderedDict
 from itertools import chain
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .core import (
     KeySet,
+    ParameterError,
     PredecessorStructure,
     QueryStats,
     UniverseSpec,
@@ -60,6 +70,8 @@ from .yfast import YFastTrie
 
 def layer_capacities(n: int) -> list[int]:
     """Layer sizes 4, 16, 256, ... clipped so they sum to exactly n."""
+    if type(n) is not int or n < 0:  # bool is an int subclass, so isinstance would pass it
+        raise ParameterError(f"key count must be an int >= 0, got {n!r}")
     caps: list[int] = []
     j = 1
     while n > 0:
@@ -70,9 +82,16 @@ def layer_capacities(n: int) -> list[int]:
     return caps
 
 
-def _successor_map(keys: KeySet) -> dict[int, Optional[int]]:
-    ks = keys.keys
-    return dict(zip(ks, ks[1:] + (None,)))  # top sentinel None: nothing in S is larger
+def _next_key(layers: Iterable[YFastTrie], k: int, after: Optional[int] = None) -> Optional[int]:
+    """The smallest key above k in any of layers, or after if that is smaller (None if neither).
+
+    Over all layers this is the successor pointer of a stored key k.
+    """
+    for layer in layers:
+        a = layer._after(k)
+        if a is not None and (after is None or a < after):
+            after = a
+    return after
 
 
 class _LayeredBase(PredecessorStructure):
@@ -84,15 +103,17 @@ class _LayeredBase(PredecessorStructure):
     _last: YFastTrie
     _succ: dict[int, Optional[int]]
 
-    def _build_layers(self, ordered: Sequence[int], universe: UniverseSpec) -> list[tuple[int, ...]]:
+    def _build_layers(self, ordered: Sequence[int]) -> list[tuple[int, ...]]:
+        """Cut the ranked keys into the layers; each front key points at its next key."""
         caps = layer_capacities(len(ordered))
         slices: list[tuple[int, ...]] = []
         start = 0
         for c in caps:
             slices.append(tuple(sorted(ordered[start:start + c])))
             start += c
-        self.layers = [YFastTrie(KeySet(s), universe) for s in slices]
+        self.layers = [YFastTrie(KeySet(s), self.universe) for s in slices]
         *self._front, self._last = self.layers
+        self._succ = {k: _next_key(self.layers, k) for k in sorted(chain.from_iterable(slices[:-1]))}
         return slices
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
@@ -132,25 +153,22 @@ class _LayeredBase(PredecessorStructure):
         return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
 
     def _audit_layers(self, keys: Collection[int]) -> None:
-        """Raise AssertionError unless each layer audits clean, the layers partition keys
-        and every successor pointer names the next key of the set (None for the largest)."""
-        seen: set[int] = set()
+        """Raise AssertionError unless each layer audits clean, the layers partition keys,
+        and exactly the front-layer keys keep a successor pointer, each naming the next
+        key of the set (None for the largest)."""
         for layer in self.layers:
             layer.audit()
-            layer_keys = set(layer)
-            if layer_keys & seen:
-                raise AssertionError("key present in two layers")
-            seen |= layer_keys
-        if seen != keys:
+        seen = set(chain.from_iterable(self.layers))
+        # no key in two layers, and the distinct keys are exactly the set
+        if not sum(map(len, self.layers)) == len(seen) == len(keys) or not seen.issuperset(keys):
             raise AssertionError("layers do not partition the key set")
-        ks = sorted(seen)
-        following = dict(zip(ks, ks[1:] + [None]))
-        if self._succ.items() <= following.items():  # one C-level pass; name the bad one below
-            return
+        front = set(chain.from_iterable(self._front))
+        if self._succ.keys() != front:
+            raise AssertionError(f"{len(self._succ)} successor pointers, not one per "
+                                 f"front-layer key ({len(front)})")
         for k, s in self._succ.items():
-            if k not in following or following[k] != s:
-                raise AssertionError(f"successor pointer {k} -> {s}, next key is "
-                                     f"{following.get(k, 'absent')}")
+            if s != (following := _next_key(self.layers, k)):
+                raise AssertionError(f"successor pointer {k} -> {s}, next key is {following}")
 
 
 class LayeredStructure(_LayeredBase):
@@ -164,19 +182,11 @@ class LayeredStructure(_LayeredBase):
         self.output = output_distribution(keys, dist)
         # descending mass; the sort is stable under reverse=True, so ties keep ascending key order
         ordered = sorted(keys.keys, key=self.output.masses.__getitem__, reverse=True)
-        slices = self._build_layers(ordered, universe)
-        ks = keys.keys
-        self._succ = {k: ks[i] if (i := bisect_right(ks, k)) < len(ks) else None
-                      for k in sorted(chain.from_iterable(slices[:-1]))}
+        self._build_layers(ordered)
 
     def audit(self) -> None:
-        """Raise AssertionError unless the layers and successor pointers are intact and
-        exactly the front-layer keys keep a pointer."""
+        """Raise AssertionError unless the layers and successor pointers are intact."""
         self._audit_layers(self.output.masses.keys())
-        front = set(chain.from_iterable(self._front))
-        if self._succ.keys() != front:
-            raise AssertionError(f"{len(self._succ)} successor pointers, not one per "
-                                 f"front-layer key ({len(front)})")
 
 
 class WorkingSetLayered(_LayeredBase):
@@ -189,13 +199,13 @@ class WorkingSetLayered(_LayeredBase):
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
         self.universe = universe
-        slices = self._build_layers(keys.keys, universe)
+        self._keys = keys.keys  # the key set, for the audit
+        slices = self._build_layers(keys.keys)
         self.capacities = [len(s) for s in slices]
         # Front of each queue is the stalest key in that front layer.  Untouched keys
         # keep their build order (ascending), so they shift down smallest-first.
         self._recency: list[OrderedDict[int, None]] = [OrderedDict.fromkeys(s)
                                                        for s in slices[:-1]]
-        self._succ = _successor_map(keys)
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
         """The cascade scan, then the answer's promotion to the front layer."""
@@ -205,7 +215,8 @@ class WorkingSetLayered(_LayeredBase):
         return answer, probed
 
     def _promote(self, x: int, j: int) -> None:
-        """Move x from layer j to the front; the last layer, len(rec), keeps no queue."""
+        """Move x from layer j to the front; the last layer, len(rec), keeps no queue and
+        its keys no successor pointer."""
         rec = self._recency
         last = len(rec)
         if j == 0:
@@ -213,9 +224,11 @@ class WorkingSetLayered(_LayeredBase):
                 rec[0].move_to_end(x)
             return
         layers = self.layers
-        layers[j].delete(x)
+        after = layers[j].delete(x)
         if j != last:
             del rec[j][x]
+        else:  # the key after x is the last layer's next key or a front key below that
+            self._succ[x] = _next_key(self._front, x, after)
         # deepest first: each layer loses its stalest key before it gains one,
         # so no layer ever holds more than its capacity
         for k in range(j - 1, -1, -1):
@@ -224,6 +237,8 @@ class WorkingSetLayered(_LayeredBase):
             layers[k + 1].insert(stale)
             if k + 1 != last:
                 rec[k + 1][stale] = None
+            else:
+                del self._succ[stale]
         layers[0].insert(x)
         rec[0][x] = None
 
@@ -236,4 +251,4 @@ class WorkingSetLayered(_LayeredBase):
         for r, layer in zip(self._recency, self._front):
             if r.keys() != set(layer):
                 raise AssertionError("recency queue and layer structure disagree")
-        self._audit_layers(self._succ.keys())
+        self._audit_layers(self._keys)

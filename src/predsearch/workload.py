@@ -32,7 +32,9 @@ _TINY = 5e-324
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
-    """Deterministic generator for (seed, stream)."""
+    """Deterministic generator for (seed, stream); the seed must be an int >= 0."""
+    if type(seed) is not int or seed < 0:  # bool is an int subclass, so isinstance would pass it
+        raise ParameterError(f"seed must be an int >= 0, got {seed!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
@@ -80,6 +82,8 @@ def sample_keys(universe: UniverseSpec, n: int, seed: int,
 
     Rejection sampling on batches; the universe is never materialized.
     """
+    if type(n) is not int:
+        raise ParameterError(f"key count must be an int, got {n!r} of type {type(n).__name__}")
     if n < 1:
         raise ParameterError(f"need at least one key, got n={n}")
     if n > (1 << universe.bits):
@@ -98,14 +102,17 @@ def sample_keys(universe: UniverseSpec, n: int, seed: int,
 
 def sample_queries(dist: WeightedDistribution, seed: int, count: int) -> list[int]:
     """count i.i.d. keys drawn from dist by inverse CDF over its support."""
+    if type(count) is not int:
+        raise ParameterError(f"query count must be an int, got {count!r} of type "
+                             f"{type(count).__name__}")
     if count < 0:
         raise ParameterError(f"query count must be >= 0, got {count}")
+    rng = rng_for(seed, STREAM_QUERIES)
     if count == 0:
         return []
     support = np.array(dist.support, dtype=np.uint64)
     weights = np.array([w for _, w in dist.items()], dtype=np.float64)
     cum = np.cumsum(weights)
-    rng = rng_for(seed, STREAM_QUERIES)
     u = rng.random(count) * cum[-1]
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(support) - 1)

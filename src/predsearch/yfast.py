@@ -176,8 +176,13 @@ class YFastTrie(PredecessorStructure):
         if len(b) > self._max_size:
             self._split(sep)
 
-    def delete(self, x: int) -> None:
-        """Remove key x; raises KeyError if absent."""
+    def delete(self, x: int) -> Optional[int]:
+        """Remove key x and return the smallest key left above it (None if there is none);
+        raises KeyError if x is absent.
+
+        The return value costs one index into the list just edited, where a
+        later search for it would route again.
+        """
         if type(x) is not int or x >> self.bits:
             self.universe.check_key(x)
         flat = self._flat
@@ -186,18 +191,36 @@ class YFastTrie(PredecessorStructure):
             if i == len(flat) or flat[i] != x:
                 raise KeyError(x)
             del flat[i]
-            return
+            return flat[i] if i < len(flat) else None
         sep = self._rep_trie._search(x)[0]
         b = self._buckets[sep]
         i = bisect_left(b, x)
         if i == len(b) or b[i] != x:
             raise KeyError(x)
         del b[i]
+        after = b[i] if i < len(b) else self._first_above(sep)
         self._size -= 1
         if self._size <= self._flat_floor:
             self._to_flat()
         elif len(b) < self._min_size:
             self._merge(sep)
+        return after
+
+    def _after(self, x: int) -> Optional[int]:
+        """The smallest stored key above x, or None; x is a valid key, not checked again."""
+        flat = self._flat
+        if flat is not None:
+            i = bisect_right(flat, x)
+            return flat[i] if i < len(flat) else None
+        sep = self._rep_trie._search(x)[0]
+        b = self._buckets[sep]
+        i = bisect_right(b, x)
+        return b[i] if i < len(b) else self._first_above(sep)
+
+    def _first_above(self, sep: int) -> Optional[int]:
+        """The first key of the bucket after sep's, or None if sep's bucket is the last."""
+        above = self._rep_trie._neighbours(sep)[1]
+        return self._buckets[above][0] if above is not None else None
 
     def _split(self, sep: int) -> None:
         """Move the upper half of sep's bucket to a new bucket, keyed by its first key."""

@@ -132,6 +132,17 @@ class TestParsing:
                    "--structure", "yfast") == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: total weight of 2 keys overflows a float")
 
+    @pytest.mark.parametrize("command", [("gen", "--out", "keys.txt"),
+                                         ("bench", "--structure", "yfast"),
+                                         ("bench", "--structure", "layered-ws", "--keys", "k.txt")])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        gen_keys(tmp_path, "k.txt", bits=8, n=4)
+        instance = () if "--keys" in command else ("--n", 4)
+        assert run(*command, "--universe-bits", 8, *instance, "--seed", -1) == EXIT_USAGE
+        assert "error: seed must be an int >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "keys.txt").exists()
+
     def test_keys_beyond_universe_rejected(self, tmp_path):
         keys = tmp_path / "keys.txt"
         keys.write_text("1\n5000\n")

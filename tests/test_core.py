@@ -154,6 +154,19 @@ class TestEntropy:
         with pytest.raises(ParameterError, match=f"keys must be ints, got {key!r} of type {type_name}"):
             WeightedDistribution({2: 1.0, key: 1.0})
 
+    @pytest.mark.parametrize("weight, type_name", [("2", "str"), (b"3", "bytes"),
+                                                   (bytearray(b"3"), "bytearray"),
+                                                   (True, "bool")])
+    def test_rejects_non_number_weights(self, weight, type_name):
+        # float() would parse the strings and read True as 1.0
+        with pytest.raises(InvalidDistributionError,
+                           match=f"weight for key 1 must be a number, got .* of type {type_name}"):
+            WeightedDistribution({2: 1.0, 1: weight})
+
+    def test_accepts_numpy_numbers(self):
+        d = WeightedDistribution({1: np.float64(0.5), 2: np.int64(3), 3: 2, 4: 0.5})
+        assert list(d.items()) == [(1, 0.5), (2, 3.0), (3, 2.0), (4, 0.5)]
+
     @given(st.dictionaries(st.integers(min_value=0, max_value=2 ** 32 - 1),
                            st.floats(min_value=1e-12, max_value=1e12),
                            min_size=1, max_size=50))

@@ -259,6 +259,19 @@ def _drop_key_from_last_layer(cascade):
     layer.delete(next(iter(layer)))
 
 
+def _swap_a_last_layer_key_for_an_absent_one(cascade):
+    """Same layer sizes, but the last layer holds a key the set does not."""
+    layer = cascade.layers[-1]
+    stored = {k for each in cascade.layers for k in each}
+    layer.delete(next(iter(layer)))
+    layer.insert(next(q for q in range(cascade.universe.size) if q not in stored))
+
+
+def _front_key_also_in_the_last_layer(cascade):
+    """Every key still in some layer, but one of them in two."""
+    cascade.layers[-1].insert(next(iter(cascade.layers[0])))
+
+
 def _clear_a_successor(cascade):
     """Point a key with a larger stored key at None, as if it were the largest."""
     k = next(k for k, s in cascade._succ.items() if s is not None)
@@ -302,12 +315,18 @@ BREAK_INVARIANTS = {
     "hashfront-a": FRONT_TABLE_FAULTS,
     "hashfront-b": FRONT_TABLE_FAULTS,
     "layered": [(_drop_key_from_last_layer, "layers do not partition the key set"),
+                (_swap_a_last_layer_key_for_an_absent_one, "layers do not partition the key set"),
+                (_front_key_also_in_the_last_layer, "layers do not partition the key set"),
                 (lambda c: _flat_keys_out_of_order(c.layers[1]), "flat keys do not ascend"),
                 (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+"),
                 (_pointer_for_a_last_layer_key,
                  r"21 successor pointers, not one per front-layer key \(20\)")],
     "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 80\]"),
-                   (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+")],
+                   (_swap_a_last_layer_key_for_an_absent_one, "layers do not partition the key set"),
+                   (_front_key_also_in_the_last_layer, r"occupancy \[4, 16, 81\]"),
+                   (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+"),
+                   (_pointer_for_a_last_layer_key,
+                    r"21 successor pointers, not one per front-layer key \(20\)")],
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from predsearch import (
     KeySet,
     LayeredStructure,
+    ParameterError,
     QueryStats,
     UniverseSpec,
     WeightedDistribution,
@@ -31,6 +32,7 @@ class TestLayerCapacities:
         assert layer_capacities(4) == [4]
         assert layer_capacities(1) == [1]
         assert layer_capacities(4096) == [4, 16, 256, 3820]
+        assert layer_capacities(0) == []
 
     def test_sums_and_shape(self):
         for n in (1, 2, 3, 4, 5, 20, 21, 276, 277, 10_000):
@@ -40,6 +42,11 @@ class TestLayerCapacities:
             for i, c in enumerate(caps[:-1]):
                 assert c == full[i]
             assert caps[-1] <= full[len(caps) - 1]
+
+    @pytest.mark.parametrize("n", [1.5, True, -1, "4"])
+    def test_rejects_a_count_that_is_not_an_int_at_least_zero(self, n):
+        with pytest.raises(ParameterError, match=f"key count must be an int >= 0, got {n!r}"):
+            layer_capacities(n)
 
 
 class TestStaticBuild:
@@ -251,10 +258,11 @@ class TestFrontLayers:
 
         def checked(update):
             def call(layer, x):
-                update(layer, x)
+                result = update(layer, x)  # a promotion reads the key delete returns
                 j = position[id(layer)]
                 assert len(layer) <= ws.capacities[j], (j, len(layer))
                 assert ws.layers[2]._flat is not None
+                return result
             return call
 
         monkeypatch.setattr(YFastTrie, "insert", checked(YFastTrie.insert))
@@ -324,6 +332,8 @@ class TestCascadeShapes:
             stats = ws.query_stats(q)
             assert (stats.answer, stats.layers_probed) == expected
             assert stats.answer == oracle_predecessor(keys, q)
+            # promotion keeps pointers for exactly the front keys, however deep it reached
+            assert ws._succ.keys() == {k for layer in ws.layers[:-1] for k in layer}
             ws.audit()
 
 

@@ -81,6 +81,19 @@ class TestSampleQueries:
         dist = generate_distribution(WorkloadSpec(kind="uniform", support=(1, 2)))
         assert sample_queries(dist, seed=3, count=0) == []
 
+    @pytest.mark.parametrize("count", [1.5, True, "5"])
+    def test_count_not_an_int(self, count):
+        dist = generate_distribution(WorkloadSpec(kind="uniform", support=(1, 2)))
+        with pytest.raises(ParameterError, match=f"query count must be an int, got {count!r}"):
+            sample_queries(dist, seed=0, count=count)
+
+    @pytest.mark.parametrize("count", [0, 5])
+    @pytest.mark.parametrize("seed", [-1, 1.0, True])
+    def test_bad_seed(self, seed, count):
+        dist = generate_distribution(WorkloadSpec(kind="uniform", support=(1, 2)))
+        with pytest.raises(ParameterError, match=f"seed must be an int >= 0, got {seed!r}"):
+            sample_queries(dist, seed=seed, count=count)
+
     def test_deterministic_under_seed(self):
         dist = generate_distribution(WorkloadSpec(kind="zipf", support=tuple(range(100)), s=1.1))
         a = sample_queries(dist, seed=42, count=5000)
@@ -143,6 +156,17 @@ class TestSampleKeys:
     def test_bad_count(self, n):
         with pytest.raises(ParameterError):
             sample_keys(UniverseSpec(8), n, seed=0)
+
+    @pytest.mark.parametrize("n, type_name", [(1.5, "float"), (True, "bool"), (4.0, "float")])
+    def test_count_not_an_int(self, n, type_name):
+        with pytest.raises(ParameterError,
+                           match=f"key count must be an int, got {n!r} of type {type_name}"):
+            sample_keys(UniverseSpec(8), n, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ParameterError, match=f"seed must be an int >= 0, got {seed!r}"):
+            sample_keys(UniverseSpec(8), 4, seed=seed)
 
 
 def test_empirical_entropy_rejects_empty():

@@ -399,13 +399,18 @@ class YFastMachine(RuleBasedStateMachine):
             insort(self.model, x)
         self._track_form()
 
+    def _delete(self, x):
+        """Delete x from both; the trie returns the smallest key left above x."""
+        after = self.trie.delete(x)
+        self.model.remove(x)
+        i = bisect_right(self.model, x)
+        assert after == (self.model[i] if i < len(self.model) else None)
+        self._track_form()
+
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def delete_present(self, data):
-        x = data.draw(st.sampled_from(self.model))
-        self.trie.delete(x)
-        self.model.remove(x)
-        self._track_form()
+        self._delete(data.draw(st.sampled_from(self.model)))
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -414,9 +419,7 @@ class YFastMachine(RuleBasedStateMachine):
         i = data.draw(st.integers(0, len(self.model) - 1))
         j = data.draw(st.integers(i + 1, len(self.model)))
         for x in self.model[i:j]:
-            self.trie.delete(x)
-            self.model.remove(x)
-            self._track_form()
+            self._delete(x)
 
     @precondition(lambda self: len(self.model) < self.universe.size)
     @rule(data=st.data())
@@ -437,8 +440,9 @@ class YFastMachine(RuleBasedStateMachine):
             near = [k + d for k in self.model for d in (-1, 0, 1)]
             queries = [q for q in near if 0 <= q < size] + [0, size - 1]
         for q in queries:
-            i = bisect_right(self.model, q) - 1
-            assert self.trie.predecessor(q) == (self.model[i] if i >= 0 else None)
+            i = bisect_right(self.model, q)
+            assert self.trie.predecessor(q) == (self.model[i - 1] if i else None)
+            assert self.trie._after(q) == (self.model[i] if i < len(self.model) else None)
 
     @invariant()
     def contents_match_model(self):
