@@ -182,6 +182,21 @@ def _shape_params(source: str, ratio: Optional[float], s: Optional[float]) -> tu
     return (0.5 if ratio is None else ratio), (1.0 if s is None else s)
 
 
+def _resolve_seed(args, queries: Optional[str]) -> None:
+    """Default --seed to 0 when keys or queries are drawn from it; reject it when neither is.
+
+    queries names where the queries come from when they are not drawn, or is
+    None when they are sampled from the seed.
+    """
+    drawn = not args.keys or queries is None  # without --keys, --n draws them (or a later error)
+    if args.seed is None:
+        if drawn:
+            args.seed = 0
+    elif not drawn:
+        raise ParameterError(f"--seed applies only to drawn keys or queries, not --keys FILE "
+                             f"with {queries}")
+
+
 def _load_instance(args) -> tuple[UniverseSpec, KeySet, WeightedDistribution, str, Optional[float]]:
     universe = UniverseSpec(args.universe_bits)
     if args.keys and args.n is not None:
@@ -286,6 +301,7 @@ def _audit_after_run(structure) -> bool:
 def cmd_bench(args) -> int:
     if args.query_file and args.queries is not None:
         raise ParameterError("give either --query-file FILE or --queries COUNT, not both")
+    _resolve_seed(args, "--query-file FILE" if args.query_file else None)
     universe, keys, dist, dist_kind, dist_param = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
     if args.query_file:
@@ -361,6 +377,7 @@ def cmd_verify(args) -> int:
     if args.universe_bits > 16 and not args.query_file:
         print("error: exhaustive verify limited to 16 bits", file=sys.stderr)
         return EXIT_USAGE
+    _resolve_seed(args, "--query-file FILE" if args.query_file else "the exhaustive sweep")
     universe, keys, dist, _, _ = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
 
@@ -414,7 +431,8 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--s", type=float, help="zipf exponent (default 1.0)")
     sub.add_argument("--structure", choices=STRUCTURES, required=True)
     sub.add_argument("--epsilon", type=float, help="threshold exponent for hash-front structures")
-    sub.add_argument("--seed", type=int, default=0, help="single seed; sub-streams derive from it")
+    sub.add_argument("--seed", type=int,
+                     help="single seed for drawn keys and queries (default 0); sub-streams derive from it")
 
 
 def build_parser() -> _Parser:

@@ -15,9 +15,10 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 #: Relative tolerance for probability-vs-threshold comparisons.  A value within
 #: this tolerance of the threshold counts as meeting it (inclusive rule).
@@ -137,7 +138,8 @@ class WeightedDistribution:
         for key, w in weights.items():
             if type(key) is not int:  # bool is an int subclass, so isinstance would pass it
                 raise ParameterError(f"keys must be ints, got {key!r} of type {type(key).__name__}")
-            if isinstance(w, (str, bytes, bytearray, bool)):  # float() would parse or count them
+            # float() would parse a string and count a bool, NumPy's included
+            if isinstance(w, (str, bytes, bytearray, bool, np.bool_)):
                 raise InvalidDistributionError(
                     f"weight for key {key} must be a number, got {w!r} of type {type(w).__name__}")
             w = float(w)
@@ -177,15 +179,24 @@ class WeightedDistribution:
         return f"WeightedDistribution(support={len(self.support)}, total={self.total!r})"
 
 
-def check_support(dist: WeightedDistribution, universe: UniverseSpec) -> None:
-    """Raise KeyRangeError, naming the smallest one, if any support key is outside the universe.
+#: The largest universe; its keys are exactly those a ``uint64`` holds.
+_UNIVERSE_64 = UniverseSpec(64)
 
-    Support keys are ints >= 0, so the largest decides, and one bisect finds
-    the smallest offender without a Python step per key.
+
+def check_sorted(xs: Sequence[int], universe: UniverseSpec) -> None:
+    """Raise KeyRangeError, naming the smallest one, if any of the ascending ints >= 0 in xs
+    is outside the universe.
+
+    The largest decides, and one bisect finds the smallest offender without a
+    Python step per key.
     """
-    support = dist.support
-    if support[-1] >> universe.bits:
-        universe.check_key(support[bisect_left(support, 1 << universe.bits)])
+    if xs[-1] >> universe.bits:
+        universe.check_key(xs[bisect_left(xs, 1 << universe.bits)])
+
+
+def check_support(dist: WeightedDistribution, universe: UniverseSpec) -> None:
+    """Raise KeyRangeError, naming the smallest one, if any support key is outside the universe."""
+    check_sorted(dist.support, universe)
 
 
 def entropy(dist: WeightedDistribution) -> float:
@@ -201,25 +212,32 @@ def entropy(dist: WeightedDistribution) -> float:
     return math.fsum((w / total) * (log_total - math.log2(w)) for _, w in dist.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputDistribution:
     """Probability that each stored key is the answer to a query.
 
-    ``masses[s]`` is the query mass of the half-open gap [s, next stored key),
-    with the last gap running to the top of the universe.  ``bottom_mass`` is
-    the mass of queries below the smallest stored key, which have no
-    predecessor at all.
+    ``masses[i]`` is the query mass p* of ``keys[i]``: the mass of the
+    half-open gap [keys[i], keys[i + 1]), with the last gap running to the top
+    of the universe.  ``keys`` is the key set's own tuple and ``masses`` a
+    read-only float64 array that owns its buffer, 8 bytes a key and no dict
+    over the keys.  ``bottom_mass`` is the mass of queries below the smallest
+    stored key, which have no predecessor at all.  Compared by identity: an
+    array has no single truth value for ``==`` to return.
     """
 
-    masses: Mapping[int, float]
+    keys: tuple[int, ...]
+    masses: np.ndarray
     bottom_mass: float
 
     def p_star(self, key: int) -> float:
-        return self.masses.get(key, 0.0)
+        """The mass ``key`` answers, 0.0 if it is not stored."""
+        keys = self.keys
+        i = bisect_left(keys, key)
+        return float(self.masses[i]) if i < len(keys) and keys[i] == key else 0.0
 
     def entropy_bits(self) -> float:
         """Entropy over the n+1 outcomes (each stored key, plus "no answer")."""
-        terms = [p for p in self.masses.values() if p > 0.0]
+        terms = [p for p in self.masses.tolist() if p > 0.0]
         if self.bottom_mass > 0.0:
             terms.append(self.bottom_mass)
         return math.fsum(-p * math.log2(p) for p in terms)  # 1 / p would overflow for a subnormal p
@@ -228,19 +246,31 @@ class OutputDistribution:
 def output_distribution(keys: KeySet, dist: WeightedDistribution) -> OutputDistribution:
     """Fold the query distribution onto the stored keys that answer it.
 
-    ``bisect_right`` gives each support key the slot of its answer in a list of
-    n + 1 accumulators (slot 0 is "below every stored key"), and each slot
-    adds its probabilities in ascending support order.  That is the order of a
-    merge over the two sorted sequences, so every mass is the same float.  Do
-    not replace the loop with ``sum()`` (compensated since CPython 3.12),
-    ``math.fsum`` or a NumPy reduction: each of those changes the bits.  The
-    universe itself is never iterated.
+    One ``searchsorted`` (side right) gives each support key the slot of its
+    answer among n + 1 accumulators (slot 0 is "below every stored key"), and
+    ``np.add.at`` adds each probability w / total into its slot.  ``add.at``
+    is an unbuffered scatter-add that runs in element order, so each slot adds
+    its probabilities one at a time in ascending support order, the order of
+    a merge over the two sorted sequences: every mass is the same float that
+    a plain Python loop of ``+=`` gives.  Do not replace it with a reduction:
+    ``np.sum`` adds pairwise, ``sum()`` is compensated since CPython 3.12 and
+    ``math.fsum`` rounds once, and each of those changes the bits.  Keys and
+    support keys are compared as ``uint64``, so both must lie below 2**64,
+    the largest universe there is; a larger one raises KeyRangeError naming
+    the smallest offender.  The universe itself is never iterated.
     """
-    sks = keys.keys
-    acc = [0.0] * (len(sks) + 1)
-    for i, p in zip(map(partial(bisect_right, sks), dist.support), dist.probabilities()):
-        acc[i] += p
-    return OutputDistribution(masses=dict(zip(sks, islice(acc, 1, None))), bottom_mass=acc[0])
+    sks, support = keys.keys, dist.support
+    check_sorted(sks, _UNIVERSE_64)
+    check_sorted(support, _UNIVERSE_64)
+    slots = np.searchsorted(np.fromiter(sks, np.uint64, len(sks)),
+                            np.fromiter(support, np.uint64, len(support)), side="right")
+    # the probabilities() floats: IEEE division rounds the same in NumPy as in Python
+    probs = np.fromiter(dist._support_weights, np.float64, len(support)) / dist.total
+    acc = np.zeros(len(sks) + 1)
+    np.add.at(acc, slots, probs)
+    masses = acc[1:].copy()  # owns its buffer, so a size count sees all n floats
+    masses.flags.writeable = False
+    return OutputDistribution(keys=sks, masses=masses, bottom_mass=float(acc[0]))
 
 
 def oracle_predecessor(keys: KeySet, q: int) -> Optional[int]:

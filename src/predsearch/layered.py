@@ -22,10 +22,12 @@ almost every step.
 
 Two ways of ranking keys into layers:
 
-* the static variant sorts keys by how much query mass they answer for
+* the static variant ranks keys by how much query mass they answer for
   (descending, ties by ascending key), so frequent answers sit in the tiny
-  front layers; it is one C-level sort keyed by the mass map, stable under
-  ``reverse=True``, over the ascending key tuple;
+  front layers; the rank is one stable NumPy ``argsort`` of the negated p*
+  array, whose indices into the ascending key tuple keep ties in key order,
+  and each layer gathers the keys at its sorted slice of indices, so the
+  layers hold the key set's own int objects;
 * the self-adjusting variant ranks by recency: every reported answer moves to
   the front layer and, for each layer above the one it came from, the stalest
   key shifts down one layer to keep all occupancies at capacity.  A promotion
@@ -55,6 +57,8 @@ from collections import OrderedDict
 from itertools import chain
 from typing import Collection, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     KeySet,
     ParameterError,
@@ -82,6 +86,16 @@ def layer_capacities(n: int) -> list[int]:
     return caps
 
 
+def _cut(ranked: Sequence) -> list[Sequence]:
+    """ranked cut into consecutive pieces of the layer capacities, the first piece the front."""
+    pieces = []
+    start = 0
+    for c in layer_capacities(len(ranked)):
+        pieces.append(ranked[start:start + c])
+        start += c
+    return pieces
+
+
 def _next_key(layers: Iterable[YFastTrie], k: int, after: Optional[int] = None) -> Optional[int]:
     """The smallest key above k in any of layers, or after if that is smaller (None if neither).
 
@@ -103,18 +117,11 @@ class _LayeredBase(PredecessorStructure):
     _last: YFastTrie
     _succ: dict[int, Optional[int]]
 
-    def _build_layers(self, ordered: Sequence[int]) -> list[tuple[int, ...]]:
-        """Cut the ranked keys into the layers; each front key points at its next key."""
-        caps = layer_capacities(len(ordered))
-        slices: list[tuple[int, ...]] = []
-        start = 0
-        for c in caps:
-            slices.append(tuple(sorted(ordered[start:start + c])))
-            start += c
+    def _build_layers(self, slices: list[tuple[int, ...]]) -> None:
+        """Make each ascending key tuple a layer; each front key points at its next key."""
         self.layers = [YFastTrie(KeySet(s), self.universe) for s in slices]
         *self._front, self._last = self.layers
         self._succ = {k: _next_key(self.layers, k) for k in sorted(chain.from_iterable(slices[:-1]))}
-        return slices
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
         """Probe the front layers in order, stopping once the best candidate is proven
@@ -180,13 +187,15 @@ class LayeredStructure(_LayeredBase):
         check_support(dist, universe)
         self.universe = universe
         self.output = output_distribution(keys, dist)
-        # descending mass; the sort is stable under reverse=True, so ties keep ascending key order
-        ordered = sorted(keys.keys, key=self.output.masses.__getitem__, reverse=True)
-        self._build_layers(ordered)
+        # indices into the ascending keys by descending mass; the sort is stable, so ties
+        # keep ascending key order, and each layer's sorted indices give its keys in order
+        order = np.argsort(-self.output.masses, kind="stable")
+        as_objects = np.array(keys.keys, dtype=object)  # the tuple's own ints, gathered in C
+        self._build_layers([tuple(as_objects[np.sort(part)].tolist()) for part in _cut(order)])
 
     def audit(self) -> None:
         """Raise AssertionError unless the layers and successor pointers are intact."""
-        self._audit_layers(self.output.masses.keys())
+        self._audit_layers(self.output.keys)
 
 
 class WorkingSetLayered(_LayeredBase):
@@ -200,7 +209,8 @@ class WorkingSetLayered(_LayeredBase):
         universe.check_key(keys.keys[-1])
         self.universe = universe
         self._keys = keys.keys  # the key set, for the audit
-        slices = self._build_layers(keys.keys)
+        slices = _cut(keys.keys)
+        self._build_layers(slices)
         self.capacities = [len(s) for s in slices]
         # Front of each queue is the stalest key in that front layer.  Untouched keys
         # keep their build order (ascending), so they shift down smallest-first.

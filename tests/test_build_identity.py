@@ -1,17 +1,21 @@
-"""The C-level build passes against the per-key loops they replaced, compared exactly.
+"""The NumPy and C-level build passes against the per-key loops they replaced, compared exactly.
 
 Each reference below is the earlier per-key build kept verbatim in spirit: the
 merge that folded the query mass onto the stored keys, the ``(-p*, key)``
 ranking sort, the successor loop and the front-table loop.  Masses are
 compared by ``float.hex`` and tables by their item order, never with
-``approx``: the fold must add the same probabilities in the same order
-(``sum()`` is compensated from CPython 3.12 on, so a fold built on it fails
-here), and the front table must keep its insertion order.
+``approx``: the fold's ``np.add.at`` must add the same probabilities in the
+same order (a pairwise ``np.sum``, or ``sum()``, compensated from CPython 3.12
+on, fails here), and the front table must keep its insertion order.  The
+fold compares keys as ``uint64``, so a 64-bit case puts keys and support at
+the top of that range, where an ``int64`` or float conversion goes wrong, and
+the compact p* storage the benchmark's space figure counts is pinned too.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from predsearch import (
@@ -81,15 +85,20 @@ def reference_table(keys: KeySet, dist: WeightedDistribution, universe: Universe
     return table
 
 
-def hexed(masses) -> list[tuple[int, str]]:
-    return [(k, m.hex()) for k, m in masses.items()]
+def hexed(pairs) -> list[tuple[int, str]]:
+    """(key, mass) pairs with each mass as ``float.hex``."""
+    return [(k, m.hex()) for k, m in pairs]
+
+
+def out_pairs(out) -> zip:
+    return zip(out.keys, out.masses.tolist())
 
 
 def assert_builds_match(keys: KeySet, dist: WeightedDistribution, universe: UniverseSpec,
                         modes=(ThresholdMode.mode_a(0.5), ThresholdMode.mode_b(0.5))) -> None:
     masses, bottom = reference_masses(keys, dist)
     out = output_distribution(keys, dist)
-    assert hexed(out.masses) == hexed(masses)
+    assert hexed(out_pairs(out)) == hexed(masses.items())
     assert out.bottom_mass.hex() == bottom.hex()
 
     layered = LayeredStructure(keys, dist, universe)
@@ -98,7 +107,7 @@ def assert_builds_match(keys: KeySet, dist: WeightedDistribution, universe: Univ
     succ = reference_successors(keys)
     front = sorted(k for layer in layered.layers[:-1] for k in layer)
     assert list(layered._succ.items()) == [(k, succ[k]) for k in front]
-    assert hexed(layered.output.masses) == hexed(masses)
+    assert hexed(out_pairs(layered.output)) == hexed(masses.items())
     ws = WorkingSetLayered(keys, universe)
     ws_front = sorted(k for layer in ws.layers[:-1] for k in layer)
     assert list(ws._succ.items()) == [(k, succ[k]) for k in ws_front]
@@ -159,6 +168,53 @@ def test_seeded_zipf_over_gap_points(seed):
     assert_builds_match(keys, dist, universe, modes=(ThresholdMode.mode_a(0.5),
                                                      ThresholdMode.mode_a(0.25),
                                                      ThresholdMode.mode_b(0.5)))
+
+
+def test_top_of_64_bit_universe():
+    """Keys and support in [2**63, 2**64), support on keys, and the points 0 and 2**64 - 1:
+    an int64 conversion overflows or goes negative there, a float one merges neighbours."""
+    universe = UniverseSpec(64)
+    rnd = random.Random(64)
+    top = (1 << 64) - 1
+    keys = KeySet(sorted({1 << 63, top - 1, top} | {rnd.randrange(1 << 63, top) for _ in range(600)}))
+    on_keys = rnd.sample(keys.keys, 200) + [keys[0], keys[-1]]
+    beside = [k + d for k in rnd.sample(keys.keys[1:-2], 100) for d in (-1, 1)]
+    points = set(on_keys + beside + [rnd.randrange(1 << 63, 1 << 64) for _ in range(300)])
+    dist = WeightedDistribution({x: rnd.choice([1.0, 0.5, 3.0, rnd.random() + 1e-3])
+                                 for x in points | {0, top, (1 << 63) - 1}})
+    masses, bottom = reference_masses(keys, dist)
+    assert bottom > 0.0 and masses[top] > 0.0
+    assert_builds_match(keys, dist, universe)
+
+
+@pytest.mark.parametrize("key_values, support", [
+    ([5, 1 << 64, 1 << 70], [3]),
+    ([5, (1 << 64) - 1], [3, 1 << 64, 1 << 70]),
+])
+def test_fold_rejects_values_of_2_to_64_and_above(key_values, support):
+    """Nothing past the 64-bit universe fits a uint64: the fold names the smallest offender."""
+    dist = WeightedDistribution({x: 1.0 for x in support})
+    with pytest.raises(KeyRangeError, match=r"^key 18446744073709551616 outside 64-bit universe$"):
+        output_distribution(KeySet(key_values), dist)
+
+
+def test_compact_p_star_storage():
+    """p* is one float64 array that owns its buffer (a view would hide it from a size count),
+    beside the key set's own tuple, and every layer holds the tuple's own int objects."""
+    universe = UniverseSpec(32)
+    keys = sample_keys(universe, 1 << 12, 3)
+    points = sample_keys(universe, 1 << 12, 3, stream=2).keys
+    dist = generate_distribution(WorkloadSpec(kind="zipf", support=points, s=1.0))
+    layered = LayeredStructure(keys, dist, universe)
+    out = layered.output
+    assert type(out.masses) is np.ndarray and out.masses.dtype == np.float64
+    assert out.masses.shape == (len(keys),) and out.masses.base is None
+    assert not out.masses.flags.writeable
+    assert out.keys is keys.keys
+    assert type(out.p_star(keys[0])) is float and type(out.bottom_mass) is float
+    own = {k: k for k in keys}
+    for structure in (layered, WorkingSetLayered(keys, universe)):
+        assert all(k is own[k] for layer in structure.layers for k in layer)
 
 
 @pytest.mark.parametrize("factor, in_table", [

@@ -237,6 +237,37 @@ class TestDroppedFlags:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, source", [
+        (("bench", "--query-file", "q.txt"), "--query-file FILE"),
+        (("verify", "--query-file", "q.txt"), "--query-file FILE"),
+        (("verify",), "the exhaustive sweep"),
+    ])
+    def test_seed_with_nothing_drawn(self, tmp_path, capsys, monkeypatch, command, source):
+        """Keys from a file and queries from a file or the sweep: --seed would change nothing."""
+        monkeypatch.chdir(tmp_path)
+        keys = gen_keys(tmp_path, bits=8, n=20)
+        (tmp_path / "q.txt").write_text("3\n200\n")
+        instance = ("--universe-bits", 8, "--keys", keys, "--structure", "yfast")
+        assert run(*command, *instance, "--seed", 4) == EXIT_USAGE
+        assert (f"error: --seed applies only to drawn keys or queries, not --keys FILE with {source}"
+                in capsys.readouterr().err)
+        assert run(*command, *instance) == EXIT_OK
+
+    def test_seed_defaults_to_zero_when_drawn(self, tmp_path):
+        """Drawn keys or sampled queries read seed 0 unless --seed says otherwise; a replay
+        that draws nothing reports no seed."""
+        keys = gen_keys(tmp_path, bits=8, n=20)
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("3\n200\n")
+        for source, seed in (((), 0), (("--seed", 0), 0), (("--query-file", qfile), None)):
+            out = tmp_path / "report.json"
+            assert run("bench", "--universe-bits", 8, "--keys", keys, "--structure", "yfast",
+                       *source, "--out", out) == EXIT_OK
+            assert json.loads(out.read_text())["seed"] == seed
+        assert run("bench", "--universe-bits", 8, "--n", 20, "--structure", "yfast",
+                   "--query-file", qfile, "--out", out) == EXIT_OK
+        assert json.loads(out.read_text())["seed"] == 0
+
     def test_gen_keys_seed_defaults_to_zero(self, tmp_path):
         unseeded = tmp_path / "unseeded.txt"
         assert run("gen", "--universe-bits", 12, "--n", 64, "--out", unseeded) == EXIT_OK
@@ -468,7 +499,7 @@ class TestVerify:
         values = read_keys(keys).keys
         script = [values[i % len(values)] for i in range(500)] + [0, 4095]
         qfile.write_text("".join(f"{q}\n" for q in script))
-        assert run("verify", "--universe-bits", 12, "--keys", keys, "--seed", 4,
+        assert run("verify", "--universe-bits", 12, "--keys", keys,
                    "--structure", "layered-ws", "--query-file", qfile) == EXIT_OK
         assert "per-access audits: ok" in capsys.readouterr().out
 

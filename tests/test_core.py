@@ -156,9 +156,11 @@ class TestEntropy:
 
     @pytest.mark.parametrize("weight, type_name", [("2", "str"), (b"3", "bytes"),
                                                    (bytearray(b"3"), "bytearray"),
-                                                   (True, "bool")])
+                                                   (True, "bool"), (np.True_, "bool_?"),
+                                                   (np.False_, "bool_?")])
     def test_rejects_non_number_weights(self, weight, type_name):
-        # float() would parse the strings and read True as 1.0
+        # float() would parse the strings and read True, NumPy's too, as 1.0
+        # (NumPy 2 names its bool type "bool", NumPy 1 "bool_")
         with pytest.raises(InvalidDistributionError,
                            match=f"weight for key 1 must be a number, got .* of type {type_name}"):
             WeightedDistribution({2: 1.0, 1: weight})
@@ -244,7 +246,7 @@ class TestOutputDistribution:
             support = rnd.sample(range(universe.size), rnd.randrange(1, 80))
             dist = WeightedDistribution({k: rnd.random() + 0.01 for k in support})
             out = output_distribution(keys, dist)
-            assert math.fsum(out.masses.values()) + out.bottom_mass == pytest.approx(1.0, abs=1e-9)
+            assert math.fsum(out.masses.tolist()) + out.bottom_mass == pytest.approx(1.0, abs=1e-9)
             masses, bottom = brute_force_output(universe, keys, dist)
             assert out.bottom_mass == pytest.approx(bottom, abs=1e-9)
             for s in keys:
@@ -259,7 +261,7 @@ class TestOutputDistribution:
             st.integers(0, 2 ** 16 - 1), st.floats(1e-9, 1e9),
             min_size=1, max_size=30))
         out = output_distribution(keys, WeightedDistribution(weights))
-        assert math.fsum(out.masses.values()) + out.bottom_mass == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(out.masses.tolist()) + out.bottom_mass == pytest.approx(1.0, abs=1e-9)
 
 
 class TestOraclePredecessor:
