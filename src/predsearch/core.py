@@ -11,11 +11,11 @@ concurrent reads.  ``PredecessorStructure`` is what every structure offers:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,18 @@ class KeyRangeError(ValueError):
 
 class InvalidDistributionError(ValueError):
     """A weight map cannot be normalized to probabilities."""
+
+
+def check_real(name: str, value: object) -> float:
+    """value as a float if it is a real number; raise ParameterError naming it if not.
+
+    ``float()`` alone would parse a string and count a bool, NumPy's included,
+    as 0 or 1, so this runs before it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy.bool_ is not Real
+        raise ParameterError(f"{name} must be a real number, got {value!r} of type "
+                             f"{type(value).__name__}")
+    return float(value)
 
 
 def padded_log2(x: float) -> float:
@@ -106,6 +118,14 @@ class KeySet:
             raise ParameterError(f"keys must be strictly increasing ({a} before {b})")
         self.keys = ks
 
+    @classmethod
+    def _unchecked(cls, keys: Sequence[int]) -> "KeySet":
+        """A key set over keys, ascending ints >= 0 already known to be valid, such as a cut
+        of another key set's keys: the checks of ``KeySet(...)`` are not run again."""
+        ks = object.__new__(cls)
+        ks.keys = tuple(keys)
+        return ks
+
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -129,9 +149,13 @@ class WeightedDistribution:
     The probability of a support key is its weight / total; keys without an
     entry have probability zero.  Zero-weight entries are dropped at
     construction since they are indistinguishable from absent keys.
+    ``support`` is the ascending tuple of support keys and ``weights`` their
+    weights in the same order, a read-only float64 array that owns its
+    buffer: every build reads the weights as they are stored, with no
+    conversion and no dict lookup per key.
     """
 
-    __slots__ = ("_support_weights", "support", "total")
+    __slots__ = ("support", "weights", "total")
 
     def __init__(self, weights: Mapping[int, float]):
         cleaned: dict[int, float] = {}
@@ -158,9 +182,8 @@ class WeightedDistribution:
         if total <= 0.0:
             raise InvalidDistributionError("total weight must be positive")
         self.support = tuple(sorted(cleaned))
-        # aligned with support: the build passes read weights in key order without a dict
-        # lookup per key, whose hops across a dict filled in another order dominate them
-        self._support_weights = tuple(map(cleaned.__getitem__, self.support))
+        self.weights = np.fromiter(map(cleaned.__getitem__, self.support), np.float64)
+        self.weights.flags.writeable = False
         self.total = total
 
     @property
@@ -168,12 +191,8 @@ class WeightedDistribution:
         return len(self.support)
 
     def items(self) -> Iterator[tuple[int, float]]:
-        """(key, weight) pairs in ascending key order, paired at C speed (no Python frame per key)."""
-        return zip(self.support, self._support_weights)
-
-    def probabilities(self) -> Iterator[float]:
-        """weight / total for each support key in ascending key order, also at C speed."""
-        return map(operator.truediv, self._support_weights, repeat(self.total))
+        """(key, weight) pairs in ascending key order, the weights as Python floats."""
+        return zip(self.support, self.weights.tolist())
 
     def __repr__(self) -> str:
         return f"WeightedDistribution(support={len(self.support)}, total={self.total!r})"
@@ -248,7 +267,9 @@ def output_distribution(keys: KeySet, dist: WeightedDistribution) -> OutputDistr
 
     One ``searchsorted`` (side right) gives each support key the slot of its
     answer among n + 1 accumulators (slot 0 is "below every stored key"), and
-    ``np.add.at`` adds each probability w / total into its slot.  ``add.at``
+    ``np.add.at`` adds each probability w / total into its slot, divided
+    straight from the stored ``weights`` array (IEEE division rounds the same
+    in NumPy as in Python, so each is the float ``w / total``).  ``add.at``
     is an unbuffered scatter-add that runs in element order, so each slot adds
     its probabilities one at a time in ascending support order, the order of
     a merge over the two sorted sequences: every mass is the same float that
@@ -264,10 +285,8 @@ def output_distribution(keys: KeySet, dist: WeightedDistribution) -> OutputDistr
     check_sorted(support, _UNIVERSE_64)
     slots = np.searchsorted(np.fromiter(sks, np.uint64, len(sks)),
                             np.fromiter(support, np.uint64, len(support)), side="right")
-    # the probabilities() floats: IEEE division rounds the same in NumPy as in Python
-    probs = np.fromiter(dist._support_weights, np.float64, len(support)) / dist.total
     acc = np.zeros(len(sks) + 1)
-    np.add.at(acc, slots, probs)
+    np.add.at(acc, slots, dist.weights / dist.total)
     masses = acc[1:].copy()  # owns its buffer, so a size count sees all n floats
     masses.flags.writeable = False
     return OutputDistribution(keys=sks, masses=masses, bottom_mass=float(acc[0]))

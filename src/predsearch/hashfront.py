@@ -13,10 +13,11 @@ Only the distribution's support is scanned at build time; keys with zero
 probability can never meet a positive threshold.  The build makes C-level
 passes, not a Python call per support key: ``check_support`` checks the
 support against the universe by its largest key, as the static cascade's
-build does; ``ThresholdMode.front_keys`` keeps the keys whose probability
-clears a slightly lower bound in one ``compress`` pass and applies the
-inclusive ``meets_threshold`` rule only to those; and each table key's answer
-is a ``bisect_right`` into the stored keys.
+build does; ``ThresholdMode.front_keys`` divides the distribution's stored
+float64 weights by their total, keeps the keys whose probability clears a
+slightly lower bound with one NumPy mask and applies the inclusive
+``meets_threshold`` rule only to those; and each table key's answer is a
+``bisect_right`` into the stored keys.
 ``expected_probe_bound`` takes its hit mass from the same ``front_keys``, so
 it is by construction the mass of the table's keys.
 
@@ -35,9 +36,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
-from operator import ge
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .core import (
     REL_TOL,
@@ -47,6 +48,7 @@ from .core import (
     QueryStats,
     UniverseSpec,
     WeightedDistribution,
+    check_real,
     check_support,
     meets_threshold,
     padded_log2,
@@ -69,7 +71,7 @@ class ThresholdMode:
     def __post_init__(self) -> None:
         if self.kind not in (MODE_A, MODE_B):
             raise ParameterError(f"unknown threshold mode {self.kind!r}")
-        eps = self.epsilon
+        eps = check_real("epsilon", self.epsilon)
         if self.kind == MODE_A and not 0.0 < eps <= 1.0:
             raise ParameterError(f"mode A requires epsilon in (0, 1], got {eps}")
         if self.kind == MODE_B and not 0.0 < eps < 1.0:
@@ -77,11 +79,11 @@ class ThresholdMode:
 
     @classmethod
     def mode_a(cls, epsilon: float) -> "ThresholdMode":
-        return cls(MODE_A, float(epsilon))
+        return cls(MODE_A, check_real("epsilon", epsilon))
 
     @classmethod
     def mode_b(cls, epsilon: float) -> "ThresholdMode":
-        return cls(MODE_B, float(epsilon))
+        return cls(MODE_B, check_real("epsilon", epsilon))
 
     def threshold(self, bits: int) -> float:
         if self.kind == MODE_A:
@@ -97,14 +99,16 @@ class ThresholdMode:
     def front_keys(self, dist: WeightedDistribution, bits: int) -> list[int]:
         """Support keys, ascending, whose probability meets the threshold (``meets_threshold``).
 
-        Every probability that meets it is at least ``t * (1 - REL_TOL)``, so a
-        C-level pass against ``t * (1 - 4 * REL_TOL)`` drops only keys that
+        Every probability that meets it is at least ``t * (1 - REL_TOL)``, so one
+        NumPy mask against ``t * (1 - 4 * REL_TOL)`` drops only keys that
         cannot, and the inclusive rule runs on the few that remain.
         """
         t = self.threshold(bits)
-        ps = list(dist.probabilities())
-        near = compress(zip(dist.support, ps), map(ge, ps, repeat(t * (1 - 4 * REL_TOL))))
-        return [key for key, p in near if meets_threshold(p, t)]
+        probs = dist.weights / dist.total
+        near = np.flatnonzero(probs >= t * (1 - 4 * REL_TOL))
+        support = dist.support
+        return [support[i] for i, p in zip(near.tolist(), probs[near].tolist())
+                if meets_threshold(p, t)]
 
 
 class HashFront(PredecessorStructure):

@@ -36,6 +36,12 @@ Two ways of ranking keys into layers:
   layers keep a recency queue: no key ever leaves the last layer as the
   stalest, so its order is never read.
 
+Either way a layer's keys are a cut of the key set's own ascending tuple:
+the static variant's gather by sorted index, the self-adjusting variant's
+plain slice.  So each layer takes its cut as a ``KeySet`` as it is, through
+``KeySet._unchecked``, and the checks on the keys run once, on the key set
+the cascade is built from.
+
 Every layer is a bucketed trie, whose insert/delete the self-adjusting variant
 relies on.  A bucketed trie of at most ``bits * bits`` keys is one sorted list
 and carries no x-fast trie, so at 32 bits the 4-, 16- and 256-key layers each
@@ -117,9 +123,9 @@ class _LayeredBase(PredecessorStructure):
     _last: YFastTrie
     _succ: dict[int, Optional[int]]
 
-    def _build_layers(self, slices: list[tuple[int, ...]]) -> None:
-        """Make each ascending key tuple a layer; each front key points at its next key."""
-        self.layers = [YFastTrie(KeySet(s), self.universe) for s in slices]
+    def _build_layers(self, slices: list[Sequence[int]]) -> None:
+        """Make each ascending cut of the key set a layer; each front key points at its next key."""
+        self.layers = [YFastTrie(KeySet._unchecked(s), self.universe) for s in slices]
         *self._front, self._last = self.layers
         self._succ = {k: _next_key(self.layers, k) for k in sorted(chain.from_iterable(slices[:-1]))}
 
@@ -191,7 +197,7 @@ class LayeredStructure(_LayeredBase):
         # keep ascending key order, and each layer's sorted indices give its keys in order
         order = np.argsort(-self.output.masses, kind="stable")
         as_objects = np.array(keys.keys, dtype=object)  # the tuple's own ints, gathered in C
-        self._build_layers([tuple(as_objects[np.sort(part)].tolist()) for part in _cut(order)])
+        self._build_layers([as_objects[np.sort(part)].tolist() for part in _cut(order)])
 
     def audit(self) -> None:
         """Raise AssertionError unless the layers and successor pointers are intact."""

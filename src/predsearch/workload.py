@@ -11,7 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeySet, ParameterError, UniverseSpec, WeightedDistribution
+from .core import (
+    _UNIVERSE_64,
+    KeySet,
+    ParameterError,
+    UniverseSpec,
+    WeightedDistribution,
+    check_real,
+    check_support,
+)
 
 #: Generator recorded in benchmark reports for reproducibility.
 RNG_NAME = "pcg64"
@@ -26,8 +34,8 @@ KIND_ZIPF = "zipf"
 KIND_POINT_MASS = "pointmass"
 KINDS = (KIND_UNIFORM, KIND_GEOMETRIC, KIND_ZIPF, KIND_POINT_MASS)
 
-# smallest positive double; geometric tails below this are clamped rather than
-# allowed to underflow to zero weight
+# smallest positive double; geometric and zipf tails below this are clamped rather than
+# allowed to underflow to zero weight, which would drop their keys from the support
 _TINY = 5e-324
 
 
@@ -45,6 +53,9 @@ class WorkloadSpec:
     Ranks follow the order of ``support``: geometric weight decays by
     ``ratio`` per rank, zipf weight is (rank+1)**-s, uniform weights
     everything equally and pointmass puts everything on the first key.
+    Geometric and zipf weights are clamped to the smallest positive double,
+    so a deep rank keeps its key in the support.  ``ratio`` and ``s`` must be
+    real numbers, ints included; a string or a bool raises ParameterError.
     """
 
     kind: str
@@ -57,6 +68,8 @@ class WorkloadSpec:
             raise ParameterError(f"unknown workload kind {self.kind!r}")
         if not self.support:
             raise ParameterError("workload support must be nonempty")
+        check_real("geometric ratio", self.ratio)
+        check_real("zipf exponent", self.s)
         if self.kind == KIND_GEOMETRIC and not 0.0 < self.ratio < 1.0:
             raise ParameterError(f"geometric ratio must be in (0, 1), got {self.ratio}")
         if self.kind == KIND_ZIPF and not self.s > 0.0:
@@ -70,7 +83,7 @@ def generate_distribution(spec: WorkloadSpec) -> WeightedDistribution:
     elif spec.kind == KIND_GEOMETRIC:
         weights = {k: max(spec.ratio ** rank, _TINY) for rank, k in enumerate(support)}
     elif spec.kind == KIND_ZIPF:
-        weights = {k: float(rank + 1) ** -spec.s for rank, k in enumerate(support)}
+        weights = {k: max(float(rank + 1) ** -spec.s, _TINY) for rank, k in enumerate(support)}
     else:  # point mass
         weights = {support[0]: 1.0}
     return WeightedDistribution(weights)
@@ -108,11 +121,11 @@ def sample_queries(dist: WeightedDistribution, seed: int, count: int) -> list[in
     if count < 0:
         raise ParameterError(f"query count must be >= 0, got {count}")
     rng = rng_for(seed, STREAM_QUERIES)
+    check_support(dist, _UNIVERSE_64)  # the support is drawn from as uint64
     if count == 0:
         return []
     support = np.array(dist.support, dtype=np.uint64)
-    weights = np.array([w for _, w in dist.items()], dtype=np.float64)
-    cum = np.cumsum(weights)
+    cum = np.cumsum(dist.weights)
     u = rng.random(count) * cum[-1]
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(support) - 1)

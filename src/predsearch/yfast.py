@@ -101,7 +101,7 @@ class YFastTrie(PredecessorStructure):
         self._flat = None
         self._buckets = buckets
         self._size = len(ks)
-        self._rep_trie = XFastTrie(KeySet(seps), self.universe)
+        self._rep_trie = XFastTrie(KeySet._unchecked(seps), self.universe)
 
     def _to_flat(self) -> None:
         """Join the buckets, in key order, into one sorted list and drop the routing trie."""

@@ -9,7 +9,9 @@ same order (a pairwise ``np.sum``, or ``sum()``, compensated from CPython 3.12
 on, fails here), and the front table must keep its insertion order.  The
 fold compares keys as ``uint64``, so a 64-bit case puts keys and support at
 the top of that range, where an ``int64`` or float conversion goes wrong, and
-the compact p* storage the benchmark's space figure counts is pinned too.
+the compact p* storage the benchmark's space figure counts is pinned too, as
+is the inputs' stored form: a distribution's weights are one float64 array,
+and no build checks a cut of its key set again.
 """
 
 import math
@@ -35,6 +37,7 @@ from predsearch import (
     output_distribution,
     sample_keys,
 )
+from predsearch import cli
 from predsearch.core import REL_TOL, meets_threshold
 
 
@@ -217,11 +220,33 @@ def test_compact_p_star_storage():
         assert all(k is own[k] for layer in structure.layers for k in layer)
 
 
+def test_builds_read_inputs_as_stored(monkeypatch):
+    """The weights are one read-only float64 array that owns its buffer, and no build of any
+    structure wraps a cut of the key set in a checked KeySet again: the layers, the bucket
+    separators and the fallback trie all take their keys unchecked."""
+    universe = UniverseSpec(16)
+    keys = sample_keys(universe, 4096, 5)  # the y-fast tries here, and the last layer, bucket
+    dist = generate_distribution(WorkloadSpec(kind="zipf", support=keys.keys[::3], s=1.0))
+    assert type(dist.weights) is np.ndarray and dist.weights.dtype == np.float64
+    assert dist.weights.shape == (len(dist.support),) and dist.weights.base is None
+    assert not dist.weights.flags.writeable
+    assert all(type(k) is int and type(w) is float for k, w in dist.items())
+    checked = []
+    init = KeySet.__init__
+    monkeypatch.setattr(KeySet, "__init__", lambda self, ks: checked.append(1) or init(self, ks))
+    for name in cli.STRUCTURES:
+        eps = 0.5 if name.startswith("hashfront") else None
+        structure = cli.build_structure(name, keys, dist, universe, eps)
+        assert checked == [], name
+        structure.audit()
+    assert len(structure._last) > universe.bits ** 2  # the last layer is in bucket form
+
+
 @pytest.mark.parametrize("factor, in_table", [
     (1.0, True),                  # exactly at the threshold
     (1 - REL_TOL / 2, True),      # within REL_TOL below it: the inclusive rule keeps it
     (1 - 2 * REL_TOL, False),     # 2 * REL_TOL below it
-    (1 - 3.9 * REL_TOL, False),   # passes the C-level prefilter, fails the rule
+    (1 - 3.9 * REL_TOL, False),   # passes the NumPy prefilter mask, fails the rule
     (1 - 4.1 * REL_TOL, False),   # stopped by the prefilter
 ])
 def test_threshold_edges(factor, in_table):

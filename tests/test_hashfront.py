@@ -1,7 +1,10 @@
 import math
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
+import numpy as np
 import pytest
 
 from predsearch import (
@@ -54,6 +57,21 @@ class TestThresholdMode:
 
     def test_mode_a_allows_one(self):
         assert ThresholdMode.mode_a(1.0).threshold(8) == 2.0 ** -8
+
+    @pytest.mark.parametrize("eps", ["0.5", b"0.5", True, np.True_, None])
+    @pytest.mark.parametrize("make", [ThresholdMode.mode_a, ThresholdMode.mode_b,
+                                      partial(ThresholdMode, "a"), partial(ThresholdMode, "b")])
+    def test_rejects_non_number_epsilon(self, make, eps):
+        # float() would parse the string and read True as epsilon 1.0
+        with pytest.raises(ParameterError,
+                           match=rf"^epsilon must be a real number, got {re.escape(repr(eps))} of"):
+            make(eps)
+
+    @pytest.mark.parametrize("eps", [1, 0.5, np.float64(0.25), np.float32(0.5)])
+    def test_accepts_int_and_float_epsilon(self, eps):
+        mode = ThresholdMode.mode_a(eps)
+        assert type(mode.epsilon) is float and mode.epsilon == eps
+        assert mode.threshold(16) == 2.0 ** (-16 * float(eps))
 
 
 class TestBuild:

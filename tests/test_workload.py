@@ -1,19 +1,26 @@
 import math
+import re
+from bisect import bisect_right
+from itertools import accumulate
 
 import mpmath
+import numpy as np
 import pytest
 from conftest import empirical_entropy
 
 from predsearch import (
+    KeyRangeError,
     KeySet,
     ParameterError,
     UniverseSpec,
+    WeightedDistribution,
     WorkloadSpec,
     entropy,
     generate_distribution,
     sample_keys,
     sample_queries,
 )
+from predsearch.workload import STREAM_QUERIES, rng_for
 
 
 def geometric_entropy_exact(ratio_num: int, ratio_den: int, n: int):
@@ -61,6 +68,33 @@ class TestGenerateDistribution:
         assert dist.support_size == 4096
         assert min(w for _, w in dist.items()) > 0.0
 
+    def test_zipf_deep_ranks_stay_positive(self):
+        # (rank + 1) ** -200 underflows to 0.0 from rank 41 on; clamped, every key stays
+        dist = generate_distribution(WorkloadSpec(kind="zipf", support=tuple(range(1, 100)), s=200))
+        assert dist.support == tuple(range(1, 100))
+        assert min(w for _, w in dist.items()) == 5e-324
+
+    def test_zipf_at_s_1_is_unclamped(self):
+        dist = generate_distribution(WorkloadSpec(kind="zipf", support=tuple(range(1000)), s=1))
+        assert [w for _, w in dist.items()] == [1.0 / (rank + 1) for rank in range(1000)]
+
+    @pytest.mark.parametrize("field, name", [("ratio", "geometric ratio"), ("s", "zipf exponent")])
+    @pytest.mark.parametrize("value", ["1", "0.5", b"0.5", True, False, np.True_, None])
+    @pytest.mark.parametrize("kind", ["geometric", "zipf", "uniform"])
+    def test_rejects_non_number_shape_parameters(self, kind, field, name, value):
+        # float() would parse the strings and count the bools as 0 or 1
+        with pytest.raises(ParameterError,
+                           match=rf"^{name} must be a real number, got {re.escape(repr(value))} of"):
+            WorkloadSpec(kind=kind, support=(1, 2), **{field: value})
+
+    @pytest.mark.parametrize("ratio, s", [(0.5, 1), (0.25, 2), (np.float64(0.5), np.int64(3)),
+                                          (np.float32(0.5), 1.5)])
+    def test_accepts_int_and_float_shape_parameters(self, ratio, s):
+        zipf = generate_distribution(WorkloadSpec(kind="zipf", support=(1, 2), ratio=ratio, s=s))
+        assert dict(zipf.items()) == {1: 1.0, 2: 2.0 ** -float(s)}
+        geometric = generate_distribution(WorkloadSpec(kind="geometric", support=(1, 2), ratio=ratio))
+        assert dict(geometric.items()) == {1: 1.0, 2: float(ratio)}
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             WorkloadSpec(kind="nope", support=(1,))
@@ -93,6 +127,28 @@ class TestSampleQueries:
         dist = generate_distribution(WorkloadSpec(kind="uniform", support=(1, 2)))
         with pytest.raises(ParameterError, match=f"seed must be an int >= 0, got {seed!r}"):
             sample_queries(dist, seed=seed, count=count)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_support_of_2_to_64_and_above(self, count):
+        # the support is drawn from as uint64: the fold's check names the smallest offender
+        dist = WeightedDistribution({5: 1.0, 1 << 64: 1.0, 1 << 70: 2.0})
+        with pytest.raises(KeyRangeError, match=r"^key 18446744073709551616 outside 64-bit universe$"):
+            sample_queries(dist, seed=0, count=count)
+
+    def test_top_of_64_bit_support(self):
+        top = (1 << 64) - 1
+        dist = WeightedDistribution({top: 1.0, top - 1: 1.0})
+        assert set(sample_queries(dist, seed=0, count=100)) == {top, top - 1}
+
+    def test_stream_is_inverse_cdf_of_the_weights(self):
+        # the draws against a running sum of the weights in key order, added one at a time:
+        # a float32 sum, or a reordered one, moves some draws to a neighbouring key
+        dist = generate_distribution(
+            WorkloadSpec(kind="zipf", support=tuple(range(7, 70_000, 7)), s=1.3))
+        cum = list(accumulate(w for _, w in dist.items()))
+        u = rng_for(5, STREAM_QUERIES).random(20_000) * cum[-1]
+        expected = [dist.support[min(bisect_right(cum, x), len(cum) - 1)] for x in u.tolist()]
+        assert sample_queries(dist, seed=5, count=20_000) == expected
 
     def test_deterministic_under_seed(self):
         dist = generate_distribution(WorkloadSpec(kind="zipf", support=tuple(range(100)), s=1.1))
