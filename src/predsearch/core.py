@@ -78,23 +78,27 @@ class UniverseSpec:
         return 1 << self.bits
 
     def check_key(self, key: int) -> int:
-        """Return key if it lies in the universe; raise ParameterError or KeyRangeError if not.
+        """Return key as the int it stands for if it lies in the universe; raise
+        ParameterError or KeyRangeError if not.
 
-        This is the one definition of both errors and their messages.  The
-        structures' public calls check their key inline, with
-        ``if type(q) is not int or q >> bits: universe.check_key(q)``, so an
-        in-range int never pays for this call; it runs only to raise, or to
-        accept an int-like such as ``bool`` or ``numpy.uint64``.  How often a
-        query runs the inline test is in ``PredecessorStructure``.
+        This is the one definition of both errors and their messages.  An
+        int-like such as ``bool`` or ``numpy.uint64`` is accepted and returned
+        as a plain int (``operator.index``), so a structure that stores the
+        key stores an int.  The structures' public calls check their key
+        inline, with ``if type(q) is not int or q >> bits: universe.check_key(q)``,
+        so an in-range int never pays for this call; it runs only to raise, or
+        to accept an int-like, and every ``insert`` and ``delete`` goes on with
+        the int it returns.  How often a query runs the inline test is in
+        ``PredecessorStructure``.
         """
-        # one shift answers both range tests: a negative key shifts to -1,
-        # a key of 2**bits or more to a positive value
         try:
-            high = key >> self.bits
+            key = operator.index(key)
         except TypeError:
             raise ParameterError(
                 f"key must be an int, got {key!r} of type {type(key).__name__}") from None
-        if high:
+        # one shift answers both range tests: a negative key shifts to -1,
+        # a key of 2**bits or more to a positive value
+        if key >> self.bits:
             raise KeyRangeError(f"key {key} outside {self.bits}-bit universe")
         return key
 
@@ -162,11 +166,19 @@ class WeightedDistribution:
         for key, w in weights.items():
             if type(key) is not int:  # bool is an int subclass, so isinstance would pass it
                 raise ParameterError(f"keys must be ints, got {key!r} of type {type(key).__name__}")
-            # float() would parse a string and count a bool, NumPy's included
-            if isinstance(w, (str, bytes, bytearray, bool, np.bool_)):
+            try:
+                # float() would parse a string and count a bool, NumPy's included
+                if isinstance(w, (str, bytes, bytearray, bool, np.bool_)):
+                    raise TypeError
+                w = float(w)  # raises TypeError on a complex or None
+            except TypeError:
                 raise InvalidDistributionError(
-                    f"weight for key {key} must be a number, got {w!r} of type {type(w).__name__}")
-            w = float(w)
+                    f"weight for key {key} must be a number, got {w!r} of type {type(w).__name__}"
+                ) from None
+            except OverflowError:  # an int or Fraction beyond the largest float
+                raise InvalidDistributionError(
+                    f"weight for key {key} must be finite and >= 0, got a value of type "
+                    f"{type(w).__name__} beyond the float range") from None
             if not math.isfinite(w) or w < 0.0:
                 raise InvalidDistributionError(f"weight for key {key} must be finite and >= 0, got {w}")
             if key < 0:

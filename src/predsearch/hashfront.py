@@ -63,7 +63,11 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class ThresholdMode:
-    """Which probability threshold the front table uses."""
+    """Which probability threshold the front table uses.
+
+    ``epsilon`` is stored as the float ``check_real`` returns, however it was
+    given, so modes that compare equal compute the same threshold.
+    """
 
     kind: str
     epsilon: float
@@ -76,14 +80,15 @@ class ThresholdMode:
             raise ParameterError(f"mode A requires epsilon in (0, 1], got {eps}")
         if self.kind == MODE_B and not 0.0 < eps < 1.0:
             raise ParameterError(f"mode B requires epsilon in (0, 1), got {eps}")
+        object.__setattr__(self, "epsilon", eps)  # the dataclass is frozen
 
     @classmethod
     def mode_a(cls, epsilon: float) -> "ThresholdMode":
-        return cls(MODE_A, check_real("epsilon", epsilon))
+        return cls(MODE_A, epsilon)
 
     @classmethod
     def mode_b(cls, epsilon: float) -> "ThresholdMode":
-        return cls(MODE_B, check_real("epsilon", epsilon))
+        return cls(MODE_B, epsilon)
 
     def threshold(self, bits: int) -> float:
         if self.kind == MODE_A:

@@ -54,11 +54,14 @@ scan; the self-adjusting variant promotes the answer as its last step.
 ``audit`` checks each layer's own audit, that the layers partition the key
 set, and that exactly the front-layer keys keep a successor pointer, each
 naming the next key of that set, which it recomputes from the layers once
-they are known to partition it.
+they are known to partition it.  The static variant's audit also checks that
+each key sits in the layer its rank puts it in; the self-adjusting variant's,
+that each layer is at capacity and its recency queue holds its keys.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from itertools import chain
 from typing import Collection, Iterable, Optional, Sequence
@@ -200,8 +203,39 @@ class LayeredStructure(_LayeredBase):
         self._build_layers([as_objects[np.sort(part)].tolist() for part in _cut(order)])
 
     def audit(self) -> None:
-        """Raise AssertionError unless the layers and successor pointers are intact."""
-        self._audit_layers(self.output.keys)
+        """Raise AssertionError unless the layers and successor pointers are intact and the
+        layers hold the keys the build's rank gives them.
+
+        The rank orders the keys by p* descending, ties by ascending key, and
+        layer j takes the next ``layer_capacities(n)[j]`` of them.  So no key in
+        layer j + 1 outranks a key in layer j, and the layer sizes are those
+        capacities.  The paper's bound p* <= 2**-2**j on an answer found in
+        layer j >= 1 rests on that, yet a key out of place changes no answer.
+        A key out of rank is named with the key it outranks.
+        """
+        keys, masses = self.output.keys, self.output.masses
+        self._audit_layers(keys)
+        # the layer each key sits in, by its index in the ascending key tuple: the layers
+        # partition the keys, so a key no front layer holds is in the last one
+        held = np.full(len(keys), len(self._front), np.intp)
+        for j, layer in enumerate(self._front):
+            held[[bisect_left(keys, k) for k in layer]] = j
+        # adjacent layers in rank order put every layer in rank order, so compare the
+        # lowest-ranked key of each layer, w (least mass, the larger index of a tie), with
+        # the highest-ranked of the next, b; an index stands for its key, so b outranks w
+        # if (masses[b], w) > (masses[w], b)
+        for j in range(len(self._front)):
+            here, after = np.flatnonzero(held == j), np.flatnonzero(held == j + 1)
+            if here.size and after.size:
+                w = int(here[np.flatnonzero(masses[here] == masses[here].min())[-1]])
+                b = int(after[np.argmax(masses[after])])  # argmax takes the first of a tie
+                if (masses[b], w) > (masses[w], b):
+                    raise AssertionError(f"key {keys[b]} in layer {j + 1} outranks "
+                                         f"key {keys[w]} in layer {j}")
+        sizes = [len(layer) for layer in self.layers]
+        caps = layer_capacities(len(keys))
+        if sizes != caps:
+            raise AssertionError(f"layer sizes {sizes} != capacities {caps}")
 
 
 class WorkingSetLayered(_LayeredBase):

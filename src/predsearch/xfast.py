@@ -232,7 +232,7 @@ class XFastTrie(PredecessorStructure):
     def insert(self, x: int) -> None:
         """Add key x; inserting a present key is a no-op."""
         if type(x) is not int or x >> self.bits:
-            self.universe.check_key(x)
+            x = self.universe.check_key(x)
         p = self._search(x)[0]
         if p == x:
             return
@@ -260,7 +260,7 @@ class XFastTrie(PredecessorStructure):
     def delete(self, x: int) -> None:
         """Remove key x; raises KeyError if absent and ParameterError if it is the last key."""
         if type(x) is not int or x >> self.bits:
-            self.universe.check_key(x)
+            x = self.universe.check_key(x)
         p, s = self._prev[x], self._next[x]
         if p is None and s is None:
             raise ParameterError("an x-fast trie keeps at least one key")

@@ -156,7 +156,7 @@ class YFastTrie(PredecessorStructure):
     def insert(self, x: int) -> None:
         """Add key x; inserting a present key is a no-op."""
         if type(x) is not int or x >> self.bits:
-            self.universe.check_key(x)
+            x = self.universe.check_key(x)
         flat = self._flat
         if flat is not None:
             i = bisect_right(flat, x)
@@ -184,7 +184,7 @@ class YFastTrie(PredecessorStructure):
         later search for it would route again.
         """
         if type(x) is not int or x >> self.bits:
-            self.universe.check_key(x)
+            x = self.universe.check_key(x)
         flat = self._flat
         if flat is not None:
             i = bisect_left(flat, x)

@@ -4,6 +4,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from predsearch import (
     KeySet,
@@ -140,7 +141,7 @@ def distinct_entries(trie: XFastTrie) -> int:
 def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     """An updated trie holds a fresh build's tables level for level, plus any empty deeper
     tables (updates never make it shrink), a fresh build's tuple sharing (2n - 1 distinct
-    tuples) and a fresh build's leaf links."""
+    tuples) and a fresh build's leaf links, over keys stored as ints."""
     fresh = XFastTrie(KeySet(keys), trie.universe)
     depth = len(fresh._levels) - 1
     assert stored_depth(fresh, keys) == depth and fresh._levels[depth]
@@ -148,6 +149,37 @@ def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     assert distinct_entries(trie) == distinct_entries(fresh) == 2 * len(keys) - 1
     assert trie._prev == fresh._prev and trie._next == fresh._next
     assert tuple(trie) == tuple(keys)
+    assert all(type(k) is int for k in trie)
+
+
+# the fields a layered cascade keeps its layers, pointers and recency queues in; only the two
+# views below and the planted faults in test_integration.py touch them (test_boundary.py)
+CASCADE_FIELDS = frozenset({"layers", "_succ", "_recency", "_front", "_last"})
+
+
+def layer_keys(cascade) -> list[tuple[int, ...]]:
+    """Each layer's keys of a layered cascade as an ascending tuple, front layer first.
+
+    The paper defines a cascade by which keys sit in which layer: 4, 16, 256, ...
+    keys (``layer_capacities``), the last layer holding the rest, ranked by
+    answer mass (static) or by recency (working set).  Layer sizes, the merged
+    key list, membership and the keys' identity all derive from this view, so
+    it and ``front_pointers`` are the only test code that knows how a cascade
+    stores its layers.
+    """
+    return [tuple(layer) for layer in cascade.layers]
+
+
+def front_pointers(cascade) -> list[tuple[int, Optional[int]]]:
+    """A cascade's successor pointers as stored, in stored order: (key, next stored key or
+    None) for each key that keeps one, which is each front-layer key."""
+    return list(cascade._succ.items())
+
+
+def int_like(x: int) -> st.SearchStrategy:
+    """x as an int, a numpy.uint64 or, for 0 and 1, a bool: an update key of each form that
+    stands for the int x."""
+    return st.sampled_from([x, np.uint64(x)] + ([bool(x)] if x < 2 else []))
 
 
 def separators(trie) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import KIND_CYCLE, WorkingSetTracker, random_distribution
+from conftest import KIND_CYCLE, WorkingSetTracker, layer_keys, random_distribution
 
 from predsearch import (
     HashFront,
@@ -181,7 +181,7 @@ def test_criterion_5_working_set_bound():
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
                 assert distinct >= 2 ** (2 ** (probed - 1)), (step, q, probed, distinct)
-            assert [len(layer) for layer in ws.layers] == ws.capacities, step
+            assert [len(layer) for layer in layer_keys(ws)] == ws.capacities, step
             if step % 500 == 0:
                 ws.audit()
         ws.audit()
@@ -238,8 +238,8 @@ def test_criterion_8_layered_space_flat():
             keys = KeySet(sorted(rnd.sample(range(universe.size), n)))
             dist = WeightedDistribution({k: 1.0 for k in keys})
             structure = LayeredStructure(keys, dist, universe)
-            assert sum(map(len, structure.layers)) == n  # one membership per key across layers
-            merged = sorted(k for layer in structure.layers for k in layer)
+            assert sum(map(len, layer_keys(structure))) == n  # one membership per key across layers
+            merged = sorted(k for layer in layer_keys(structure) for k in layer)
             assert merged == list(keys)
             ratios.append(structure.table_entries() / n)
         for a, b in zip(ratios, ratios[1:]):

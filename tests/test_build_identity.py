@@ -19,6 +19,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import front_pointers, layer_keys
 
 from predsearch import (
     HashFront,
@@ -105,15 +106,15 @@ def assert_builds_match(keys: KeySet, dist: WeightedDistribution, universe: Univ
     assert out.bottom_mass.hex() == bottom.hex()
 
     layered = LayeredStructure(keys, dist, universe)
-    assert [tuple(layer) for layer in layered.layers] == reference_layers(keys, masses)
+    assert layer_keys(layered) == reference_layers(keys, masses)
     # only front-layer keys keep a pointer: the last layer's candidate needs no proof
     succ = reference_successors(keys)
-    front = sorted(k for layer in layered.layers[:-1] for k in layer)
-    assert list(layered._succ.items()) == [(k, succ[k]) for k in front]
+    front = sorted(k for layer in layer_keys(layered)[:-1] for k in layer)
+    assert front_pointers(layered) == [(k, succ[k]) for k in front]
     assert hexed(out_pairs(layered.output)) == hexed(masses.items())
     ws = WorkingSetLayered(keys, universe)
-    ws_front = sorted(k for layer in ws.layers[:-1] for k in layer)
-    assert list(ws._succ.items()) == [(k, succ[k]) for k in ws_front]
+    ws_front = sorted(k for layer in layer_keys(ws)[:-1] for k in layer)
+    assert front_pointers(ws) == [(k, succ[k]) for k in ws_front]
 
     for mode in modes:
         hf = HashFront(keys, dist, universe, mode)
@@ -217,7 +218,7 @@ def test_compact_p_star_storage():
     assert type(out.p_star(keys[0])) is float and type(out.bottom_mass) is float
     own = {k: k for k in keys}
     for structure in (layered, WorkingSetLayered(keys, universe)):
-        assert all(k is own[k] for layer in structure.layers for k in layer)
+        assert all(k is own[k] for layer in layer_keys(structure) for k in layer)
 
 
 def test_builds_read_inputs_as_stored(monkeypatch):
@@ -239,7 +240,7 @@ def test_builds_read_inputs_as_stored(monkeypatch):
         structure = cli.build_structure(name, keys, dist, universe, eps)
         assert checked == [], name
         structure.audit()
-    assert len(structure._last) > universe.bits ** 2  # the last layer is in bucket form
+    assert len(layer_keys(structure)[-1]) > universe.bits ** 2  # the last layer is in bucket form
 
 
 @pytest.mark.parametrize("factor, in_table", [

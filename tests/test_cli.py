@@ -2,6 +2,7 @@ import json
 import time
 
 import pytest
+from conftest import layer_keys
 
 from predsearch import QueryStats
 from predsearch.cli import (
@@ -445,7 +446,7 @@ class TestBench:
                                    "--structure", "layered-ws", "--dist-kind", "zipf",
                                    "--queries", 300, "--seed", 4)
         assert len(built) == 2 and built[0] is not built[1]
-        first, second = ([tuple(layer) for layer in ws.layers] for ws in built)
+        first, second = map(layer_keys, built)
         assert first == second
         assert report["oracle_mismatches"] == 0 and report["mean_layers_probed"] >= 1
 

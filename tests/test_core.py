@@ -141,6 +141,10 @@ class TestEntropy:
             WeightedDistribution({1: -2.0})
         with pytest.raises(InvalidDistributionError):
             WeightedDistribution({1: float("inf")})
+        with pytest.raises(InvalidDistributionError,
+                           match="weight for key 1 must be finite and >= 0, got a value of type "
+                                 "int beyond the float range"):
+            WeightedDistribution({2: 1.0, 1: 10 ** 400})
         with pytest.raises(InvalidDistributionError):
             WeightedDistribution({})
         # each weight is finite, but their sum is above the largest float
@@ -157,7 +161,8 @@ class TestEntropy:
     @pytest.mark.parametrize("weight, type_name", [("2", "str"), (b"3", "bytes"),
                                                    (bytearray(b"3"), "bytearray"),
                                                    (True, "bool"), (np.True_, "bool_?"),
-                                                   (np.False_, "bool_?")])
+                                                   (np.False_, "bool_?"), (1 + 2j, "complex"),
+                                                   (None, "NoneType")])
     def test_rejects_non_number_weights(self, weight, type_name):
         # float() would parse the strings and read True, NumPy's too, as 1.0
         # (NumPy 2 names its bool type "bool", NumPy 1 "bool_")

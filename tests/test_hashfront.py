@@ -67,10 +67,13 @@ class TestThresholdMode:
                            match=rf"^epsilon must be a real number, got {re.escape(repr(eps))} of"):
             make(eps)
 
-    @pytest.mark.parametrize("eps", [1, 0.5, np.float64(0.25), np.float32(0.5)])
-    def test_accepts_int_and_float_epsilon(self, eps):
-        mode = ThresholdMode.mode_a(eps)
+    @pytest.mark.parametrize("eps", [1, 0.5, np.float64(0.25), np.float32(0.5), np.float32(0.3)])
+    @pytest.mark.parametrize("make", [ThresholdMode.mode_a, partial(ThresholdMode, "a")])
+    def test_accepts_int_and_float_epsilon(self, make, eps):
+        # either constructor stores the float, so modes that compare equal share one threshold
+        mode = make(eps)
         assert type(mode.epsilon) is float and mode.epsilon == eps
+        assert type(mode.threshold(16)) is float
         assert mode.threshold(16) == 2.0 ** (-16 * float(eps))
 
 

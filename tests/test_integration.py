@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import separators
+from conftest import layer_keys, separators
 
 from predsearch import (
     HashFront,
@@ -127,12 +127,12 @@ def test_rejected_query_leaves_working_set_unchanged():
     cascade = WorkingSetLayered(keys, universe)
     for q in (250, 17, 250, 90):
         cascade.predecessor(q)
-    before = [tuple(layer) for layer in cascade.layers]
+    before = layer_keys(cascade)
     for q in (3.5, "7", -1, 1 << 8):
         for call in (cascade.predecessor, cascade.query_stats):
             with pytest.raises((ParameterError, KeyRangeError)):
                 call(q)
-    assert [tuple(layer) for layer in cascade.layers] == before
+    assert layer_keys(cascade) == before
     cascade.audit()
 
 
@@ -285,6 +285,36 @@ def _pointer_for_a_last_layer_key(cascade):
     cascade._succ[k] = ks[ks.index(k) + 1]
 
 
+def _relayer(cascade, layers):
+    """Give cascade these layers, with the successor pointers a build computes for them."""
+    cascade._build_layers([sorted(layer) for layer in layers])
+
+
+def _swap_a_front_key_with_a_last_layer_key(cascade):
+    """The partition and every pointer intact, but a key the rank puts in the front sits in the
+    last layer, and one the rank puts there sits in the front."""
+    layers = [list(layer) for layer in cascade.layers]
+    layers[0][0], layers[-1][0] = layers[-1][0], layers[0][0]
+    _relayer(cascade, layers)
+
+
+def _move_a_layer_1_key_to_the_last_layer(cascade):
+    """The partition and every pointer intact, but layer 1 holds one key below its capacity and
+    the last layer one above."""
+    layers = [list(layer) for layer in cascade.layers]
+    layers[-1].append(layers[1].pop(0))
+    _relayer(cascade, layers)
+
+
+def _move_the_lowest_ranked_layer_1_key_to_the_last_layer(cascade):
+    """The layers still in rank order, but layer 1 holds one key below its capacity."""
+    layers = [list(layer) for layer in cascade.layers]
+    k = min(layers[1], key=lambda k: (cascade.output.p_star(k), -k))
+    layers[1].remove(k)
+    layers[-1].append(k)
+    _relayer(cascade, layers)
+
+
 FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
                       (_float_front_key, "front table key 0.5 is not an int in the 8-bit universe"),
                       (_front_key_outside_universe, "front table key 256 is not an int in the 8-bit"),
@@ -320,7 +350,13 @@ BREAK_INVARIANTS = {
                 (lambda c: _flat_keys_out_of_order(c.layers[1]), "flat keys do not ascend"),
                 (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+"),
                 (_pointer_for_a_last_layer_key,
-                 r"21 successor pointers, not one per front-layer key \(20\)")],
+                 r"21 successor pointers, not one per front-layer key \(20\)"),
+                (_swap_a_front_key_with_a_last_layer_key,
+                 "key 12 in layer 1 outranks key 45 in layer 0"),
+                (_move_a_layer_1_key_to_the_last_layer,
+                 "key 12 in layer 2 outranks key 44 in layer 1"),
+                (_move_the_lowest_ranked_layer_1_key_to_the_last_layer,
+                 r"layer sizes \[4, 15, 81\] != capacities \[4, 16, 80\]")],
     "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False), r"occupancy \[3, 16, 80\]"),
                    (_swap_a_last_layer_key_for_an_absent_one, "layers do not partition the key set"),
                    (_front_key_also_in_the_last_layer, r"occupancy \[4, 16, 81\]"),

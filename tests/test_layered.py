@@ -2,7 +2,7 @@ import random
 from bisect import bisect_right
 
 import pytest
-from conftest import WorkingSetTracker, random_keyset
+from conftest import WorkingSetTracker, front_pointers, layer_keys, random_keyset
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -58,15 +58,15 @@ class TestStaticBuild:
         structure = LayeredStructure(keys, dist, universe)
         out = output_distribution(keys, dist)
         expected_order = sorted(keys, key=lambda k: (-out.p_star(k), k))
-        assert set(structure.layers[0]) == set(expected_order[:4])
-        assert [len(layer) for layer in structure.layers] == [4, 16]
+        assert set(layer_keys(structure)[0]) == set(expected_order[:4])
+        assert [len(layer) for layer in layer_keys(structure)] == [4, 16]
 
     def test_partition(self, rnd):
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 300)))
         structure = LayeredStructure(keys, uniform_over(keys), universe)
-        assert [len(layer) for layer in structure.layers] == [4, 16, 256, 24]
-        merged = sorted(k for layer in structure.layers for k in layer)
+        assert [len(layer) for layer in layer_keys(structure)] == [4, 16, 256, 24]
+        merged = sorted(k for layer in layer_keys(structure) for k in layer)
         assert merged == list(keys)
 
 
@@ -87,7 +87,7 @@ class TestStaticQuery:
         stats = structure.query_stats(5)
         answer, probed = stats.answer, stats.layers_probed
         assert answer is None
-        assert probed == len(structure.layers) == 3
+        assert probed == len(layer_keys(structure)) == 3
 
     def test_oracle_equivalence_and_probe_bound(self):
         universe = UniverseSpec(16)
@@ -129,9 +129,9 @@ class TestWorkingSetBuild:
         keys = KeySet(sorted(rnd.sample(range(universe.size), 25)))
         ws = WorkingSetLayered(keys, universe)
         assert ws.capacities == [4, 16, 5]
-        assert [len(layer) for layer in ws.layers] == [4, 16, 5]
+        assert [len(layer) for layer in layer_keys(ws)] == [4, 16, 5]
         # initial assignment is by ascending key
-        assert tuple(ws.layers[0]) == keys.keys[:4]
+        assert layer_keys(ws)[0] == keys.keys[:4]
 
     def test_reported_answer_lands_in_front_layer(self, rnd):
         universe = UniverseSpec(12)
@@ -140,7 +140,7 @@ class TestWorkingSetBuild:
         x = keys.keys[20]
         answer = ws.query_stats(x).answer
         assert answer == x
-        assert x in tuple(ws.layers[0])
+        assert x in layer_keys(ws)[0]
         ws.audit()
 
     def test_occupancies_survive_deep_promotion(self, rnd):
@@ -150,7 +150,7 @@ class TestWorkingSetBuild:
         stats = ws.query_stats(keys.keys[299])
         answer, probed = stats.answer, stats.layers_probed
         assert probed == 4
-        assert [len(layer) for layer in ws.layers] == [4, 16, 256, 24]
+        assert [len(layer) for layer in layer_keys(ws)] == [4, 16, 256, 24]
         ws.audit()
 
 
@@ -184,11 +184,11 @@ class TestWorkingSetQuery:
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(50, universe.size), 30)))
         ws = WorkingSetLayered(keys, universe)
-        before = [tuple(layer) for layer in ws.layers]
+        before = layer_keys(ws)
         stats = ws.query_stats(5)
         answer, probed = stats.answer, stats.layers_probed
-        assert answer is None and probed == len(ws.layers)
-        assert [tuple(layer) for layer in ws.layers] == before
+        assert answer is None and probed == len(layer_keys(ws))
+        assert layer_keys(ws) == before
 
     def test_partial_layer_promotions(self):
         # small key sets leave the last layer partial; promotion must keep
@@ -202,7 +202,7 @@ class TestWorkingSetQuery:
                 q = rnd.randrange(universe.size)
                 answer = ws.query_stats(q).answer
                 assert answer == oracle_predecessor(keys, q)
-                assert [len(layer) for layer in ws.layers] == ws.capacities
+                assert [len(layer) for layer in layer_keys(ws)] == ws.capacities
             ws.audit()
 
     def test_random_sequence_oracle_audit_and_bound(self):
@@ -219,7 +219,7 @@ class TestWorkingSetQuery:
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
                 assert distinct >= 2 ** (2 ** (probed - 1))
-            assert [len(layer) for layer in ws.layers] == ws.capacities
+            assert [len(layer) for layer in layer_keys(ws)] == ws.capacities
             if step % 200 == 0:
                 ws.audit()
         ws.audit()
@@ -239,7 +239,7 @@ class TestFrontLayers:
         for q in rnd.sample(keys.keys, 150):
             ws.query_stats(q)
         for structure in (static, ws):
-            assert [len(layer) for layer in structure.layers] == [4, 16, 256, 1224]
+            assert [len(layer) for layer in layer_keys(structure)] == [4, 16, 256, 1224]
             *front, last = structure.layers
             assert all(layer._flat is not None and layer._rep_trie is None for layer in front)
             assert last._flat is None and last._rep_trie is not None
@@ -273,16 +273,16 @@ class TestFrontLayers:
             stats = ws.query_stats(q)
             assert stats.answer == oracle_predecessor(keys, q)
             promotions += stats.answer is not None and stats.layers_probed > 1
-        assert [len(layer) for layer in ws.layers] == ws.capacities
+        assert [len(layer) for layer in layer_keys(ws)] == ws.capacities
         ws.audit()
 
 
-def reference_scan(layer_keys: list[tuple[int, ...]], keys: KeySet, q: int):
+def reference_scan(layers: list[tuple[int, ...]], keys: KeySet, q: int):
     """(answer, layers probed) of the scan that looks up the best candidate's successor in
     the full key set after every layer, the last one included."""
     ks = keys.keys
     best, probed = None, 0
-    for layer in layer_keys:
+    for layer in layers:
         probed += 1
         i = bisect_right(layer, q)
         if i and (best is None or layer[i - 1] > best):
@@ -308,13 +308,13 @@ class TestCascadeShapes:
         dist = WeightedDistribution({k: rnd.random() + 1e-6 for k in keys})
         structure = LayeredStructure(keys, dist, universe)
         caps = layer_capacities(n)
-        assert [len(layer) for layer in structure.layers] == caps
-        assert len(structure._succ) == n - caps[-1]
+        layers = layer_keys(structure)
+        assert [len(layer) for layer in layers] == caps
+        assert len(front_pointers(structure)) == n - caps[-1]
         structure.audit()
-        layer_keys = [tuple(layer) for layer in structure.layers]
         for _ in range(3000):
             q = rnd.choice(keys.keys) if rnd.random() < 0.3 else rnd.randrange(universe.size)
-            answer, probed = reference_scan(layer_keys, keys, q)
+            answer, probed = reference_scan(layers, keys, q)
             assert answer == oracle_predecessor(keys, q)
             assert structure.predecessor(q) == answer
             assert structure.query_stats(q) == QueryStats(answer=answer, layers_probed=probed)
@@ -328,12 +328,13 @@ class TestCascadeShapes:
         ws = WorkingSetLayered(keys, universe)
         for _ in range(3000):
             q = rnd.choice(hot) if rnd.random() < 0.6 else rnd.randrange(universe.size)
-            expected = reference_scan([tuple(layer) for layer in ws.layers], keys, q)
+            expected = reference_scan(layer_keys(ws), keys, q)
             stats = ws.query_stats(q)
             assert (stats.answer, stats.layers_probed) == expected
             assert stats.answer == oracle_predecessor(keys, q)
             # promotion keeps pointers for exactly the front keys, however deep it reached
-            assert ws._succ.keys() == {k for layer in ws.layers[:-1] for k in layer}
+            front = {k for layer in layer_keys(ws)[:-1] for k in layer}
+            assert {k for k, _ in front_pointers(ws)} == front
             ws.audit()
 
 
@@ -355,7 +356,7 @@ class WorkingSetMachine(RuleBasedStateMachine):
         stats = self.ws.query_stats(q)
         answer, probed = stats.answer, stats.layers_probed
         assert answer == oracle_predecessor(self.keys, q)
-        assert 1 <= probed <= len(self.ws.layers)
+        assert 1 <= probed <= len(layer_keys(self.ws))
 
     @rule(data=st.data())
     def query_stored(self, data):
@@ -370,9 +371,9 @@ class WorkingSetMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.keys[0] > 0)
     @rule(data=st.data())
     def query_below_minimum(self, data):
-        before = [tuple(layer) for layer in self.ws.layers]
+        before = layer_keys(self.ws)
         self._check(data.draw(st.integers(0, self.keys[0] - 1)))
-        assert [tuple(layer) for layer in self.ws.layers] == before  # no answer, nothing promoted
+        assert layer_keys(self.ws) == before  # no answer, nothing promoted
 
     @invariant()
     def audited(self):
@@ -402,7 +403,7 @@ class TestSpace:
         for n in (256, 1024, 4096):
             keys = KeySet(sorted(rnd.sample(range(universe.size), n)))
             structure = LayeredStructure(keys, uniform_over(keys), universe)
-            assert sum(map(len, structure.layers)) == n
+            assert sum(map(len, layer_keys(structure))) == n
             ratios.append(structure.table_entries() / n)
         for a, b in zip(ratios, ratios[1:]):
             assert max(a, b) / min(a, b) < 1.5, ratios

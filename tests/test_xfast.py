@@ -2,10 +2,12 @@ import math
 import random
 from bisect import insort
 
+import numpy as np
 import pytest
 from conftest import (
     assert_same_as_fresh_build,
     distinct_entries,
+    int_like,
     probe_bound,
     probes_saved,
     random_keyset,
@@ -248,6 +250,20 @@ class TestUpdates:
             trie.delete(5)
         assert_same_as_fresh_build(trie, [5])
 
+    def test_int_like_updates_store_the_int(self):
+        """A numpy.uint64 or bool key is the int it stands for: a delete unlinks it from every
+        table, and an insert stores the int."""
+        trie = XFastTrie(KeySet([1, 5, 9]), UniverseSpec(8))
+        trie.delete(np.uint64(5))
+        assert_same_as_fresh_build(trie, [1, 9])
+        trie.audit()
+        assert trie.predecessor(6) == 1
+        trie.delete(True)
+        trie.insert(True)
+        trie.insert(np.uint64(5))
+        assert_same_as_fresh_build(trie, [1, 5, 9])
+        trie.audit()
+
     def test_update_outside_universe(self):
         trie = XFastTrie(KeySet([1]), UniverseSpec(2))
         with pytest.raises(KeyRangeError):
@@ -397,7 +413,7 @@ class TestChurnAgainstFreshBuild:
         for _ in range(data.draw(st.integers(1, 40))):
             if len(ref) > 1 and data.draw(st.booleans()):
                 x = data.draw(st.sampled_from(ref))
-                trie.delete(x)
+                trie.delete(data.draw(int_like(x)))
                 ref.remove(x)
             else:
                 if data.draw(st.booleans()):
@@ -405,7 +421,7 @@ class TestChurnAgainstFreshBuild:
                             size - 1)
                 else:
                     x = data.draw(st.integers(0, size - 1))
-                trie.insert(x)
+                trie.insert(data.draw(int_like(x)))
                 if x not in ref:
                     insort(ref, x)
             assert_same_as_fresh_build(trie, ref)

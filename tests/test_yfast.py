@@ -1,8 +1,9 @@
 import random
 from bisect import bisect_right, insort
 
+import numpy as np
 import pytest
-from conftest import assert_same_as_fresh_build, probes_saved, separators
+from conftest import assert_same_as_fresh_build, int_like, probes_saved, separators
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -168,6 +169,19 @@ class TestUpdates:
             trie.delete(6)
         with pytest.raises(KeyError):
             trie.delete(4)
+
+    def test_int_like_updates_store_the_int(self):
+        """A numpy.uint64 or bool key is the int it stands for, also in the insert that turns a
+        full flat list into buckets."""
+        trie = YFastTrie(KeySet([k for k in range(26) if k != 5]), UniverseSpec(5))  # 5 * 5 keys
+        trie.insert(np.uint64(5))
+        assert separators(trie) and list(trie) == list(range(26))
+        trie.audit()
+        trie = YFastTrie(KeySet([7]), UniverseSpec(4))
+        trie.insert(np.uint64(3))
+        trie.insert(True)
+        assert list(trie) == [1, 3, 7] and all(type(k) is int for k in trie)
+        assert trie.delete(np.uint64(3)) == 7 and trie.delete(True) == 7
 
     def test_delete_to_empty_and_refill(self):
         trie = YFastTrie(KeySet([5]), UniverseSpec(4))
@@ -394,14 +408,15 @@ class YFastMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def insert(self, data):
         x = data.draw(self.key)
-        self.trie.insert(x)
+        self.trie.insert(data.draw(int_like(x)))
         if x not in self.model:
             insort(self.model, x)
         self._track_form()
 
-    def _delete(self, x):
-        """Delete x from both; the trie returns the smallest key left above x."""
-        after = self.trie.delete(x)
+    def _delete(self, data, x):
+        """Delete x from both, passing x to the trie in one of its int-like forms; the trie
+        returns the smallest key left above x."""
+        after = self.trie.delete(data.draw(int_like(x)))
         self.model.remove(x)
         i = bisect_right(self.model, x)
         assert after == (self.model[i] if i < len(self.model) else None)
@@ -410,7 +425,7 @@ class YFastMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def delete_present(self, data):
-        self._delete(data.draw(st.sampled_from(self.model)))
+        self._delete(data, data.draw(st.sampled_from(self.model)))
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -419,7 +434,7 @@ class YFastMachine(RuleBasedStateMachine):
         i = data.draw(st.integers(0, len(self.model) - 1))
         j = data.draw(st.integers(i + 1, len(self.model)))
         for x in self.model[i:j]:
-            self._delete(x)
+            self._delete(data, x)
 
     @precondition(lambda self: len(self.model) < self.universe.size)
     @rule(data=st.data())
@@ -429,7 +444,7 @@ class YFastMachine(RuleBasedStateMachine):
         while x in present:
             x = (x + 1) % self.universe.size
         with pytest.raises(KeyError):
-            self.trie.delete(x)
+            self.trie.delete(data.draw(int_like(x)))
 
     @invariant()
     def answers_match_model(self):
@@ -447,6 +462,7 @@ class YFastMachine(RuleBasedStateMachine):
     @invariant()
     def contents_match_model(self):
         assert list(self.trie) == self.model
+        assert all(type(k) is int for k in self.trie)
         assert len(self.trie) == len(self.model)
 
     @invariant()
