@@ -31,7 +31,7 @@ from .core import (
     ParameterError,
     UniverseSpec,
     WeightedDistribution,
-    check_support,
+    check_sorted,
     entropy,
     oracle_predecessor,
     output_distribution,
@@ -221,7 +221,7 @@ def _load_instance(args) -> tuple[UniverseSpec, KeySet, WeightedDistribution, st
         dist = generate_distribution(WorkloadSpec(kind=kind, support=keys.keys, ratio=ratio, s=s))
         dist_kind = kind
         dist_param = {"geometric": ratio, "zipf": s}.get(kind)
-    check_support(dist, universe)
+    check_sorted(dist.support, universe)
     return universe, keys, dist, dist_kind, dist_param
 
 
@@ -374,9 +374,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.universe_bits > 16 and not args.query_file:
-        print("error: exhaustive verify limited to 16 bits", file=sys.stderr)
-        return EXIT_USAGE
+    if UniverseSpec(args.universe_bits).bits > 16 and not args.query_file:
+        raise ParameterError("exhaustive verify limited to 16 bits")
     _resolve_seed(args, "--query-file FILE" if args.query_file else "the exhaustive sweep")
     universe, keys, dist, _, _ = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)

@@ -225,11 +225,6 @@ def check_sorted(xs: Sequence[int], universe: UniverseSpec) -> None:
         universe.check_key(xs[bisect_left(xs, 1 << universe.bits)])
 
 
-def check_support(dist: WeightedDistribution, universe: UniverseSpec) -> None:
-    """Raise KeyRangeError, naming the smallest one, if any support key is outside the universe."""
-    check_sorted(dist.support, universe)
-
-
 def entropy(dist: WeightedDistribution) -> float:
     """Entropy of the normalized distribution, in bits (standard log2).
 

@@ -49,7 +49,7 @@ from .core import (
     UniverseSpec,
     WeightedDistribution,
     check_real,
-    check_support,
+    check_sorted,
     meets_threshold,
     padded_log2,
 )
@@ -124,7 +124,7 @@ class HashFront(PredecessorStructure):
     def __init__(self, keys: KeySet, dist: WeightedDistribution,
                  universe: UniverseSpec, mode: ThresholdMode):
         universe.check_key(keys.keys[-1])
-        check_support(dist, universe)
+        check_sorted(dist.support, universe)
         front = mode.front_keys(dist, universe.bits)
         ks = keys.keys
         answers = (None, *ks)  # answers[bisect_right(ks, q)] is the predecessor of q
@@ -148,18 +148,17 @@ class HashFront(PredecessorStructure):
         """Answer plus the table probe and, on a miss, the fallback's level probes.
 
         As in ``predecessor``, only an exact int is looked up; anything else
-        goes to the fallback unprobed.  A miss checks the key inline before
-        the fallback's unchecked search.
+        goes to the fallback unprobed.  A miss delegates to the fallback's
+        ``query_stats``, which checks the key.  Its answer and probes go into a
+        positional ``QueryStats``, which builds in a third of ``_replace``'s time.
         """
         probed = type(q) is int
         if probed:
             v = self.table.get(q, _MISSING)
             if v is not _MISSING:
                 return QueryStats(answer=v, table_probes=1, table_hit=True)
-        if not probed or q >> self.universe.bits:
-            self.universe.check_key(q)
-        answer, probes = self.fallback._search(q)
-        return QueryStats(answer=answer, level_probes=probes, table_probes=int(probed))
+        answer, probes = self.fallback.query_stats(q)[:2]
+        return QueryStats(answer, probes, 0, int(probed))
 
     def table_entries(self) -> int:
         return len(self.table) + self.fallback.table_entries()
@@ -199,6 +198,9 @@ class ProbeBoundReport:
 
 def expected_probe_bound(dist: WeightedDistribution, universe: UniverseSpec,
                          mode: ThresholdMode) -> ProbeBoundReport:
+    """The probe-cost summary of a hash-front built from dist in universe under mode; raises
+    KeyRangeError, as the build does, if a support key is outside the universe."""
+    check_sorted(dist.support, universe)
     front = set(mode.front_keys(dist, universe.bits))
     total = dist.total
     hit = []

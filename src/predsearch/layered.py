@@ -13,12 +13,14 @@ pointer.  So in both variants exactly the front-layer keys keep one.  A query
 below every stored key can only be recognized after all layers have answered
 empty.
 
-A pointer is computed when its key enters the front, as the smallest key
-above it in any layer: each layer gives its own next key (one bisect in a
-flat layer), and a promotion out of the last layer takes that layer's part
-from its ``delete``, which has just edited the bucket holding the next key.  A bisect
-over all n keys gives the same pointer, but on a promotion it misses cache at
-almost every step.
+Both variants keep the key set's ascending tuple as ``_keys`` (in the static
+variant the same object as ``output.keys``).  The build points each front key
+at the next key of that tuple, one bisect per front key (276 at n = 2**16).
+A promotion out of the last layer takes the promoted key's pointer from the
+layers instead: the last layer's part from its ``delete``, which has just
+edited the bucket holding the next key, and each front layer's own next key
+(one bisect of a flat list).  A bisect over all n keys gives the same
+pointer, but on a promotion it misses cache at almost every step.
 
 Two ways of ranking keys into layers:
 
@@ -51,20 +53,21 @@ its capacity: a layer of exactly ``bits * bits`` keys stays a list.
 
 ``predecessor`` and ``query_stats`` (which adds the layers probed) run one
 scan; the self-adjusting variant promotes the answer as its last step.
-``audit`` checks each layer's own audit, that the layers partition the key
-set, and that exactly the front-layer keys keep a successor pointer, each
-naming the next key of that set, which it recomputes from the layers once
-they are known to partition it.  The static variant's audit also checks that
-each key sits in the layer its rank puts it in; the self-adjusting variant's,
-that each layer is at capacity and its recency queue holds its keys.
+``audit`` is one check for both variants, and its truth is the key tuple,
+never the layer code under audit.  In order: each layer's own audit; the
+layers, merged and sorted, are the key tuple; exactly the front-layer keys
+keep a successor pointer, each naming the key after it in the tuple (a
+bisect); the variant's order (static: each key sits in the layer its rank
+puts it in; self-adjusting: each front layer's recency queue holds exactly
+that layer's keys); and the layer sizes are ``layer_capacities(n)``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import chain
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +78,7 @@ from .core import (
     QueryStats,
     UniverseSpec,
     WeightedDistribution,
-    check_support,
+    check_sorted,
     output_distribution,
 )
 from .yfast import YFastTrie
@@ -105,18 +108,6 @@ def _cut(ranked: Sequence) -> list[Sequence]:
     return pieces
 
 
-def _next_key(layers: Iterable[YFastTrie], k: int, after: Optional[int] = None) -> Optional[int]:
-    """The smallest key above k in any of layers, or after if that is smaller (None if neither).
-
-    Over all layers this is the successor pointer of a stored key k.
-    """
-    for layer in layers:
-        a = layer._after(k)
-        if a is not None and (after is None or a < after):
-            after = a
-    return after
-
-
 class _LayeredBase(PredecessorStructure):
     """Shared query path and audit; subclasses decide ordering and what the scan does after."""
 
@@ -125,12 +116,15 @@ class _LayeredBase(PredecessorStructure):
     _front: list[YFastTrie]
     _last: YFastTrie
     _succ: dict[int, Optional[int]]
+    _keys: tuple[int, ...]
 
     def _build_layers(self, slices: list[Sequence[int]]) -> None:
-        """Make each ascending cut of the key set a layer; each front key points at its next key."""
+        """Make each ascending cut of _keys a layer; each front key points at the next key."""
+        keys = self._keys
         self.layers = [YFastTrie(KeySet._unchecked(s), self.universe) for s in slices]
         *self._front, self._last = self.layers
-        self._succ = {k: _next_key(self.layers, k) for k in sorted(chain.from_iterable(slices[:-1]))}
+        self._succ = {k: keys[i] if (i := bisect_right(keys, k)) < len(keys) else None
+                      for k in sorted(chain.from_iterable(slices[:-1]))}
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
         """Probe the front layers in order, stopping once the best candidate is proven
@@ -168,23 +162,38 @@ class _LayeredBase(PredecessorStructure):
         """Stored entries across all layers plus the successor pointers kept."""
         return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
 
-    def _audit_layers(self, keys: Collection[int]) -> None:
-        """Raise AssertionError unless each layer audits clean, the layers partition keys,
-        and exactly the front-layer keys keep a successor pointer, each naming the next
-        key of the set (None for the largest)."""
+    def audit(self) -> None:
+        """Raise AssertionError unless each layer audits clean, the layers partition the key
+        set, exactly the front-layer keys keep a successor pointer, each naming the next key
+        of the set (None for the largest), the keys sit in layers by the variant's order, and
+        the layer sizes are ``layer_capacities(n)``.
+
+        The truth is the key tuple ``_keys``, not the layers under audit: a
+        pointer is checked by a bisect of that tuple.
+        """
         for layer in self.layers:
             layer.audit()
-        seen = set(chain.from_iterable(self.layers))
-        # no key in two layers, and the distinct keys are exactly the set
-        if not sum(map(len, self.layers)) == len(seen) == len(keys) or not seen.issuperset(keys):
+        keys = self._keys
+        if sorted(chain.from_iterable(self.layers)) != list(keys):
             raise AssertionError("layers do not partition the key set")
         front = set(chain.from_iterable(self._front))
         if self._succ.keys() != front:
             raise AssertionError(f"{len(self._succ)} successor pointers, not one per "
                                  f"front-layer key ({len(front)})")
         for k, s in self._succ.items():
-            if s != (following := _next_key(self.layers, k)):
+            i = bisect_right(keys, k)
+            if s != (following := keys[i] if i < len(keys) else None):
                 raise AssertionError(f"successor pointer {k} -> {s}, next key is {following}")
+        self._audit_order()
+        sizes = [len(layer) for layer in self.layers]
+        caps = layer_capacities(len(keys))
+        if sizes != caps:
+            raise AssertionError(f"layer sizes {sizes} != capacities {caps}")
+
+    def _audit_order(self) -> None:
+        """Raise AssertionError unless the keys sit in the layers the variant's order gives
+        them; called once the layers and pointers are known intact."""
+        raise NotImplementedError
 
 
 class LayeredStructure(_LayeredBase):
@@ -193,8 +202,9 @@ class LayeredStructure(_LayeredBase):
     def __init__(self, keys: KeySet, dist: WeightedDistribution,
                  universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
-        check_support(dist, universe)
+        check_sorted(dist.support, universe)
         self.universe = universe
+        self._keys = keys.keys
         self.output = output_distribution(keys, dist)
         # indices into the ascending keys by descending mass; the sort is stable, so ties
         # keep ascending key order, and each layer's sorted indices give its keys in order
@@ -202,19 +212,17 @@ class LayeredStructure(_LayeredBase):
         as_objects = np.array(keys.keys, dtype=object)  # the tuple's own ints, gathered in C
         self._build_layers([as_objects[np.sort(part)].tolist() for part in _cut(order)])
 
-    def audit(self) -> None:
-        """Raise AssertionError unless the layers and successor pointers are intact and the
-        layers hold the keys the build's rank gives them.
+    def _audit_order(self) -> None:
+        """Raise AssertionError unless the layers hold the keys the build's rank gives them.
 
         The rank orders the keys by p* descending, ties by ascending key, and
         layer j takes the next ``layer_capacities(n)[j]`` of them.  So no key in
-        layer j + 1 outranks a key in layer j, and the layer sizes are those
-        capacities.  The paper's bound p* <= 2**-2**j on an answer found in
+        layer j + 1 outranks a key in layer j; the base audit checks the sizes
+        after this.  The paper's bound p* <= 2**-2**j on an answer found in
         layer j >= 1 rests on that, yet a key out of place changes no answer.
         A key out of rank is named with the key it outranks.
         """
-        keys, masses = self.output.keys, self.output.masses
-        self._audit_layers(keys)
+        keys, masses = self._keys, self.output.masses
         # the layer each key sits in, by its index in the ascending key tuple: the layers
         # partition the keys, so a key no front layer holds is in the last one
         held = np.full(len(keys), len(self._front), np.intp)
@@ -232,10 +240,6 @@ class LayeredStructure(_LayeredBase):
                 if (masses[b], w) > (masses[w], b):
                     raise AssertionError(f"key {keys[b]} in layer {j + 1} outranks "
                                          f"key {keys[w]} in layer {j}")
-        sizes = [len(layer) for layer in self.layers]
-        caps = layer_capacities(len(keys))
-        if sizes != caps:
-            raise AssertionError(f"layer sizes {sizes} != capacities {caps}")
 
 
 class WorkingSetLayered(_LayeredBase):
@@ -248,10 +252,9 @@ class WorkingSetLayered(_LayeredBase):
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
         self.universe = universe
-        self._keys = keys.keys  # the key set, for the audit
+        self._keys = keys.keys
         slices = _cut(keys.keys)
         self._build_layers(slices)
-        self.capacities = [len(s) for s in slices]
         # Front of each queue is the stalest key in that front layer.  Untouched keys
         # keep their build order (ascending), so they shift down smallest-first.
         self._recency: list[OrderedDict[int, None]] = [OrderedDict.fromkeys(s)
@@ -278,7 +281,11 @@ class WorkingSetLayered(_LayeredBase):
         if j != last:
             del rec[j][x]
         else:  # the key after x is the last layer's next key or a front key below that
-            self._succ[x] = _next_key(self._front, x, after)
+            for layer in self._front:
+                a = layer._after(x)
+                if a is not None and (after is None or a < after):
+                    after = a
+            self._succ[x] = after
         # deepest first: each layer loses its stalest key before it gains one,
         # so no layer ever holds more than its capacity
         for k in range(j - 1, -1, -1):
@@ -292,13 +299,8 @@ class WorkingSetLayered(_LayeredBase):
         layers[0].insert(x)
         rec[0][x] = None
 
-    def audit(self) -> None:
-        """Raise AssertionError unless occupancies, front recency queues, the partition and
-        the successor pointers are intact."""
-        sizes = [len(r) for r in self._recency] + [len(self._last)]
-        if sizes != self.capacities:
-            raise AssertionError(f"occupancy {sizes} != capacities {self.capacities}")
-        for r, layer in zip(self._recency, self._front):
+    def _audit_order(self) -> None:
+        """Raise AssertionError unless each front layer's recency queue holds exactly its keys."""
+        for j, (r, layer) in enumerate(zip(self._recency, self._front)):
             if r.keys() != set(layer):
-                raise AssertionError("recency queue and layer structure disagree")
-        self._audit_layers(self._keys)
+                raise AssertionError(f"layer {j}'s recency queue does not hold exactly its keys")

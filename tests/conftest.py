@@ -152,9 +152,9 @@ def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     assert all(type(k) is int for k in trie)
 
 
-# the fields a layered cascade keeps its layers, pointers and recency queues in; only the two
-# views below and the planted faults in test_integration.py touch them (test_boundary.py)
-CASCADE_FIELDS = frozenset({"layers", "_succ", "_recency", "_front", "_last"})
+# the fields a layered cascade keeps its key tuple, layers, pointers and recency queues in; only
+# the views below and the planted faults in test_integration.py touch them (test_boundary.py)
+CASCADE_FIELDS = frozenset({"_keys", "layers", "_succ", "_recency", "_front", "_last"})
 
 
 def layer_keys(cascade) -> list[tuple[int, ...]]:
@@ -164,8 +164,8 @@ def layer_keys(cascade) -> list[tuple[int, ...]]:
     keys (``layer_capacities``), the last layer holding the rest, ranked by
     answer mass (static) or by recency (working set).  Layer sizes, the merged
     key list, membership and the keys' identity all derive from this view, so
-    it and ``front_pointers`` are the only test code that knows how a cascade
-    stores its layers.
+    it, ``front_pointers`` and ``traced_layers`` are the only test code that
+    knows how a cascade stores its layers.
     """
     return [tuple(layer) for layer in cascade.layers]
 
@@ -174,6 +174,17 @@ def front_pointers(cascade) -> list[tuple[int, Optional[int]]]:
     """A cascade's successor pointers as stored, in stored order: (key, next stored key or
     None) for each key that keeps one, which is each front-layer key."""
     return list(cascade._succ.items())
+
+
+def traced_layers(cascade) -> list:
+    """A cascade's layer objects, front layer first, as the benchmark reads them.
+
+    ``perfbench/run.py`` reads the attribute ``layers`` and tags each traced
+    y-fast call with the layer whose object it ran on, so the per-layer
+    metrics hold only while every probe and promotion update is a public call
+    on one of these objects.
+    """
+    return list(cascade.layers)
 
 
 def int_like(x: int) -> st.SearchStrategy:

@@ -26,6 +26,7 @@ from predsearch import (
     YFastTrie,
     entropy,
     generate_distribution,
+    layer_capacities,
     oracle_predecessor,
     sample_queries,
 )
@@ -181,7 +182,7 @@ def test_criterion_5_working_set_bound():
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
                 assert distinct >= 2 ** (2 ** (probed - 1)), (step, q, probed, distinct)
-            assert [len(layer) for layer in layer_keys(ws)] == ws.capacities, step
+            assert [len(layer) for layer in layer_keys(ws)] == layer_capacities(len(keys)), step
             if step % 500 == 0:
                 ws.audit()
         ws.audit()

@@ -1,9 +1,10 @@
 """Only conftest.py knows how a layered cascade stores its layers and successor pointers.
 
 Every other test sees a cascade through conftest's ``layer_keys`` and
-``front_pointers``, views of what the paper defines, so a change to how the
-cascade stores them changes those views and the planted faults, not every
-test that reads a layer.  This test reads the syntax tree of each test module
+``front_pointers``, views of what the paper defines, or ``traced_layers``, the
+layer objects as the benchmark reads them, so a change to how the cascade
+stores them changes those views and the planted faults, not every test that
+reads a layer.  This test reads the syntax tree of each test module
 and fails on any attribute named for one of the cascade's fields outside the
 allowlist.
 """
@@ -67,7 +68,8 @@ def test_only_conftest_and_the_allowlist_touch_cascade_fields():
                 outside.append(f"{path.name}:{line} ({scope or 'module'}) .{field}")
             else:
                 used.add((path.name, owner))
-    assert not outside, ("read a cascade through conftest's layer_keys or front_pointers:\n"
+    assert not outside, ("read a cascade through conftest's layer_keys, front_pointers or "
+                         "traced_layers:\n"
                          + "\n".join(outside))
     # an entry whose code no longer touches a field only widens the allowlist
     assert used == {(name, a) for name, scopes in ALLOWED.items() for a in scopes}

@@ -493,6 +493,9 @@ class TestVerify:
         assert run("verify", "--universe-bits", 20, "--n", 10,
                    "--structure", "yfast") == EXIT_USAGE
         assert "exhaustive verify limited to 16 bits" in capsys.readouterr().err
+        # the universe is checked first, so a width no structure takes is named as such
+        assert run("verify", "--universe-bits", 70, "--n", 5, "--structure", "yfast") == EXIT_USAGE
+        assert "universe bits must be an integer in [1, 64], got 70" in capsys.readouterr().err
 
     def test_scripted_working_set(self, tmp_path, capsys):
         keys = gen_keys(tmp_path, bits=12, n=100, seed=4)

@@ -9,6 +9,7 @@ import pytest
 
 from predsearch import (
     HashFront,
+    KeyRangeError,
     KeySet,
     ParameterError,
     ThresholdMode,
@@ -201,6 +202,13 @@ class TestExpectedProbeBound:
         report = expected_probe_bound(dist, universe, ThresholdMode.mode_b(0.5))
         assert report.element_bounds[1] == pytest.approx(padded_log2(padded_log2(4 / 3)))
         assert report.element_bounds[2] == pytest.approx(padded_log2(padded_log2(4.0)))
+
+    def test_support_outside_the_universe_rejected_as_by_the_build(self):
+        universe = UniverseSpec(8)
+        dist = WeightedDistribution({3: 1.0, 1000: 5.0})
+        for make in (partial(HashFront, KeySet([3])), expected_probe_bound):
+            with pytest.raises(KeyRangeError, match=r"^key 1000 outside 8-bit universe$"):
+                make(dist, universe, ThresholdMode.mode_a(0.5))
 
     def test_element_bounds_finite_for_subnormal_weights(self):
         """The README's geometric example reaches weights near 1e-308, where total / w overflows."""

@@ -1,8 +1,9 @@
 import random
 from bisect import bisect_right
+from typing import Optional
 
 import pytest
-from conftest import WorkingSetTracker, front_pointers, layer_keys, random_keyset
+from conftest import WorkingSetTracker, front_pointers, layer_keys, random_keyset, traced_layers
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -128,7 +129,7 @@ class TestWorkingSetBuild:
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 25)))
         ws = WorkingSetLayered(keys, universe)
-        assert ws.capacities == [4, 16, 5]
+        assert layer_capacities(len(keys)) == [4, 16, 5]
         assert [len(layer) for layer in layer_keys(ws)] == [4, 16, 5]
         # initial assignment is by ascending key
         assert layer_keys(ws)[0] == keys.keys[:4]
@@ -202,7 +203,7 @@ class TestWorkingSetQuery:
                 q = rnd.randrange(universe.size)
                 answer = ws.query_stats(q).answer
                 assert answer == oracle_predecessor(keys, q)
-                assert [len(layer) for layer in layer_keys(ws)] == ws.capacities
+                assert [len(layer) for layer in layer_keys(ws)] == layer_capacities(n)
             ws.audit()
 
     def test_random_sequence_oracle_audit_and_bound(self):
@@ -219,7 +220,7 @@ class TestWorkingSetQuery:
             distinct = tracker.observe(answer)
             if answer is not None and probed >= 2 and distinct is not None:
                 assert distinct >= 2 ** (2 ** (probed - 1))
-            assert [len(layer) for layer in layer_keys(ws)] == ws.capacities
+            assert [len(layer) for layer in layer_keys(ws)] == layer_capacities(len(keys))
             if step % 200 == 0:
                 ws.audit()
         ws.audit()
@@ -253,14 +254,15 @@ class TestFrontLayers:
         rnd = random.Random(16)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 2000)))
         ws = WorkingSetLayered(keys, universe)
-        assert ws.capacities == [4, 16, 256, 1724]
+        caps = layer_capacities(len(keys))
+        assert caps == [4, 16, 256, 1724]
         position = {id(layer): j for j, layer in enumerate(ws.layers)}
 
         def checked(update):
             def call(layer, x):
                 result = update(layer, x)  # a promotion reads the key delete returns
                 j = position[id(layer)]
-                assert len(layer) <= ws.capacities[j], (j, len(layer))
+                assert len(layer) <= caps[j], (j, len(layer))
                 assert ws.layers[2]._flat is not None
                 return result
             return call
@@ -273,7 +275,7 @@ class TestFrontLayers:
             stats = ws.query_stats(q)
             assert stats.answer == oracle_predecessor(keys, q)
             promotions += stats.answer is not None and stats.layers_probed > 1
-        assert [len(layer) for layer in layer_keys(ws)] == ws.capacities
+        assert [len(layer) for layer in layer_keys(ws)] == caps
         ws.audit()
 
 
@@ -335,6 +337,89 @@ class TestCascadeShapes:
             # promotion keeps pointers for exactly the front keys, however deep it reached
             front = {k for layer in layer_keys(ws)[:-1] for k in layer}
             assert {k for k, _ in front_pointers(ws)} == front
+            ws.audit()
+
+
+def spy_on_layers(monkeypatch, cascade) -> list[tuple[str, Optional[int]]]:
+    """Record (method, layer index) for every public y-fast predecessor, insert and delete
+    call from now on, the index into ``traced_layers(cascade)`` (None for another trie)."""
+    index = {id(layer): j for j, layer in enumerate(traced_layers(cascade))}
+    calls: list[tuple[str, Optional[int]]] = []
+
+    def spy(name):
+        method = getattr(YFastTrie, name)
+
+        def call(trie, x):
+            calls.append((name, index.get(id(trie))))
+            return method(trie, x)
+        return call
+
+    for name in ("predecessor", "insert", "delete"):
+        monkeypatch.setattr(YFastTrie, name, spy(name))
+    return calls
+
+
+def promotion_calls(j: int) -> list[tuple[str, int]]:
+    """The y-fast updates that move a key from layer j to the front: its delete from layer j,
+    then for each layer k above j the delete of its stalest key and that key's insert into
+    layer k + 1, deepest first, then the key's insert into layer 0."""
+    if not j:
+        return []
+    shifts = [call for k in range(j - 1, -1, -1) for call in (("delete", k), ("insert", k + 1))]
+    return [("delete", j)] + shifts + [("insert", 0)]
+
+
+class TestBenchmarkView:
+    """The benchmark tags each traced y-fast call with the layer object it ran on
+    (``traced_layers``), so its per-layer metrics are right only while a query's probes and a
+    promotion's updates are public calls on those objects, in scan order."""
+
+    @pytest.mark.parametrize("variant", ["static", "working-set"])
+    def test_probes_and_promotions_are_public_calls_on_the_traced_layers(self, monkeypatch,
+                                                                        variant):
+        universe = UniverseSpec(12)
+        rnd = random.Random(23)
+        keys = KeySet(sorted(rnd.sample(range(50, universe.size), 300)))  # layers 4, 16, 256, 24
+        if variant == "static":
+            cascade = LayeredStructure(keys, WeightedDistribution(
+                {k: rnd.random() ** 4 for k in keys}), universe)
+        else:
+            cascade = WorkingSetLayered(keys, universe)
+        layers = traced_layers(cascade)
+        hot = rnd.sample(keys.keys, 40)  # more than the 20 front keys: promotions from every layer
+        calls = spy_on_layers(monkeypatch, cascade)
+        depths = set()
+        for step in range(3000):
+            q = rnd.choice(hot) if rnd.random() < 0.6 else rnd.randrange(universe.size)
+            before = layer_keys(cascade)
+            calls.clear()
+            stats = cascade.query_stats(q)
+            probed = stats.layers_probed
+            assert stats.answer == oracle_predecessor(keys, q), step
+            expected = [("predecessor", j) for j in range(probed)]
+            if variant == "working-set" and stats.answer is not None:
+                assert stats.answer in before[probed - 1], step  # its layer was probed last
+                expected += promotion_calls(probed - 1)
+                depths.add(probed - 1)
+            assert calls == expected, (step, q)
+        # the benchmark tags the layer objects once, after the build
+        assert all(a is b for a, b in zip(traced_layers(cascade), layers, strict=True))
+        assert variant == "static" or depths == {0, 1, 2, 3}
+        cascade.audit()
+
+
+def test_audit_checks_pointers_against_the_key_set_not_the_layers(monkeypatch):
+    """With the layers' own next-key search broken, a promotion out of the last layer writes a
+    pointer that skips a front key; the audit, which takes the next key from the key set,
+    must catch it rather than recompute the same wrong pointer from the layers."""
+    universe = UniverseSpec(12)
+    rnd = random.Random(29)
+    keys = KeySet(sorted(rnd.sample(range(universe.size), 100)))
+    monkeypatch.setattr(YFastTrie, "_after", lambda trie, x: None)
+    ws = WorkingSetLayered(keys, universe)
+    with pytest.raises(AssertionError, match=r"successor pointer \d+ -> \d+, next key is \d+"):
+        for _ in range(500):
+            ws.predecessor(rnd.choice(keys.keys))
             ws.audit()
 
 
