@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     KeySet,
@@ -101,19 +101,23 @@ def _is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def read_keys(path: str) -> KeySet:
-    keys: list[int] = []
+def _decimal_lines(path: str) -> Iterator[tuple[int, int]]:
+    """(line number, key) for each non-blank line of a file of unsigned decimal keys."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
-            if not text:
-                continue
-            if not _is_decimal(text):
-                raise ParameterError(f"{path}:{lineno}: not an unsigned decimal key: {text!r}")
-            k = int(text)
-            if keys and k <= keys[-1]:
-                raise ParameterError(f"{path}:{lineno}: keys must be sorted ascending without duplicates")
-            keys.append(k)
+            if text:
+                if not _is_decimal(text):
+                    raise ParameterError(f"{path}:{lineno}: not an unsigned decimal key: {text!r}")
+                yield lineno, int(text)
+
+
+def read_keys(path: str) -> KeySet:
+    keys: list[int] = []
+    for lineno, k in _decimal_lines(path):
+        if keys and k <= keys[-1]:
+            raise ParameterError(f"{path}:{lineno}: keys must be sorted ascending without duplicates")
+        keys.append(k)
     if not keys:
         raise ParameterError(f"{path}: no keys")
     return KeySet(keys)
@@ -156,17 +160,9 @@ def write_weights(path: str, dist: WeightedDistribution) -> None:
             fh.write(f"{key}\t{w!r}\n")
 
 
-def read_queries(path: str) -> list[int]:
-    queries: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text:
-                continue
-            if not _is_decimal(text):
-                raise ParameterError(f"{path}:{lineno}: not an unsigned decimal key: {text!r}")
-            queries.append(int(text))
-    return queries
+def read_queries(path: str, universe: UniverseSpec) -> list[int]:
+    """The file's queries, each checked against the universe as it is read."""
+    return [universe.check_key(q) for _, q in _decimal_lines(path)]
 
 
 # instance assembly
@@ -277,7 +273,7 @@ def _emit_report(report: dict, out: Optional[str], fmt: str) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_FIELDS)
-        writer.writerow(["" if report[f] is None else report[f] for f in REPORT_FIELDS])
+        writer.writerow([report[f] for f in REPORT_FIELDS])  # None writes as an empty field
         text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2) + "\n"
@@ -288,14 +284,21 @@ def _emit_report(report: dict, out: Optional[str], fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _audit_after_run(structure) -> bool:
-    """Audit the structure once its queries are done; print the failure, if any."""
+def _audit_after(structure, after: str = "run") -> bool:
+    """Audit the structure after the run, or after one access (q=...); print the failure, if any."""
     try:
         structure.audit()
     except AssertionError as exc:
-        print(f"structural invariant failed after run: {exc}", file=sys.stderr)
+        print(f"structural invariant failed after {after}: {exc}", file=sys.stderr)
         return False
     return True
+
+
+def _report_mismatch(prefix: str, args, n: int, q: int, expected, got, note: str = "") -> int:
+    """Print the reproducer of a wrong answer; return the mismatch exit code."""
+    print(f"{prefix}: structure={args.structure} universe_bits={args.universe_bits} n={n} "
+          f"seed={args.seed} q={q} expected={expected} got={got}{note}", file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def cmd_bench(args) -> int:
@@ -305,9 +308,7 @@ def cmd_bench(args) -> int:
     universe, keys, dist, dist_kind, dist_param = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
     if args.query_file:
-        queries = read_queries(args.query_file)
-        for q in queries:
-            universe.check_key(q)
+        queries = read_queries(args.query_file, universe)
     else:
         queries = sample_queries(dist, args.seed, 10000 if args.queries is None else args.queries)
 
@@ -330,17 +331,9 @@ def cmd_bench(args) -> int:
             if first_bad is None:
                 first_bad = (q, expected, got if got != expected else st.answer)
     if mismatches:
-        q, expected, got = first_bad
-        print(
-            f"verification failed: structure={args.structure} universe_bits={args.universe_bits} "
-            f"n={len(keys)} seed={args.seed} q={q} expected={expected} got={got} "
-            f"({mismatches} mismatches total)",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
-    if not _audit_after_run(structure):
-        return EXIT_MISMATCH
-    if counted is not structure and not _audit_after_run(counted):
+        return _report_mismatch("verification failed", args, len(keys), *first_bad,
+                                f" ({mismatches} mismatches total)")
+    if not _audit_after(structure) or (counted is not structure and not _audit_after(counted)):
         return EXIT_MISMATCH
 
     layered = args.structure in ("layered", "layered-ws")
@@ -379,19 +372,8 @@ def cmd_verify(args) -> int:
     _resolve_seed(args, "--query-file FILE" if args.query_file else "the exhaustive sweep")
     universe, keys, dist, _, _ = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
-
-    def reproducer(q: int, expected: Optional[int], got: Optional[int]) -> int:
-        print(
-            f"mismatch: structure={args.structure} universe_bits={args.universe_bits} "
-            f"n={len(keys)} seed={args.seed} q={q} expected={expected} got={got}",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
-
     if args.query_file:
-        queries = read_queries(args.query_file)
-        for q in queries:
-            universe.check_key(q)
+        queries = read_queries(args.query_file, universe)
     else:
         queries = range(universe.size)
     audited = args.query_file is not None and args.structure in MUTATING
@@ -399,14 +381,10 @@ def cmd_verify(args) -> int:
         got = structure.predecessor(q)
         expected = oracle_predecessor(keys, q)
         if got != expected:
-            return reproducer(q, expected, got)
-        if audited:
-            try:
-                structure.audit()
-            except AssertionError as exc:
-                print(f"structural invariant failed after q={q}: {exc}", file=sys.stderr)
-                return EXIT_MISMATCH
-    if not _audit_after_run(structure):
+            return _report_mismatch("mismatch", args, len(keys), q, expected, got)
+        if audited and not _audit_after(structure, f"q={q}"):
+            return EXIT_MISMATCH
+    if not _audit_after(structure):
         return EXIT_MISMATCH
     if not args.query_file:
         print(f"verified all {universe.size} queries: ok")

@@ -11,7 +11,7 @@ stored key set.  Two threshold shapes are supported:
 
 Only the distribution's support is scanned at build time; keys with zero
 probability can never meet a positive threshold.  The build makes C-level
-passes, not a Python call per support key: ``check_support`` checks the
+passes, not a Python call per support key: ``check_sorted`` checks the
 support against the universe by its largest key, as the static cascade's
 build does; ``ThresholdMode.front_keys`` divides the distribution's stored
 float64 weights by their total, keeps the keys whose probability clears a
@@ -156,7 +156,7 @@ class HashFront(PredecessorStructure):
         if probed:
             v = self.table.get(q, _MISSING)
             if v is not _MISSING:
-                return QueryStats(answer=v, table_probes=1, table_hit=True)
+                return QueryStats(v, 0, 0, 1, True)
         answer, probes = self.fallback.query_stats(q)[:2]
         return QueryStats(answer, probes, 0, int(probed))
 
@@ -208,8 +208,12 @@ def expected_probe_bound(dist: WeightedDistribution, universe: UniverseSpec,
     bounds: dict[int, float] = {}
     for key, w in dist.items():
         (hit if key in front else miss).append(w / total)
-        # padded_log2(total / w) without the division, which overflows for subnormal w
-        bounds[key] = padded_log2(math.log2(total + 2.0 * w) - math.log2(w))
+        # padded_log2(total / w) without the division, which overflows for subnormal w; near
+        # the float maximum total + 2w overflows instead, so its log2 is taken from a quarter
+        padded = total + 2.0 * w
+        log2_padded = (math.log2(padded) if padded != math.inf
+                       else 2.0 + math.log2(0.25 * total + 0.5 * w))
+        bounds[key] = padded_log2(log2_padded - math.log2(w))
     return ProbeBoundReport(
         threshold=mode.threshold(universe.bits),
         hit_mass=math.fsum(hit),

@@ -156,7 +156,7 @@ class _LayeredBase(PredecessorStructure):
     def query_stats(self, q: int) -> QueryStats:
         """Answer plus the number of layers probed."""
         answer, probed = self._scan(q)
-        return QueryStats(answer=answer, layers_probed=probed)
+        return QueryStats(answer, 0, probed)
 
     def table_entries(self) -> int:
         """Stored entries across all layers plus the successor pointers kept."""

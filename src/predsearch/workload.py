@@ -7,6 +7,7 @@ reproducible.  Weight assignment itself is deterministic in the support order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,10 @@ class WorkloadSpec:
     ``ratio`` per rank, zipf weight is (rank+1)**-s, uniform weights
     everything equally and pointmass puts everything on the first key.
     Geometric and zipf weights are clamped to the smallest positive double,
-    so a deep rank keeps its key in the support.  ``ratio`` and ``s`` must be
-    real numbers, ints included; a string or a bool raises ParameterError.
+    so a deep rank keeps its key in the support.  ``support`` holds distinct
+    ints, as a ``KeySet`` does; a repeated key, or a bool or other non-int,
+    raises ParameterError.  ``ratio`` and ``s`` must be real numbers, ints
+    included; a string or a bool raises ParameterError.
     """
 
     kind: str
@@ -68,6 +71,13 @@ class WorkloadSpec:
             raise ParameterError(f"unknown workload kind {self.kind!r}")
         if not self.support:
             raise ParameterError("workload support must be nonempty")
+        # C-level passes: perfbench weights supports of 2^16 keys; only an error names a key
+        if set(map(type, self.support)) != {int}:  # as KeySet: bool is an int subclass
+            bad = next(k for k in self.support if type(k) is not int)
+            raise ParameterError(f"keys must be ints, got {bad!r} of type {type(bad).__name__}")
+        if len(set(self.support)) != len(self.support):
+            repeated = next(k for k, c in Counter(self.support).items() if c > 1)
+            raise ParameterError(f"workload support repeats key {repeated}")
         check_real("geometric ratio", self.ratio)
         check_real("zipf exponent", self.s)
         if self.kind == KIND_GEOMETRIC and not 0.0 < self.ratio < 1.0:

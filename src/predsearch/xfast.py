@@ -162,6 +162,8 @@ class XFastTrie(PredecessorStructure):
         leaves = keys.keys
         self.bits = universe.bits
         self.universe = universe
+        # leaf links: each stored key to the stored key below / above it (None at the ends);
+        # the y-fast reads them to step from a bucket's separator to the next bucket
         self._prev: dict[int, Optional[int]] = dict(zip(leaves, (None,) + leaves[:-1]))
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
         self._levels, self._alone = _build_levels(leaves, self.bits)
@@ -182,10 +184,6 @@ class XFastTrie(PredecessorStructure):
             yield k
             k = nxt[k]
 
-    def _neighbours(self, x: int) -> tuple[Optional[int], Optional[int]]:
-        """The stored keys just below and just above stored key x (None at the ends)."""
-        return self._prev[x], self._next[x]
-
     def predecessor(self, q: int) -> Optional[int]:
         if type(q) is not int or q >> self.bits:
             self.universe.check_key(q)
@@ -196,7 +194,7 @@ class XFastTrie(PredecessorStructure):
         if type(q) is not int or q >> self.bits:
             self.universe.check_key(q)
         answer, probes = self._search(q)
-        return QueryStats(answer=answer, level_probes=probes)
+        return QueryStats(answer, probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:
         """Weak predecessor of q and the prefix-table probes spent on it.

@@ -136,7 +136,7 @@ class YFastTrie(PredecessorStructure):
         if type(q) is not int or q >> self.bits:
             self.universe.check_key(q)
         answer, probes = self._search(q)
-        return QueryStats(answer=answer, level_probes=probes)
+        return QueryStats(answer, probes)
 
     def _search(self, q: int) -> tuple[Optional[int], int]:
         flat = self._flat
@@ -150,7 +150,7 @@ class YFastTrie(PredecessorStructure):
         if i:
             return b[i - 1], probes
         # q lies between the separator and the bucket's first key: the bucket before answers
-        below = trie._neighbours(sep)[0]
+        below = trie._prev[sep]
         return (self._buckets[below][-1] if below is not None else None), probes
 
     def insert(self, x: int) -> None:
@@ -219,7 +219,7 @@ class YFastTrie(PredecessorStructure):
 
     def _first_above(self, sep: int) -> Optional[int]:
         """The first key of the bucket after sep's, or None if sep's bucket is the last."""
-        above = self._rep_trie._neighbours(sep)[1]
+        above = self._rep_trie._next[sep]
         return self._buckets[above][0] if above is not None else None
 
     def _split(self, sep: int) -> None:
@@ -236,11 +236,12 @@ class YFastTrie(PredecessorStructure):
 
         The lower of the two buckets keeps its separator, so the first stays 0.
         """
-        below, above = self._rep_trie._neighbours(sep)
+        trie = self._rep_trie
+        below, above = trie._prev[sep], trie._next[sep]
         keep, gone = (below, sep) if below is not None else (sep, above)
         kept = self._buckets[keep]
         kept.extend(self._buckets.pop(gone))
-        self._rep_trie.delete(gone)
+        trie.delete(gone)
         if len(kept) > self._max_size:
             self._split(keep)
 

@@ -109,6 +109,35 @@ class TestParsing:
                    "--query-file", bad) == EXIT_USAGE
         assert "queries.txt:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("structure", ["xfast", "layered-ws"])
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    def test_query_file_key_outside_universe_rejected(self, command, structure, tmp_path, capsys,
+                                                      monkeypatch):
+        """A query outside the universe fails the whole file before the first access, so no
+        timed pass and no layered-ws promotion runs."""
+        calls = []
+        real = build_structure
+
+        class Recording:
+            def __init__(self, structure):
+                self.structure = structure
+
+            def predecessor(self, q):
+                calls.append(q)
+                return self.structure.predecessor(q)
+
+            def __getattr__(self, name):
+                return getattr(self.structure, name)
+
+        monkeypatch.setattr("predsearch.cli.build_structure",
+                            lambda *a, **k: Recording(real(*a, **k)))
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("17\n4096\n")
+        assert run(command, "--universe-bits", 12, "--n", 64, "--seed", 3, "--structure", structure,
+                   "--query-file", qfile) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: key 4096 outside 12-bit universe\n"
+        assert calls == []
+
     def test_weights_file_rejects_non_ascii_digit_key(self, tmp_path, capsys):
         keys = gen_keys(tmp_path)
         bad = tmp_path / "bad.tsv"

@@ -221,3 +221,13 @@ class TestExpectedProbeBound:
         key, w = min(dist.items(), key=lambda kw: kw[1])
         assert report.element_bounds[key] == pytest.approx(
             padded_log2(math.log2(dist.total) - math.log2(w)))
+
+    def test_element_bounds_finite_for_weights_near_the_float_maximum(self):
+        """total + 2w overflows here although total / w does not."""
+        dist = WeightedDistribution({1: 1e308, 2: 7e307})
+        report = expected_probe_bound(dist, UniverseSpec(8), ThresholdMode.mode_a(0.5))
+        for key, w in dist.items():
+            assert report.element_bounds[key] == pytest.approx(
+                padded_log2(padded_log2(dist.total / w)), rel=1e-12)
+        assert report.element_bounds[1] == pytest.approx(1.9589, abs=1e-4)
+        assert report.element_bounds[2] == pytest.approx(2.0520, abs=1e-4)

@@ -105,6 +105,21 @@ class TestGenerateDistribution:
         with pytest.raises(ParameterError):
             WorkloadSpec(kind="uniform", support=())
 
+    @pytest.mark.parametrize("kind", ["uniform", "geometric", "zipf", "pointmass"])
+    def test_repeated_support_key_rejected(self, kind):
+        # a repeated key would silently take the weight of its last rank
+        with pytest.raises(ParameterError, match=r"^workload support repeats key 5$"):
+            WorkloadSpec(kind=kind, support=(5, 7, 5))
+
+    @pytest.mark.parametrize("key, type_name", [([1], "list"), (True, "bool"), (2.0, "float"),
+                                                (np.int64(3), "int64")])
+    def test_non_int_support_key_rejected_as_by_keyset(self, key, type_name):
+        message = f"keys must be ints, got {key!r} of type {type_name}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            KeySet((1, key))
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            WorkloadSpec(kind="zipf", support=(1, key))
+
 
 class TestSampleQueries:
     def test_point_mass_samples_constant(self):
