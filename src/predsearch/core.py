@@ -321,8 +321,8 @@ class QueryStats(NamedTuple):
 
     answer: Optional[int]
     level_probes: int = 0   # prefix-table probes in trie searches, at most floor(log2(depth + 1)) + 2
-                            # each for a trie storing levels 0..depth (depth <= bits); most searches
-                            # meet a single-key prefix in one or two; 0 on a flat y-fast trie
+                            # each for a trie storing levels 0..depth (depth <= bits); 0 on a flat
+                            # y-fast trie; tests/mechanisms.json pins a seeded histogram
     layers_probed: int = 0  # layers visited (layer cascade structures only)
     table_probes: int = 0   # front-table lookups (hash-fronted structures only)
     table_hit: bool = False

@@ -2,16 +2,14 @@
 
 Layer j holds 2**(2**j) keys (4, 16, 256, 65536, ...), the last layer holding
 whatever remains, and each layer is its own predecessor structure over the
-full universe.  A query probes the front layers (all but the last) in order,
-keeping the best (largest) local predecessor seen so far.  A front-layer key
-knows its successor in the full key set, so as soon as the best candidate's
-successor exceeds the query the candidate is provably the global answer and
-the search stops.  Otherwise that successor is a stored key at or below the
-query that no front layer holds, so the last layer's local predecessor is at
-least that key and is the answer: the last layer's keys need no successor
-pointer.  So in both variants exactly the front-layer keys keep one.  A query
-below every stored key can only be recognized after all layers have answered
-empty.
+full universe.  A query probes the front layers (all but the last) in order.
+A front-layer key knows its successor in the full key set, so as soon as a
+layer's own candidate (its local predecessor) has a successor above the query,
+that candidate is provably the global answer and the search stops.  If no
+front layer stops it, the answer is a key no front layer holds, and the last
+layer's candidate is it: the last layer's keys need no successor pointer.  So
+in both variants exactly the front-layer keys keep one.  A query below every
+stored key can only be recognized after all layers have answered empty.
 
 Both variants keep the key set's ascending tuple as ``_keys`` (in the static
 variant the same object as ``output.keys``).  The build points each front key
@@ -36,7 +34,12 @@ Two ways of ranking keys into layers:
   out of the last layer writes the promoted key's successor pointer and drops
   the pointer of the stale key it pushes into the last layer.  Only the front
   layers keep a recency queue: no key ever leaves the last layer as the
-  stalest, so its order is never read.
+  stalest, so its order is never read.  Each queue maps its keys, stalest
+  first, to their access stamps from one per-cascade counter: an answer
+  promoted to the front layer takes a fresh stamp, and a stale key shifted
+  down keeps its own.  So stamps ascend within each queue and every key of
+  front layer j is fresher than every key of front layer j + 1, which is
+  the order the working-set bound rests on.
 
 Either way a layer's keys are a cut of the key set's own ascending tuple:
 the static variant's gather by sorted index, the self-adjusting variant's
@@ -59,14 +62,15 @@ layers, merged and sorted, are the key tuple; exactly the front-layer keys
 keep a successor pointer, each naming the key after it in the tuple (a
 bisect); the variant's order (static: each key sits in the layer its rank
 puts it in; self-adjusting: each front layer's recency queue holds exactly
-that layer's keys); and the layer sizes are ``layer_capacities(n)``.
+that layer's keys, its stamps ascend, and they all lie above the next front
+layer's); and the layer sizes are ``layer_capacities(n)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from itertools import chain
+from itertools import chain, count
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,27 +131,31 @@ class _LayeredBase(PredecessorStructure):
                       for k in sorted(chain.from_iterable(slices[:-1]))}
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
-        """Probe the front layers in order, stopping once the best candidate is proven
-        global, then the last layer, whose candidate is the answer.
+        """Probe the front layers in order, stopping at the first whose own candidate's
+        successor is None or above q, then the last layer, whose candidate is the answer.
+
+        Why this is the answer, and why no running best is needed: if the
+        global answer p sits in front layer j, layer j's candidate is p and
+        ``succ[p]`` is None or above q, so the scan stops at layer j.  Every
+        candidate c of an earlier layer is a key below p, so ``succ[c] <= p
+        <= q`` and the scan cannot stop earlier.  If p sits in the last layer,
+        or q has no predecessor, every front candidate is below p or None, so
+        no front layer stops the scan.  So the answer, and the layers probed,
+        are those of a scan that keeps the largest candidate seen so far.
 
         The first layer's ``predecessor`` checks the key, so an invalid query
         raises before any layer answers and before the self-adjusting variant
         promotes anything.
         """
         succ = self._succ
-        best: Optional[int] = None
         probed = 0
         for layer in self._front:
             probed += 1
             local = layer.predecessor(q)
-            if local is not None and (best is None or local > best):
-                best = local
-            if best is not None:
-                s = succ[best]
+            if local is not None:
+                s = succ[local]
                 if s is None or s > q:
-                    return best, probed
-        # best is None, or its successor is a key at or below q held by the last layer,
-        # so the last layer's candidate is larger than best
+                    return local, probed
         return self._last.predecessor(q), probed + 1
 
     def predecessor(self, q: int) -> Optional[int]:
@@ -256,9 +264,14 @@ class WorkingSetLayered(_LayeredBase):
         slices = _cut(keys.keys)
         self._build_layers(slices)
         # Front of each queue is the stalest key in that front layer.  Untouched keys
-        # keep their build order (ascending), so they shift down smallest-first.
-        self._recency: list[OrderedDict[int, None]] = [OrderedDict.fromkeys(s)
-                                                       for s in slices[:-1]]
+        # keep their build order (ascending), so they shift down smallest-first.  Build
+        # stamps are negative, the deepest front layer's lowest, so every access is fresher.
+        self._recency: list[OrderedDict[int, int]] = []
+        end = 0
+        for s in slices[:-1]:
+            self._recency.append(OrderedDict(zip(s, range(end - len(s), end))))
+            end -= len(s)
+        self._clock = count()
 
     def _scan(self, q: int) -> tuple[Optional[int], int]:
         """The cascade scan, then the answer's promotion to the front layer."""
@@ -274,6 +287,7 @@ class WorkingSetLayered(_LayeredBase):
         last = len(rec)
         if j == 0:
             if last:  # a single-layer cascade has no order to keep
+                rec[0][x] = next(self._clock)
                 rec[0].move_to_end(x)
             return
         layers = self.layers
@@ -289,18 +303,34 @@ class WorkingSetLayered(_LayeredBase):
         # deepest first: each layer loses its stalest key before it gains one,
         # so no layer ever holds more than its capacity
         for k in range(j - 1, -1, -1):
-            stale, _ = rec[k].popitem(last=False)
+            stale, stamp = rec[k].popitem(last=False)
             layers[k].delete(stale)
             layers[k + 1].insert(stale)
             if k + 1 != last:
-                rec[k + 1][stale] = None
+                rec[k + 1][stale] = stamp
             else:
                 del self._succ[stale]
         layers[0].insert(x)
-        rec[0][x] = None
+        rec[0][x] = next(self._clock)
 
     def _audit_order(self) -> None:
-        """Raise AssertionError unless each front layer's recency queue holds exactly its keys."""
+        """Raise AssertionError unless each front layer's recency queue holds exactly its keys
+        and the stamps ascend from the deepest front layer's stalest key to layer 0's freshest.
+
+        That one walk checks both halves of the order: stamps ascend within each
+        queue, and every stamp of front layer j + 1 lies below every stamp of
+        layer j.  A queue out of order answers every query right, but the next
+        promotions shift its freshest keys down, which can break the working-set
+        bound.
+        """
         for j, (r, layer) in enumerate(zip(self._recency, self._front)):
             if r.keys() != set(layer):
                 raise AssertionError(f"layer {j}'s recency queue does not hold exactly its keys")
+        before = None  # (layer, key, stamp) of the key walked just before
+        for j in range(len(self._recency) - 1, -1, -1):
+            for k, stamp in self._recency[j].items():
+                if before is not None and stamp <= before[2]:
+                    raise AssertionError(f"key {k} in layer {j} (stamp {stamp}) is not fresher "
+                                         f"than key {before[1]} in layer {before[0]} "
+                                         f"(stamp {before[2]})")
+                before = (j, k, stamp)

@@ -30,15 +30,16 @@ stored prefix's level is known to lie in [lo, hi], it probes level
 [mid, hi] if the query's prefix there is stored, [lo, mid - 1] if not.
 Level L weighs n + (D + 1) * (number of keys whose leaf level is L): half of
 the weight is spread evenly, half sits where keys become alone, which is
-where a search that meets a single key ends.  So most searches end in one or
-two probes.  Each subtree of the probe tree weighs at most half of its
-parent, every level weighs at least n and all D levels weigh at most
-(2D + 1) * n, so no search takes more than floor(log2(D + 1)) + 2 probes,
-at most 2 more than halving the levels would.  The (D + 1)^2 table is built
-with the tables and rebuilt, in O(D^2), only when an insert deepens the trie,
-from the build's leaf counts with a zero for each new level.  So the weights
-go stale under updates, which changes neither the answers nor the bound: the
-bound holds for any counts with a positive sum.
+where a search that meets a single key ends.  Each subtree of the probe tree
+weighs at most half of its parent, every level weighs at least n and all D
+levels weigh at most (2D + 1) * n, so no search takes more than
+floor(log2(D + 1)) + 2 probes, at most 2 more than halving the levels would.
+How many a search takes below that bound depends on the keys and queries;
+``tests/mechanisms.json`` pins the histogram of one seeded 64-bit case.  The
+(D + 1)^2 table is built with the tables and rebuilt, in O(D^2), only when an
+insert deepens the trie, from the build's leaf counts with a zero for each new
+level.  So the weights go stale under updates, which changes neither the
+answers nor the bound: the bound holds for any counts with a positive sum.
 
 The build is one bottom-up pass over the stored entries only: each level is
 derived from the one below it with C-level ``map``/``zip`` passes.  The

@@ -152,9 +152,10 @@ def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     assert all(type(k) is int for k in trie)
 
 
-# the fields a layered cascade keeps its key tuple, layers, pointers and recency queues in; only
-# the views below and the planted faults in test_integration.py touch them (test_boundary.py)
-CASCADE_FIELDS = frozenset({"_keys", "layers", "_succ", "_recency", "_front", "_last"})
+# the fields a layered cascade keeps its key tuple, layers, pointers, recency queues and access
+# clock in; only the views below and the planted faults in test_integration.py touch them
+# (test_boundary.py)
+CASCADE_FIELDS = frozenset({"_keys", "layers", "_succ", "_recency", "_clock", "_front", "_last"})
 
 
 def layer_keys(cascade) -> list[tuple[int, ...]]:

@@ -27,6 +27,8 @@ ALLOWED = {
         "_swap_a_front_key_with_a_last_layer_key",
         "_move_a_layer_1_key_to_the_last_layer",
         "_move_the_lowest_ranked_layer_1_key_to_the_last_layer",
+        "_reverse_the_layer_1_recency_queue",
+        "_stamp_a_layer_1_key_fresher_than_layer_0",
         "BREAK_INVARIANTS",
     },
     "test_layered.py": {

@@ -1,6 +1,7 @@
 """Cross-structure checks on shared instances, including full-width universes."""
 
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -315,6 +316,21 @@ def _move_the_lowest_ranked_layer_1_key_to_the_last_layer(cascade):
     _relayer(cascade, layers)
 
 
+def _reverse_the_layer_1_recency_queue(ws):
+    """After some queries, layer 1's queue runs freshest first: every answer is still right,
+    but the next promotions shift layer 1's freshest keys down."""
+    for q in range(0, ws.universe.size, 5):
+        ws.predecessor(q)
+    ws._recency[1] = OrderedDict(reversed(ws._recency[1].items()))
+
+
+def _stamp_a_layer_1_key_fresher_than_layer_0(ws):
+    """Layer 1's freshest key takes a fresh stamp, as an access would, but stays in layer 1: its
+    queue still ascends, yet it is fresher than every key of layer 0."""
+    last = next(reversed(ws._recency[1]))
+    ws._recency[1][last] = next(ws._clock)
+
+
 FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
                       (_float_front_key, "front table key 0.5 is not an int in the 8-bit universe"),
                       (_front_key_outside_universe, "front table key 256 is not an int in the 8-bit"),
@@ -359,6 +375,12 @@ BREAK_INVARIANTS = {
                  r"layer sizes \[4, 15, 81\] != capacities \[4, 16, 80\]")],
     "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False),
                     "layer 0's recency queue does not hold exactly its keys"),
+                   (_reverse_the_layer_1_recency_queue,
+                    r"key \d+ in layer 1 \(stamp -?\d+\) is not fresher than key \d+ in "
+                    r"layer 1 \(stamp -?\d+\)"),
+                   (_stamp_a_layer_1_key_fresher_than_layer_0,
+                    r"key \d+ in layer 0 \(stamp -4\) is not fresher than key \d+ in layer 1 "
+                    r"\(stamp 0\)"),
                    (_swap_a_last_layer_key_for_an_absent_one, "layers do not partition the key set"),
                    (_front_key_also_in_the_last_layer, "layers do not partition the key set"),
                    (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+"),
