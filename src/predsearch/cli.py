@@ -284,10 +284,17 @@ def _emit_report(report: dict, out: Optional[str], fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _audit_after(structure, after: str = "run") -> bool:
-    """Audit the structure after the run, or after one access (q=...); print the failure, if any."""
+def _audit_after(structure, dist: Optional[WeightedDistribution], after: str = "run") -> bool:
+    """Audit the structure after the run, or after one access (q=...); print the failure, if any.
+
+    dist is given for a hash-front, whose table keys the distribution fixes, and None
+    otherwise.
+    """
     try:
-        structure.audit()
+        if dist is None:
+            structure.audit()
+        else:
+            structure.audit(dist)
     except AssertionError as exc:
         print(f"structural invariant failed after {after}: {exc}", file=sys.stderr)
         return False
@@ -333,11 +340,12 @@ def cmd_bench(args) -> int:
     if mismatches:
         return _report_mismatch("verification failed", args, len(keys), *first_bad,
                                 f" ({mismatches} mismatches total)")
-    if not _audit_after(structure) or (counted is not structure and not _audit_after(counted)):
-        return EXIT_MISMATCH
-
     layered = args.structure in ("layered", "layered-ws")
     hashfront = args.structure.startswith("hashfront")
+    if (not _audit_after(structure, dist if hashfront else None)
+            or (counted is not structure and not _audit_after(counted, None))):
+        return EXIT_MISMATCH
+
     nq = len(queries)
     report = {
         "structure": args.structure,
@@ -377,14 +385,15 @@ def cmd_verify(args) -> int:
     else:
         queries = range(universe.size)
     audited = args.query_file is not None and args.structure in MUTATING
+    front_dist = dist if args.structure.startswith("hashfront") else None
     for q in queries:
         got = structure.predecessor(q)
         expected = oracle_predecessor(keys, q)
         if got != expected:
             return _report_mismatch("mismatch", args, len(keys), q, expected, got)
-        if audited and not _audit_after(structure, f"q={q}"):
+        if audited and not _audit_after(structure, front_dist, f"q={q}"):
             return EXIT_MISMATCH
-    if not _audit_after(structure):
+    if not _audit_after(structure, front_dist):
         return EXIT_MISMATCH
     if not args.query_file:
         print(f"verified all {universe.size} queries: ok")

@@ -27,7 +27,8 @@ the largest support key), so an exact int that hits the table is a valid key.
 Anything else, including ``bool``, ``float`` and NumPy integers, which can
 hash equal to a table key, is never looked up: it goes to the fallback, whose
 own check raises the typed error or accepts the int-like.  ``audit`` checks
-the table keys this rests on.
+the table keys this rests on and, given the distribution, that they are
+exactly its front keys.
 """
 
 from __future__ import annotations
@@ -163,10 +164,13 @@ class HashFront(PredecessorStructure):
     def table_entries(self) -> int:
         return len(self.table) + self.fallback.table_entries()
 
-    def audit(self) -> None:
+    def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
         """Raise AssertionError if the front table holds more entries than its capacity, a key
         that is not an int inside the universe (a hit checks nothing else) or an answer other
-        than the fallback's, or if the fallback's own audit fails."""
+        than the fallback's, or if the fallback's own audit fails.  Given the distribution the
+        table was built from, also raise unless the table keys are exactly its front keys:
+        a key missing from the table answers right, from the fallback, but the paper's hit
+        mass counts it as a one-probe hit."""
         bits = self.universe.bits
         capacity = self.mode.table_capacity(bits)
         if len(self.table) > capacity:
@@ -178,6 +182,15 @@ class HashFront(PredecessorStructure):
             expected = self.fallback.predecessor(key)
             if answer != expected:
                 raise AssertionError(f"front table maps {key} to {answer}, the fallback gives {expected}")
+        if dist is not None:
+            front = set(self.mode.front_keys(dist, bits))
+            if self.table.keys() != front:
+                key = min(self.table.keys() ^ front)
+                if key in front:
+                    raise AssertionError(f"front table lacks key {key}, whose probability meets "
+                                         "the threshold")
+                raise AssertionError(f"front table holds key {key}, whose probability does not "
+                                     "meet the threshold")
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,23 @@ resolve the predecessor with O(1) additional work:
 
 The search is a binary search tree over levels 1..D.  While the longest
 stored prefix's level is known to lie in [lo, hi], it probes level
-``mids[lo][hi]``, the weighted median of levels lo+1..hi, and keeps
-[mid, hi] if the query's prefix there is stored, [lo, mid - 1] if not.
-Level L weighs n + (D + 1) * (number of keys whose leaf level is L): half of
-the weight is spread evenly, half sits where keys become alone, which is
-where a search that meets a single key ends.  Each subtree of the probe tree
-weighs at most half of its parent, every level weighs at least n and all D
-levels weigh at most (2D + 1) * n, so no search takes more than
-floor(log2(D + 1)) + 2 probes, at most 2 more than halving the levels would.
+``mids[lo][hi]`` and keeps [mid, hi] if the query's prefix there is stored,
+[lo, mid - 1] if not.  The tree is weighted by where uniform queries end:
+a single-key prefix at level L ends the searches of its 2^-L of the
+universe (at the probe of L), and a prefix with two or more keys and one
+stored child ends those of its empty half, 2^-(L + 1) (once the range
+shrinks to L).  Both shares come from the build's per-level counts.  Among
+the trees that take at most floor(log2(D + 1)) + 2 probes, at most 2 more
+than halving the levels would, the table holds the one with the least
+expected 2^probes (``_probe_order``): that cost weighs a long search more
+than the mean probe count does, so few queries take the deepest probes.
 How many a search takes below that bound depends on the keys and queries;
 ``tests/mechanisms.json`` pins the histogram of one seeded 64-bit case.  The
-(D + 1)^2 table is built with the tables and rebuilt, in O(D^2), only when an
-insert deepens the trie, from the build's leaf counts with a zero for each new
-level.  So the weights go stale under updates, which changes neither the
-answers nor the bound: the bound holds for any counts with a positive sum.
+(D + 1)^2 table is built with the tables and rebuilt only when an insert
+deepens the trie, from the build's weights with a zero for each new level,
+a dynamic program of O(D^3 log D) int operations (about 5 ms at D = 34).
+So the weights go stale under updates, which changes neither the answers
+nor the bound: the bound holds for any weights.
 
 The build is one bottom-up pass over the stored entries only: each level is
 derived from the one below it with C-level ``map``/``zip`` passes.  The
@@ -69,7 +72,7 @@ would also satisfy the contract but is unnecessary here.
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import eq, itemgetter, rshift, sub, xor
+from operator import add, eq, itemgetter, rshift, sub, xor
 from typing import Iterator, Optional, Sequence
 
 from .core import KeySet, ParameterError, PredecessorStructure, QueryStats, UniverseSpec
@@ -122,41 +125,95 @@ def _build_levels(leaves: Sequence[int], bits: int) -> tuple[list[dict[int, Entr
     return levels, list(map(len, alone))
 
 
-def _probe_order(alone: Sequence[int]) -> list[list[int]]:
-    """The probe table mids[lo][hi] for 0 <= lo < hi <= D (other entries are 0).
+def _end_weights(levels: Sequence[dict[int, Entry]],
+                 alone: Sequence[int]) -> tuple[list[int], list[int]]:
+    """How much of the universe ends a search at each level, in units of 2^-(D + 1).
 
-    alone[L] counts the keys whose leaf level is L (alone[0] is not read), n is
-    their sum, and level L weighs n + (D + 1) * alone[L].  mids[lo][hi] is the
-    shallowest level mid such that levels lo+1..mid hold at least half of the
-    weight of levels lo+1..hi, so the levels on either side of it hold at most
-    half.  For a fixed lo the median never moves up as hi grows, so one
-    forward scan per row builds the table in O(D^2).
+    A search ends at the query's longest stored prefix.  single[L] weighs the
+    single-key prefixes at level L, 2^-L each (alone[L] << (D + 1 - L)).
+    multi[L] weighs the prefixes at level L with two or more keys and one stored
+    child, 2^-(L + 1) each, their empty half: there are 2 * m - c of them, with m
+    the level's prefixes of two or more keys and c the stored prefixes at level
+    L + 1, whose parents those are.  Over all levels the two sum to 2^(D + 1).
     """
-    depth = len(alone) - 1
-    n = sum(islice(alone, 1, None))
-    total = list(accumulate((n + (depth + 1) * c for c in islice(alone, 1, None)), initial=0))
-    mids = []
-    for lo in range(depth + 1):
-        row = [0] * (depth + 1)
-        mid = lo + 1
-        for hi in range(lo + 1, depth + 1):
-            while 2 * total[mid] < total[lo] + total[hi]:
-                mid += 1
-            row[hi] = mid
-        mids.append(row)
+    depth = len(levels) - 1
+    single = [c << (depth + 1 - level) for level, c in enumerate(alone)]
+    multi = [(2 * (len(levels[level]) - alone[level]) - len(levels[level + 1])) << (depth - level)
+             for level in range(depth)]
+    multi.append(0)  # a prefix at the deepest level holds a single key
+    return single, multi
+
+
+def _probe_order(single: Sequence[int], multi: Sequence[int]) -> list[list[int]]:
+    """The probe table mids[lo][hi] for 0 <= lo < hi <= D (other entries are 0): the probe
+    tree within H = floor(log2(D + 1)) + 2 probes that minimises the weighted sum of
+    2^probes over the search ends single and multi (see ``_end_weights``).
+
+    A search state [lo, hi] is reached by the ends weighing W = multi[lo..hi] +
+    single[lo + 1..hi] (the single-key prefix at lo would have ended the search
+    there).  Each probe made in that state adds 2^d to the 2^probes - 1 of every
+    query in it, d being the probes made before, so with h probes left
+
+        cost_h(lo, hi) = W + 2 * min over mid in (lo, hi] of
+                         cost_(h-1)(lo, mid - 1) + cost_(h-1)(mid, hi),
+
+    which minimises the tree's weighted 2^probes at every height (Garey's
+    depth-limited optimal search tree, under this cost).  Ties go to the
+    shallowest mid.  Heights 1..H - 1 are filled bottom-up, each from the one
+    below, over the ranges of at most 2^h - 1 levels that h probes can search; a
+    range of fewer than h levels keeps its tree from height h - 1, which no cap
+    binds, and a range that no query reaches (W = 0) probes its shallowest
+    feasible level.  Height H is needed for [0, D] alone.  The ranges a search
+    from [0, D] reaches take the root of the height it reaches them with; every
+    other entry takes its root at height H - 1, which fits every range, so each
+    entry lies in (lo, hi].  That is O(H * D^3) int operations, but most ranges
+    are short: about 5 ms at D = 34 and 0.2 ms at D = 12 on a 2-vCPU VM.  The
+    costs are exact ints, so ties cannot differ between platforms.
+    """
+    depth = len(single) - 1
+    height = (depth + 1).bit_length() + 1
+    size = depth + 1
+    # W(lo, hi) = ends[hi + 1] - ends[lo] - single[lo]
+    ends = list(accumulate(map(add, single, multi), initial=0))
+    rows = [[0] * size for _ in range(size)]  # rows[lo][hi] = cols[hi][lo] = cost at height h - 1
+    cols = [[0] * size for _ in range(size)]
+    roots = [[[0] * size for _ in range(size)]]  # roots[h][lo][hi]; height 0 probes nothing
+    for h in range(1, height):
+        cap = (1 << (h - 1)) - 1  # most levels h - 1 probes can search
+        prev_rows, prev_cols = rows, cols
+        rows = [row[:] for row in prev_rows]
+        cols = [col[:] for col in prev_cols]
+        root = [row[:] for row in roots[-1]]
+        for lo in range(depth + 1 - h):
+            left, row, root_row = prev_rows[lo], rows[lo], root[lo]
+            base = ends[lo] + single[lo]
+            for hi in range(lo + h, min(depth, lo + 2 * cap + 1) + 1):
+                first = hi - cap if hi - cap > lo + 1 else lo + 1  # feasible mids: first..last
+                weight = ends[hi + 1] - base
+                if not weight:
+                    root_row[hi] = first
+                    continue
+                last = lo + 1 + cap if lo + 1 + cap < hi else hi
+                costs = [*map(add, left[first - 1:last], prev_cols[hi][first:last + 1])]
+                best = min(costs)
+                root_row[hi] = first + costs.index(best)
+                row[hi] = cols[hi][lo] = weight + 2 * best
+        roots.append(root)
+    # the root range [0, D]: at height H - 1 every range fits, so every level is feasible
+    mids = [row[:] for row in roots[height - 1]]
+    costs = [*map(add, rows[0][:depth], cols[depth][1:])]
+    mid = mids[0][depth] = 1 + costs.index(min(costs))
+    reached = [(0, mid - 1, height - 1), (mid, depth, height - 1)]
+    while reached:
+        lo, hi, h = reached.pop()
+        if lo < hi:
+            mid = mids[lo][hi] = roots[h][lo][hi]
+            reached += ((lo, mid - 1, h - 1), (mid, hi, h - 1))
     return mids
 
 
-def _probe_height(mids: Sequence[Sequence[int]], lo: int, hi: int) -> int:
-    """Most probes a search can take once the longest stored prefix's level is in [lo, hi]."""
-    if lo >= hi:
-        return 0
-    mid = mids[lo][hi]
-    return 1 + max(_probe_height(mids, lo, mid - 1), _probe_height(mids, mid, hi))
-
-
 class XFastTrie(PredecessorStructure):
-    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_alone", "_mids", "_root")
+    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_weights", "_mids", "_root")
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -167,8 +224,9 @@ class XFastTrie(PredecessorStructure):
         # the y-fast reads them to step from a bucket's separator to the next bucket
         self._prev: dict[int, Optional[int]] = dict(zip(leaves, (None,) + leaves[:-1]))
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
-        self._levels, self._alone = _build_levels(leaves, self.bits)
-        self._mids = _probe_order(self._alone)
+        self._levels, alone = _build_levels(leaves, self.bits)
+        self._weights = _end_weights(self._levels, alone)
+        self._mids = _probe_order(*self._weights)
         self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
     # `x in trie` would fall back to a linear walk of __iter__ with no key check
@@ -242,9 +300,10 @@ class XFastTrie(PredecessorStructure):
         y = min((k for k in (p, s) if k is not None), key=x.__xor__)
         leaf = bits + 1 - (x ^ y).bit_length()
         if leaf >= len(levels):
-            self._alone += [0] * (leaf + 1 - len(levels))
+            for weights in self._weights:
+                weights += [0] * (leaf + 1 - len(levels))
             levels += [{} for _ in range(leaf + 1 - len(levels))]
-            self._mids = _probe_order(self._alone)
+            self._mids = _probe_order(*self._weights)
         self._prev[x] = p
         self._next[x] = s
         if p is not None:
@@ -303,8 +362,9 @@ class XFastTrie(PredecessorStructure):
     def audit(self) -> None:
         """Raise AssertionError unless the root, the leaf links, every prefix table and the
         probe table agree: the tables are a fresh build's, plus any empty deeper tables, their
-        entries share a build's 2n - 1 tuples, and the probe table probes within each level
-        range and within its probe bound."""
+        entries share a build's 2n - 1 tuples, and the probe table is, entry for entry, the
+        one the stored level weights give.  The weights themselves may be stale after
+        updates, which changes no answer, so the audit recomputes the table from them."""
         levels, nxt, prev = self._levels, self._next, self._prev
         if self._root is not levels[0].get(0):
             raise AssertionError(f"stale root {self._root}: level 0 holds {levels[0].get(0)}")
@@ -331,18 +391,18 @@ class XFastTrie(PredecessorStructure):
         if shared != 2 * len(walk) - 1:
             raise AssertionError(f"entries point at {shared} distinct tuples, a build shares "
                                  f"2 * {len(walk)} - 1 = {2 * len(walk) - 1}")
-        mids = self._mids
+        single, multi = self._weights
+        if len(single) != depth + 1 or len(multi) != depth + 1:
+            raise AssertionError(f"level weights for {len(single)} and {len(multi)} levels, "
+                                 f"{depth + 1} stored")
+        mids, want = self._mids, _probe_order(single, multi)
         if len(mids) != depth + 1 or any(len(row) != depth + 1 for row in mids):
             raise AssertionError(f"probe table is not {depth + 1} x {depth + 1}")
-        for lo in range(depth):
-            for hi in range(lo + 1, depth + 1):
-                if not lo < mids[lo][hi] <= hi:
-                    raise AssertionError(f"probe table: mids[{lo}][{hi}] = {mids[lo][hi]} "
-                                         f"outside ({lo}, {hi}]")
-        height, bound = _probe_height(mids, 0, depth), (depth + 1).bit_length() + 1
-        if height > bound:
-            raise AssertionError(f"probe table takes up to {height} probes, above "
-                                 f"floor(log2({depth} + 1)) + 2 = {bound}")
+        if mids != want:
+            lo, hi = next((lo, hi) for lo in range(depth + 1) for hi in range(depth + 1)
+                          if mids[lo][hi] != want[lo][hi])
+            raise AssertionError(f"probe table: mids[{lo}][{hi}] = {mids[lo][hi]}, the level "
+                                 f"weights give {want[lo][hi]}")
 
     def table_entries(self) -> int:
         """Total prefix-table entries across the stored levels (space audit)."""

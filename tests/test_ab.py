@@ -26,6 +26,7 @@ def test_a_run_against_head_checks_every_answer(capsys):
     report = json.loads(capsys.readouterr().out)["workloads"]["drift-ws"]
     assert report["query"]["wrong_answers"] == 0
     assert report["query"]["of"] == 128  # 2**17 queries in blocks of 1024
+    assert report["query"]["base_floor_ratio"] > 0 and report["query"]["change_floor_ratio"] > 0
     assert report["build"]["of"] == 1
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -434,6 +435,24 @@ class TestBench:
         err = capsys.readouterr().err
         assert "structural invariant failed after run: planted fault" in err
         assert "verification failed" not in err
+
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    def test_hashfront_audited_against_its_distribution(self, command, capsys, monkeypatch):
+        """A front table missing one of the distribution's front keys answers every query
+        right, but bench and verify audit it against the distribution they hold."""
+        real = build_structure
+
+        def dropping_build(*args, **kwargs):
+            front = real(*args, **kwargs)
+            del front.table[min(front.table)]
+            return front
+
+        monkeypatch.setattr("predsearch.cli.build_structure", dropping_build)
+        assert run(command, "--universe-bits", 12, "--n", 64, "--dist-kind", "geometric",
+                   "--structure", "hashfront-a", "--epsilon", 0.5) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert re.search(r"structural invariant failed after run: front table lacks key \d+, "
+                         r"whose probability meets the threshold", err), err
 
     def test_wall_time_is_the_plain_query_path(self, tmp_path, monkeypatch):
         """wall_ns_per_query times predecessor, not the instrumented query_stats."""

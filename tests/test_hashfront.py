@@ -135,6 +135,35 @@ class TestBuild:
                 expected = {k for k, w in dist.items() if meets_threshold(w / dist.total, t)}
                 assert set(hf.table) == expected
                 assert len(hf.table) <= mode.table_capacity(universe.bits)
+                hf.audit(dist)
+
+
+class TestAuditAgainstTheDistribution:
+    """Given the distribution, the audit holds the table keys to exactly its front keys."""
+
+    def setup_front(self):
+        universe = UniverseSpec(8)
+        keys = KeySet([10, 100, 200])
+        dist = WeightedDistribution({5: 8.0, 50: 4.0, 150: 2.0, 250: 0.001})
+        front = HashFront(keys, dist, universe, ThresholdMode.mode_a(0.5))
+        assert sorted(front.table) == [5, 50, 150]
+        front.audit(dist)
+        return front, dist
+
+    def test_a_missing_key(self):
+        front, dist = self.setup_front()
+        del front.table[50]
+        front.audit()  # every answer the table gives is still right
+        with pytest.raises(AssertionError, match="front table lacks key 50, whose probability meets"):
+            front.audit(dist)
+
+    def test_a_key_below_the_threshold(self):
+        front, dist = self.setup_front()
+        front.table[250] = 200  # the fallback's answer
+        front.audit()
+        with pytest.raises(AssertionError, match="front table holds key 250, whose probability does "
+                                                 "not meet"):
+            front.audit(dist)
 
 
 class TestPredecessor:

@@ -183,6 +183,14 @@ def _mid_outside_its_range(trie):
     trie._mids[0][len(trie._levels) - 1] = 0
 
 
+def _probe_a_neighbour_level_first(trie):
+    """Probe the level next to the weights' choice first: in range and within the probe bound,
+    but not the tree with the least expected 2^probes."""
+    mids = trie._mids
+    depth = len(mids) - 1
+    mids[0][depth] += -1 if mids[0][depth] > 1 else 1
+
+
 def _overfill_first_bucket(trie):
     bucket = trie._buckets[separators(trie)[0]]
     bucket.extend([bucket[-1]] * trie._max_size)
@@ -253,6 +261,12 @@ def _wrong_front_answer(front):
 
 def _miscount_fallback_keys(front):
     front.fallback._size += 1
+
+
+def _drop_a_threshold_key(front):
+    """Delete the smallest table key: its queries still get the right answer, from the fallback,
+    but miss the table that the paper's hit mass counts them in."""
+    del front.table[min(front.table)]
 
 
 def _drop_key_from_last_layer(cascade):
@@ -335,7 +349,9 @@ FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
                       (_float_front_key, "front table key 0.5 is not an int in the 8-bit universe"),
                       (_front_key_outside_universe, "front table key 256 is not an int in the 8-bit"),
                       (_wrong_front_answer, "front table maps 3 to 253, the fallback gives 3"),
-                      (_miscount_fallback_keys, "buckets hold 100 keys, counted 101")]
+                      (_miscount_fallback_keys, "buckets hold 100 keys, counted 101"),
+                      (_drop_a_threshold_key,
+                       "front table lacks key 3, whose probability meets the threshold")]
 
 # broken invariants per structure, each with the audit message it must raise
 BREAK_INVARIANTS = {
@@ -346,7 +362,9 @@ BREAK_INVARIANTS = {
               (_drop_a_leaf_entry, r"level 8: prefix \d+ maps to None, the leaf walk gives \((\d+), \1\)"),
               (_copy_a_shared_tuple, r"entries point at 200 distinct tuples, a build shares "
                                      r"2 \* 100 - 1 = 199"),
-              (_mid_outside_its_range, r"probe table: mids\[0\]\[8\] = 0 outside \(0, 8\]")],
+              (_mid_outside_its_range, r"probe table: mids\[0\]\[8\] = 0, the level weights give 6"),
+              (_probe_a_neighbour_level_first,
+               r"probe table: mids\[0\]\[8\] = 5, the level weights give 6")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
               (lambda y: _stale_root(y._rep_trie), "stale root"),
               (_first_separator_not_zero, "first separator is 3, not 0"),
@@ -401,10 +419,12 @@ def test_contract_answers_and_audit(name):
         expected = oracle_predecessor(keys, q)
         assert structure.predecessor(q) == expected, q
         assert structure.query_stats(q).answer == expected, q
-    structure.audit()
+    # a hash-front is audited against the distribution its table keys come from
+    dist_arg = (dist,) if name.startswith("hashfront") else ()
+    structure.audit(*dist_arg)
     for corrupt, message in BREAK_INVARIANTS[name]:
         structure = build_structure(name, keys, dist, universe, epsilon)
-        structure.audit()
+        structure.audit(*dist_arg)
         corrupt(structure)
         with pytest.raises(AssertionError, match=message):
-            structure.audit()
+            structure.audit(*dist_arg)

@@ -1,8 +1,9 @@
 """Exact mechanism figures of all six structures, pinned against ``mechanisms.json``.
 
 Wall-clock figures cannot tell a 10% change from host noise, but how many
-layers a cascade probes, how many levels a trie search probes and how often
-a front table hits are exact: they change only when code changes them.  So a
+layers a cascade probes, how many levels a trie search probes, how often a
+front table hits and how many y-fast inserts and deletes a working-set
+promotion makes are exact: they change only when code changes them.  So a
 change that claims the same mechanism shows it here as an unchanged file, and
 a change that alters one shows the diff.  Regenerate the file with
 
@@ -18,7 +19,8 @@ through public calls only (``test_boundary.py``).
 import json
 import random
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -81,6 +83,45 @@ def replay(structure, keys: KeySet, queries, field: str) -> list[int]:
     return figures
 
 
+@contextmanager
+def counted_updates(counts: Counter):
+    """Count every YFastTrie insert and delete call into counts while the block runs."""
+    insert, delete = YFastTrie.insert, YFastTrie.delete
+
+    def counted_insert(trie, x):
+        counts["inserts"] += 1
+        return insert(trie, x)
+
+    def counted_delete(trie, x):
+        counts["deletes"] += 1
+        return delete(trie, x)
+
+    YFastTrie.insert, YFastTrie.delete = counted_insert, counted_delete
+    try:
+        yield
+    finally:
+        YFastTrie.insert, YFastTrie.delete = insert, delete
+
+
+def replay_promotions(ws, keys: KeySet, queries) -> tuple[list[int], dict]:
+    """The layers each query probed, and the y-fast inserts and deletes its promotion made,
+    summed by the depth the answer was promoted from (layers probed - 1); each answer is
+    checked by the oracle."""
+    counts: Counter = Counter()
+    by_depth: dict = defaultdict(lambda: Counter(promotions=0, inserts=0, deletes=0))
+    probed = []
+    with counted_updates(counts):
+        for q in queries:
+            before = counts.copy()
+            stats = ws.query_stats(q)
+            assert stats.answer == oracle_predecessor(keys, q), q
+            probed.append(stats.layers_probed)
+            if stats.answer is not None:
+                by_depth[stats.layers_probed - 1].update(counts - before)
+                by_depth[stats.layers_probed - 1]["promotions"] += 1
+    return probed, {str(depth): dict(c) for depth, c in sorted(by_depth.items())}
+
+
 def drift_stream(rnd: random.Random, keys: KeySet, bits: int) -> list[int]:
     """90% of queries on a hot set of gap points that drifts one point every 50 queries,
     10% uniform over the universe."""
@@ -123,21 +164,23 @@ def figures() -> dict:
              "layered": layered, "layered-ws": ws}
     table_entries = {name: s.table_entries() for name, s in built.items()}
     hits = replay(front_a, keys, zipf, "table_hit")
+    ws_probed, ws_updates = replay_promotions(ws, keys, drift)
     return {
         "layered.layers_probed": histogram(replay(layered, keys, zipf, "layers_probed")),
-        "layered-ws.layers_probed": histogram(replay(ws, keys, drift, "layers_probed")),
+        "layered-ws.layers_probed": histogram(ws_probed),
         "xfast.level_probes": histogram(replay(xfast, keys64, uniform64, "level_probes")),
         "yfast.level_probes": histogram(replay(yfast, keys, uniform, "level_probes")),
         "hashfront-a.hits": sum(hits),
         "hashfront-a.table_size": front_a.table_size,
         "table_entries": table_entries,
         "layered-ws.table_entries_after_stream": ws.table_entries(),
+        "layered-ws.updates_by_promotion_depth": ws_updates,
     }
 
 
 NAMES = ("layered.layers_probed", "layered-ws.layers_probed", "xfast.level_probes",
          "yfast.level_probes", "hashfront-a.hits", "hashfront-a.table_size", "table_entries",
-         "layered-ws.table_entries_after_stream")
+         "layered-ws.table_entries_after_stream", "layered-ws.updates_by_promotion_depth")
 
 
 def pinned() -> dict:

@@ -142,15 +142,17 @@ class TestEarlyExit:
         # the single-key prefix holds a key above q: the answer is the leaf linked before it
         trie = XFastTrie(KeySet([3, 2 ** 40 + 7]), UniverseSpec(64))
         stats = trie.query_stats(2 ** 40)
-        # the keys part at bit 40, so both are alone from level 24, the depth.  Levels 1..23
-        # weigh n = 2 each and level 24 weighs 2 + 25 * 2 = 52, over half of the total 98, so
-        # the search probes level 24 first and meets 2 ** 40 + 7 alone there.  Halving the 25
-        # stored levels would probe 12, 18, 21, 23 and 24; halving all 65 levels would meet
-        # that single key at level 32 first.
+        # the keys part at bit 40, so both are alone from level 24, the depth.  Their two
+        # prefixes there own 2 * 2^-24 of the universe, while levels 0..22 each end a search
+        # on a two-key prefix's empty half, half of the universe at level 0.  So the probe
+        # tree meets a level-24 prefix last, at the bound floor(log2(25)) + 2 = 6 probes, and
+        # a query with its top bit set (level 0's empty half) ends in 2.
         assert len(trie._levels) == 25
-        assert stats.answer == 3 and stats.level_probes == 1
+        assert stats.answer == 3 and stats.level_probes == 6
         stats = trie.query_stats(2)  # 3 alone at level 24 is above the query: nothing below
-        assert stats.answer is None and stats.level_probes == 1
+        assert stats.answer is None and stats.level_probes == 6
+        stats = trie.query_stats(2 ** 63)
+        assert stats.answer == 2 ** 40 + 7 and stats.level_probes == 2
 
     @pytest.mark.parametrize("n", [1, 2, 256, 4096])
     def test_exhaustive_16_bits(self, n):
@@ -372,21 +374,27 @@ def probe_height(mids, lo: int, hi: int) -> int:
 
 
 class TestProbeOrder:
-    """The probe table probes inside every level range, and its tree stays within
-    floor(log2(D + 1)) + 2 probes however the keys' leaf levels fall."""
+    """The probe table probes inside every level range, its tree stays within
+    floor(log2(D + 1)) + 2 probes however the search ends weigh, and it is the tree within
+    that bound with the least weighted 2^probes."""
 
     @pytest.mark.parametrize("depth", range(1, 65))
     def test_every_range_and_the_height_bound(self, depth):
         rnd = random.Random(depth)
+        zeros = [0] * (depth + 1)
         patterns = {
-            "all on level 1": [1000] + [0] * (depth - 1),
-            "all on level D": [0] * (depth - 1) + [1000],
-            "spread evenly": [7] * depth,
-            "at random": [rnd.randrange(50) for _ in range(depth - 1)] + [1 + rnd.randrange(50)],
-            "one key": [0] * (depth - 1) + [1],
+            "all at level 1": ([0, 1000] + zeros[2:], zeros),
+            "all at level D": (zeros[:-1] + [1000], zeros),
+            "spread evenly": ([0] + [7] * depth, [7] * depth + [0]),
+            "at random": ([0] + [rnd.randrange(50) for _ in range(depth)],
+                          [rnd.randrange(50) for _ in range(depth)] + [0]),
+            "universe shares": ([0] + [1 << (depth + 1 - level) for level in range(1, depth + 1)],
+                                [1 << (depth - level) for level in range(depth)] + [0]),
+            "deepest first": ([0] + [1 << (2 * level) for level in range(1, depth + 1)], zeros),
+            "stale levels only": (zeros, zeros),
         }
-        for name, counts in patterns.items():
-            mids = _probe_order([0] + counts)
+        for name, (single, multi) in patterns.items():
+            mids = _probe_order(single, multi)
             assert len(mids) == depth + 1 and all(len(row) == depth + 1 for row in mids)
             for lo in range(depth):
                 for hi in range(lo + 1, depth + 1):
@@ -394,9 +402,92 @@ class TestProbeOrder:
             assert probe_height(mids, 0, depth) <= math.floor(math.log2(depth + 1)) + 2, name
 
     def test_heavy_leaf_level_is_probed_first(self):
-        # 300 of the 490 keys are alone at level 10, so it holds over half of the weight
-        mids = _probe_order([0] + [10] * 9 + [300] + [10] * 10)
-        assert mids[0][20] == 10
+        # the single-key prefixes at level 10 own 3/4 of the universe and two-key prefixes at
+        # levels 0..3 the rest, so one probe of level 10 ends most searches
+        single = [0] * 10 + [3 << 20] + [0] * 10
+        multi = [1 << 18] * 4 + [0] * 17
+        assert _probe_order(single, multi)[0][20] == 10
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_reachable_tree_is_optimal_within_the_bound(self, depth):
+        """Against every probe tree within the bound, enumerated: the tree a search from
+        [0, D] walks has the least weighted 2^probes.  The bound binds from D = 5: there the
+        deepest-first weights would cost less with a taller tree."""
+        bound = math.floor(math.log2(depth + 1)) + 2
+        cases = [([0] + [16 ** level for level in range(1, depth + 1)], [0] * (depth + 1))]
+        for seed in range(12):
+            rnd = random.Random(depth * 100 + seed)
+            scale = [rnd.choice((1, 2, 4, 16)) ** level for level in range(depth + 1)]
+            cases.append(([0] + [rnd.randrange(4) * scale[level] for level in range(1, depth + 1)],
+                          [rnd.randrange(4) * scale[level] for level in range(depth)] + [0]))
+        for single, multi in cases:
+            cost = ends_cost(single, multi)
+            best = min(map(cost, probe_trees(0, depth, bound)))
+            assert cost(probe_tree(_probe_order(single, multi), 0, depth)) == best, (single, multi)
+        taller = min(map(ends_cost(*cases[0]), probe_trees(0, depth, depth)))
+        assert (taller < ends_cost(*cases[0])(probe_tree(_probe_order(*cases[0]), 0, depth))) \
+            == (depth >= 5)
+
+    @pytest.mark.parametrize("bits, n", [(1, 1), (4, 3), (8, 5), (8, 100), (12, 40)])
+    def test_end_weights_are_the_universe_shares(self, bits, n):
+        """single[L] and multi[L] are the shares of the universe, in units of 2^-(D + 1), whose
+        longest stored prefix lies at level L, with one key or more beneath it."""
+        universe = UniverseSpec(bits)
+        keys = KeySet(sorted(random.Random(bits * n).sample(range(universe.size), n)))
+        trie = XFastTrie(keys, universe)
+        depth = len(trie._levels) - 1
+        single, multi = [0] * (depth + 1), [0] * (depth + 1)
+        for q in range(universe.size):
+            level = max(level for level, table in enumerate(trie._levels)
+                        if q >> (bits - level) in table)
+            lo, hi = trie._levels[level][q >> (bits - level)]
+            (single if level and lo == hi else multi)[level] += 1
+        # count / 2^bits of the universe is weight / 2^(D + 1)
+        assert [[w << bits for w in weights] for weights in trie._weights] == \
+            [[c << (depth + 1) for c in counts] for counts in (single, multi)]
+
+
+def probe_tree(mids, lo: int, hi: int) -> dict:
+    """The probe table's tree over [lo, hi] as a {(lo, hi): mid} map of the ranges it reaches."""
+    if lo >= hi:
+        return {}
+    mid = mids[lo][hi]
+    return {(lo, hi): mid, **probe_tree(mids, lo, mid - 1), **probe_tree(mids, mid, hi)}
+
+
+def probe_trees(lo: int, hi: int, height: int):
+    """Every probe tree over [lo, hi] of at most height probes, as probe_tree maps."""
+    if lo == hi:
+        yield {}
+        return
+    if height == 0:
+        return
+    for mid in range(lo + 1, hi + 1):
+        for left in probe_trees(lo, mid - 1, height - 1):
+            for right in probe_trees(mid, hi, height - 1):
+                yield {(lo, hi): mid, **left, **right}
+
+
+def ends_cost(single, multi):
+    """The weighted sum of 2^probes of a probe tree: each search end walked through the tree
+    as the x-fast search walks it, stopping on a probe of its own single-key prefix."""
+    depth = len(single) - 1
+
+    def cost(tree: dict) -> int:
+        total = 0
+        for level in range(depth + 1):
+            for weight, alone in ((single[level], True), (multi[level], False)):
+                lo, hi, probes = 0, depth, 0
+                while lo < hi:
+                    mid = tree[lo, hi]
+                    probes += 1
+                    if mid == level and alone:
+                        break
+                    lo, hi = (mid, hi) if mid <= level else (lo, mid - 1)
+                total += weight << probes
+        return total
+
+    return cost
 
 
 class TestChurnAgainstFreshBuild:

@@ -14,13 +14,19 @@ host speed and build from one set of inputs (see ``compare``):
   walks the workload's whole stream in blocks of BLOCK queries, timing base
   and change on each block in alternating order (a self-adjusting structure
   so runs the stream in lockstep on both sides); every answer is checked
-  against the oracle;
+  against the oracle.  Each side's block is followed by a block of the floor,
+  ``core.oracle_predecessor`` (bisect on the key tuple) over the same
+  queries, as ``perfbench/run.py`` follows each batch with a floor batch, so
+  each side also reads a floor ratio: its block time over its floor block's;
 * builds: single builds, base and change alternating in order, each after a
   ``gc.collect()`` as ``perfbench/run.py`` times ``setup_s``.
 
 A ratio is change / base, so below 1 means the change is faster.  Prints one
 JSON object: per workload the median ratio, how many blocks (or builds) the
-change won, the quartiles of the ratios, and each round's ratio.  Run it with
+change won, the quartiles of the ratios, and each round's ratio; for
+queries also each side's median floor ratio, a batch time over the floor's
+as perfbench's ``throughput_floor_ratio`` takes it, inverted so that lower
+is faster like its two query ratios.  Run it with
 ``--base HEAD`` on a clean tree first: an A/A run reads about 1.0 with about
 half of the blocks won.  Exits 1 if an answer differs from the oracle (after
 printing) or if the run cannot start, and 2 on a usage error.
@@ -40,6 +46,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,12 +101,14 @@ def order(i: int) -> tuple[int, int]:
     return (0, 1) if i % 2 == 0 else (1, 0)
 
 
-def query_rounds(builds, inputs, expected: list,
-                 rounds: int) -> tuple[list[float], list[float], int]:
-    """(per-block ratios, per-round ratios, wrong answers) over rounds passes of the stream."""
+def query_rounds(builds, inputs, expected: list, floor,
+                 rounds: int) -> tuple[list[float], list[list[float]], list[float], int]:
+    """(per-block ratios, [base, change] per-block floor ratios, per-round ratios, wrong
+    answers) over rounds passes of the stream; floor runs a block after each side's."""
     stream = inputs.stream
     blocks = [(i, stream[i:i + BLOCK]) for i in range(0, len(stream), BLOCK)]
     block_ratios, round_ratios, wrong = [], [], 0
+    floor_ratios: list[list[float]] = [[], []]
     calls: list = [None, None]
     for r in range(rounds):
         calls[:] = [None, None]  # the last round's builds are freed before these are made
@@ -114,7 +123,10 @@ def query_rounds(builds, inputs, expected: list,
                 for s in order(r + b):
                     t0 = pc()
                     got = list(map(calls[s], block))
-                    ns[s] = pc() - t0
+                    t1 = pc()
+                    list(map(floor, block))
+                    ns[s] = t1 - t0
+                    floor_ratios[s].append(ns[s] / (pc() - t1))
                     want = expected[start:start + BLOCK]
                     if got != want:
                         wrong += sum(g != w for g, w in zip(got, want))
@@ -124,7 +136,7 @@ def query_rounds(builds, inputs, expected: list,
         finally:
             gc.enable()
         round_ratios.append(totals[1] / totals[0])
-    return block_ratios, round_ratios, wrong
+    return block_ratios, floor_ratios, round_ratios, wrong
 
 
 def build_pairs(builds, inputs, pairs: int) -> tuple[list[float], list[list[float]]]:
@@ -157,8 +169,13 @@ def compare(name: str, modules, seed: int, rounds: int, pairs: int) -> tuple[dic
     report: dict = {}
     wrong = 0
     if rounds:
-        block_ratios, round_ratios, wrong = query_rounds(builds, inputs, expected, rounds)
-        report["query"] = {**summary(block_ratios), "rounds_won": sum(r < 1 for r in round_ratios),
+        floor = partial(modules[1].oracle_predecessor, inputs.keys)
+        block_ratios, floor_ratios, round_ratios, wrong = query_rounds(builds, inputs, expected,
+                                                                       floor, rounds)
+        report["query"] = {**summary(block_ratios),
+                           "base_floor_ratio": statistics.median(floor_ratios[0]),
+                           "change_floor_ratio": statistics.median(floor_ratios[1]),
+                           "rounds_won": sum(r < 1 for r in round_ratios),
                            "round_ratios": round_ratios, "wrong_answers": wrong}
     if pairs:
         ratios, seconds = build_pairs(builds, inputs, pairs)
