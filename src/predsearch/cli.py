@@ -284,17 +284,16 @@ def _emit_report(report: dict, out: Optional[str], fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _audit_after(structure, dist: Optional[WeightedDistribution], after: str = "run") -> bool:
+def _audit_after(structure, dist: WeightedDistribution, after: str = "run") -> bool:
     """Audit the structure after the run, or after one access (q=...); print the failure, if any.
 
-    dist is given for a hash-front, whose table keys the distribution fixes, and None
-    otherwise.
+    Every structure takes the same call, ``audit(dist)``, with dist the distribution
+    it was built from: the structures built from it (the hash-fronts, the static
+    cascade) check what they took from it, the others ignore it.  So no audit is
+    chosen here by structure name.
     """
     try:
-        if dist is None:
-            structure.audit()
-        else:
-            structure.audit(dist)
+        structure.audit(dist)
     except AssertionError as exc:
         print(f"structural invariant failed after {after}: {exc}", file=sys.stderr)
         return False
@@ -342,8 +341,8 @@ def cmd_bench(args) -> int:
                                 f" ({mismatches} mismatches total)")
     layered = args.structure in ("layered", "layered-ws")
     hashfront = args.structure.startswith("hashfront")
-    if (not _audit_after(structure, dist if hashfront else None)
-            or (counted is not structure and not _audit_after(counted, None))):
+    if (not _audit_after(structure, dist)
+            or (counted is not structure and not _audit_after(counted, dist))):
         return EXIT_MISMATCH
 
     nq = len(queries)
@@ -385,15 +384,14 @@ def cmd_verify(args) -> int:
     else:
         queries = range(universe.size)
     audited = args.query_file is not None and args.structure in MUTATING
-    front_dist = dist if args.structure.startswith("hashfront") else None
     for q in queries:
         got = structure.predecessor(q)
         expected = oracle_predecessor(keys, q)
         if got != expected:
             return _report_mismatch("mismatch", args, len(keys), q, expected, got)
-        if audited and not _audit_after(structure, front_dist, f"q={q}"):
+        if audited and not _audit_after(structure, dist, f"q={q}"):
             return EXIT_MISMATCH
-    if not _audit_after(structure, front_dist):
+    if not _audit_after(structure, dist):
         return EXIT_MISMATCH
     if not args.query_file:
         print(f"verified all {universe.size} queries: ok")

@@ -225,17 +225,24 @@ def check_sorted(xs: Sequence[int], universe: UniverseSpec) -> None:
         universe.check_key(xs[bisect_left(xs, 1 << universe.bits)])
 
 
+def _shannon(weights: Iterable[float], total: float) -> float:
+    """Shannon entropy in bits of positive weights over their given total.
+
+    Each term takes log2(total) - log2(w) rather than log2(total / w), whose
+    quotient overflows to inf for a subnormal weight.  ``math.fsum`` rounds
+    the exact sum once, so the order of the weights does not change a bit.
+    """
+    log_total = math.log2(total)
+    return math.fsum((w / total) * (log_total - math.log2(w)) for w in weights)
+
+
 def entropy(dist: WeightedDistribution) -> float:
     """Entropy of the normalized distribution, in bits (standard log2).
 
     Terms with probability zero contribute nothing; a point mass has entropy
     exactly 0.  The padded-log convention is deliberately not applied here.
-    Each term takes log2(total) - log2(w) rather than log2(total / w), whose
-    quotient overflows to inf for a subnormal weight.
     """
-    total = dist.total
-    log_total = math.log2(total)
-    return math.fsum((w / total) * (log_total - math.log2(w)) for _, w in dist.items())
+    return _shannon(dist.weights.tolist(), dist.total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,11 +269,9 @@ class OutputDistribution:
         return float(self.masses[i]) if i < len(keys) and keys[i] == key else 0.0
 
     def entropy_bits(self) -> float:
-        """Entropy over the n+1 outcomes (each stored key, plus "no answer")."""
-        terms = [p for p in self.masses.tolist() if p > 0.0]
-        if self.bottom_mass > 0.0:
-            terms.append(self.bottom_mass)
-        return math.fsum(-p * math.log2(p) for p in terms)  # 1 / p would overflow for a subnormal p
+        """Entropy over the n+1 outcomes (each stored key, plus "no answer"), the masses
+        taken as probabilities: their total goes in as 1.0."""
+        return _shannon([p for p in (self.bottom_mass, *self.masses.tolist()) if p > 0.0], 1.0)
 
 
 def output_distribution(keys: KeySet, dist: WeightedDistribution) -> OutputDistribution:
@@ -353,6 +358,13 @@ class PredecessorStructure:
     Those per-layer public calls stay until the benchmark stops counting
     them: ``perfbench/tracing.py`` reads each layer's probes and time from
     the traced ``YFastTrie.predecessor`` calls.
+
+    ``audit(dist=None)`` is the one audit call, the same on every structure,
+    so a caller never chooses an audit by structure: ``dist`` is the
+    distribution the structure was built from, or None where the caller does
+    not hold it.  A structure built from a distribution (the hash-fronts'
+    table keys, the static cascade's p* masses) also checks, when given it,
+    what it took from it; the tries and ``layered-ws`` take none and ignore it.
     """
 
     def predecessor(self, q: int) -> Optional[int]:
@@ -361,8 +373,9 @@ class PredecessorStructure:
     def query_stats(self, q: int) -> QueryStats:
         raise NotImplementedError
 
-    def audit(self) -> None:
-        """Raise AssertionError unless the structure's invariants hold.
+    def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
+        """Raise AssertionError unless the structure's invariants hold, those it took from
+        dist, the distribution it was built from, included when dist is given.
 
         Checks are explicit raises, not ``assert`` statements, so they still
         run under ``python -O``.  The default has nothing to check.

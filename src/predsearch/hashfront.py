@@ -91,16 +91,17 @@ class ThresholdMode:
     def mode_b(cls, epsilon: float) -> "ThresholdMode":
         return cls(MODE_B, epsilon)
 
+    def _exponent(self, bits: int) -> float:
+        """e with threshold 2**-e and table capacity 2**e: bits * epsilon (mode A) or
+        bits ** epsilon (mode B)."""
+        return bits * self.epsilon if self.kind == MODE_A else bits ** self.epsilon
+
     def threshold(self, bits: int) -> float:
-        if self.kind == MODE_A:
-            return 2.0 ** (-bits * self.epsilon)
-        return 2.0 ** (-(bits ** self.epsilon))
+        return 2.0 ** -self._exponent(bits)
 
     def table_capacity(self, bits: int) -> float:
         """Upper bound on the table size: 1 / threshold."""
-        if self.kind == MODE_A:
-            return 2.0 ** (bits * self.epsilon)
-        return 2.0 ** (bits ** self.epsilon)
+        return 2.0 ** self._exponent(bits)
 
     def front_keys(self, dist: WeightedDistribution, bits: int) -> list[int]:
         """Support keys, ascending, whose probability meets the threshold (``meets_threshold``).

@@ -17,8 +17,23 @@ at the next key of that tuple, one bisect per front key (276 at n = 2**16).
 A promotion out of the last layer takes the promoted key's pointer from the
 layers instead: the last layer's part from its ``delete``, which has just
 edited the bucket holding the next key, and each front layer's own next key
-(one bisect of a flat list).  A bisect over all n keys gives the same
-pointer, but on a promotion it misses cache at almost every step.
+(one bisect of a flat list).  A bisect of ``_keys`` gives the same pointer
+and costs no query time, but it costs the benchmark, and so it stays out:
+
+* on ``drift-ws`` (seed 11, 2-vCPU VM, CPython 3.11) ``tools/ab.py`` reads
+  0.995-0.997 for it, with 681-765 of 1,280 blocks won;
+* yet it warms the key tuple that perfbench's floor bisects next: the
+  floor's median ``floor_ns_mean`` fell from 626 to 541 ns over 4 alternated
+  15 s pairs while raw ``query_ns_p50`` stayed at 5404 vs 5379 ns, so
+  ``query_p50_floor_ratio`` read +15% and ``throughput_floor_ratio`` -11%
+  for a structure no slower;
+* taking the last layer's part from an ``_after`` call instead of the key
+  ``delete`` returns costs query time: ``tools/ab.py`` read 1.016-1.019, 0 of
+  10 rounds won, with the floor unmoved.
+
+A fair floor, one that no structure's batch warms (ROADMAP item 6), would
+let the key-tuple bisect land, and with it ``YFastTrie._after``,
+``_first_above`` and ``delete``'s return value could go.
 
 Two ways of ranking keys into layers:
 
@@ -56,14 +71,17 @@ its capacity: a layer of exactly ``bits * bits`` keys stays a list.
 
 ``predecessor`` and ``query_stats`` (which adds the layers probed) run one
 scan; the self-adjusting variant promotes the answer as its last step.
-``audit`` is one check for both variants, and its truth is the key tuple,
-never the layer code under audit.  In order: each layer's own audit; the
-layers, merged and sorted, are the key tuple; exactly the front-layer keys
-keep a successor pointer, each naming the key after it in the tuple (a
-bisect); the variant's order (static: each key sits in the layer its rank
-puts it in; self-adjusting: each front layer's recency queue holds exactly
-that layer's keys, its stamps ascend, and they all lie above the next front
-layer's); and the layer sizes are ``layer_capacities(n)``.
+``audit(dist=None)`` is one check for both variants, and its truth is the
+key tuple, never the layer code under audit.  In order: each layer's own
+audit; the layers, merged and sorted, are the key tuple; exactly the
+front-layer keys keep a successor pointer, each naming the key after it in
+the tuple (a bisect); the variant's order (static: given dist, the
+distribution the cascade was built from, its p* masses and bottom mass are
+bit for bit ``output_distribution(keys, dist)``'s, then each key sits in the
+layer its rank puts it in; self-adjusting: each front layer's recency queue
+holds exactly that layer's keys, its stamps ascend, and they all lie above
+the next front layer's, and dist is ignored, since recency takes nothing
+from a distribution); and the layer sizes are ``layer_capacities(n)``.
 """
 
 from __future__ import annotations
@@ -113,7 +131,13 @@ def _cut(ranked: Sequence) -> list[Sequence]:
 
 
 class _LayeredBase(PredecessorStructure):
-    """Shared query path and audit; subclasses decide ordering and what the scan does after."""
+    """Shared query path and audit; subclasses decide ordering and what the scan does after.
+
+    Each subclass audits its ordering in ``_audit_order(dist)``, which raises
+    AssertionError unless the keys sit in the layers the variant's order gives
+    them; ``audit`` calls it, with its own dist, once the layers and pointers
+    are known intact.
+    """
 
     universe: UniverseSpec
     layers: list[YFastTrie]
@@ -170,11 +194,12 @@ class _LayeredBase(PredecessorStructure):
         """Stored entries across all layers plus the successor pointers kept."""
         return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
 
-    def audit(self) -> None:
+    def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
         """Raise AssertionError unless each layer audits clean, the layers partition the key
         set, exactly the front-layer keys keep a successor pointer, each naming the next key
-        of the set (None for the largest), the keys sit in layers by the variant's order, and
-        the layer sizes are ``layer_capacities(n)``.
+        of the set (None for the largest), the keys sit in layers by the variant's order
+        (checked against dist where the variant took its order from it), and the layer
+        sizes are ``layer_capacities(n)``.
 
         The truth is the key tuple ``_keys``, not the layers under audit: a
         pointer is checked by a bisect of that tuple.
@@ -192,16 +217,11 @@ class _LayeredBase(PredecessorStructure):
             i = bisect_right(keys, k)
             if s != (following := keys[i] if i < len(keys) else None):
                 raise AssertionError(f"successor pointer {k} -> {s}, next key is {following}")
-        self._audit_order()
+        self._audit_order(dist)
         sizes = [len(layer) for layer in self.layers]
         caps = layer_capacities(len(keys))
         if sizes != caps:
             raise AssertionError(f"layer sizes {sizes} != capacities {caps}")
-
-    def _audit_order(self) -> None:
-        """Raise AssertionError unless the keys sit in the layers the variant's order gives
-        them; called once the layers and pointers are known intact."""
-        raise NotImplementedError
 
 
 class LayeredStructure(_LayeredBase):
@@ -220,17 +240,30 @@ class LayeredStructure(_LayeredBase):
         as_objects = np.array(keys.keys, dtype=object)  # the tuple's own ints, gathered in C
         self._build_layers([as_objects[np.sort(part)].tolist() for part in _cut(order)])
 
-    def _audit_order(self) -> None:
-        """Raise AssertionError unless the layers hold the keys the build's rank gives them.
+    def _audit_order(self, dist: Optional[WeightedDistribution]) -> None:
+        """Raise AssertionError unless the stored p* are dist's and the layers hold the keys
+        the build's rank gives them.
 
-        The rank orders the keys by p* descending, ties by ascending key, and
-        layer j takes the next ``layer_capacities(n)[j]`` of them.  So no key in
-        layer j + 1 outranks a key in layer j; the base audit checks the sizes
-        after this.  The paper's bound p* <= 2**-2**j on an answer found in
-        layer j >= 1 rests on that, yet a key out of place changes no answer.
-        A key out of rank is named with the key it outranks.
+        Given dist, the masses are checked first, as their bits: every p* and
+        the bottom mass must be the float ``output_distribution(keys, dist)``
+        folds, and the first key whose mass differs is named.  Without this a
+        rank over wrong masses (every p* halved, say) would pass.  The rank
+        orders the keys by p* descending, ties by ascending key, and layer j
+        takes the next ``layer_capacities(n)[j]`` of them.  So no key in layer
+        j + 1 outranks a key in layer j; the base audit checks the sizes after
+        this.  The paper's bound p* <= 2**-2**j on an answer found in layer
+        j >= 1 rests on that, yet a key out of place changes no answer.  A key
+        out of rank is named with the key it outranks.
         """
         keys, masses = self._keys, self.output.masses
+        if dist is not None:  # p* in key order, then the bottom mass, compared as their bits
+            got, want = (np.append(o.masses, o.bottom_mass) for o in
+                         (self.output, output_distribution(KeySet._unchecked(keys), dist)))
+            differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            if differ.size:
+                i = differ[0]
+                what = f"key {keys[i]} answers p*" if i < len(keys) else f"mass below key {keys[0]} is"
+                raise AssertionError(f"{what} {got[i]}, the distribution gives {want[i]}")
         # the layer each key sits in, by its index in the ascending key tuple: the layers
         # partition the keys, so a key no front layer holds is in the last one
         held = np.full(len(keys), len(self._front), np.intp)
@@ -313,9 +346,10 @@ class WorkingSetLayered(_LayeredBase):
         layers[0].insert(x)
         rec[0][x] = next(self._clock)
 
-    def _audit_order(self) -> None:
+    def _audit_order(self, dist: Optional[WeightedDistribution]) -> None:
         """Raise AssertionError unless each front layer's recency queue holds exactly its keys
-        and the stamps ascend from the deepest front layer's stalest key to layer 0's freshest.
+        and the stamps ascend from the deepest front layer's stalest key to layer 0's freshest;
+        dist is ignored, since recency takes nothing from a distribution.
 
         That one walk checks both halves of the order: stamps ascend within each
         queue, and every stamp of front layer j + 1 lies below every stamp of

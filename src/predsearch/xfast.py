@@ -75,7 +75,8 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, itemgetter, rshift, sub, xor
 from typing import Iterator, Optional, Sequence
 
-from .core import KeySet, ParameterError, PredecessorStructure, QueryStats, UniverseSpec
+from .core import (KeySet, ParameterError, PredecessorStructure, QueryStats, UniverseSpec,
+                   WeightedDistribution)
 
 Entry = tuple[int, int]  # (min, max) stored key beneath a prefix
 
@@ -359,12 +360,13 @@ class XFastTrie(PredecessorStructure):
             below = table
         self._root = levels[0][0]
 
-    def audit(self) -> None:
+    def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
         """Raise AssertionError unless the root, the leaf links, every prefix table and the
         probe table agree: the tables are a fresh build's, plus any empty deeper tables, their
         entries share a build's 2n - 1 tuples, and the probe table is, entry for entry, the
         one the stored level weights give.  The weights themselves may be stale after
-        updates, which changes no answer, so the audit recomputes the table from them."""
+        updates, which changes no answer, so the audit recomputes the table from them.
+        dist is ignored: a trie takes nothing from a distribution."""
         levels, nxt, prev = self._levels, self._next, self._prev
         if self._root is not levels[0].get(0):
             raise AssertionError(f"stale root {self._root}: level 0 holds {levels[0].get(0)}")

@@ -56,7 +56,7 @@ from itertools import chain, islice
 from operator import lt
 from typing import Iterator, Optional, Sequence
 
-from .core import KeySet, PredecessorStructure, QueryStats, UniverseSpec
+from .core import KeySet, PredecessorStructure, QueryStats, UniverseSpec, WeightedDistribution
 from .xfast import XFastTrie
 
 
@@ -245,7 +245,7 @@ class YFastTrie(PredecessorStructure):
         if len(kept) > self._max_size:
             self._split(keep)
 
-    def audit(self) -> None:
+    def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
         """Raise AssertionError unless exactly one form is set and it is intact.
 
         The flat list ascends and holds at most bits * bits keys.  The bucket
@@ -253,7 +253,8 @@ class YFastTrie(PredecessorStructure):
         its own audit first, its separators are the buckets' keys and the
         first is 0, every bucket is in band, the buckets hold the counted number
         of keys, the keys ascend bucket by bucket, and every bucket lies within
-        [its separator, the next separator).
+        [its separator, the next separator).  dist is ignored: a trie takes
+        nothing from a distribution.
         """
         flat, trie, buckets = self._flat, self._rep_trie, self._buckets
         if (flat is None) == (trie is None) or (trie is None) != (buckets is None):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 from conftest import layer_keys
+from test_integration import _drop_a_threshold_key, _halve_every_p_star
 
 from predsearch import QueryStats
 from predsearch.cli import (
@@ -424,7 +425,7 @@ class TestBench:
             def query_stats(self, q):
                 return self.structure.query_stats(q)
 
-            def audit(self):
+            def audit(self, dist=None):
                 raise AssertionError("planted fault")
 
         real = build_structure
@@ -437,22 +438,29 @@ class TestBench:
         assert "verification failed" not in err
 
     @pytest.mark.parametrize("command", ["bench", "verify"])
-    def test_hashfront_audited_against_its_distribution(self, command, capsys, monkeypatch):
-        """A front table missing one of the distribution's front keys answers every query
-        right, but bench and verify audit it against the distribution they hold."""
+    @pytest.mark.parametrize("structure, fault, message", [
+        ("hashfront-a", _drop_a_threshold_key,
+         r"front table lacks key \d+, whose probability meets the threshold"),
+        ("layered", _halve_every_p_star, r"key \d+ answers p\* \S+, the distribution gives \S+"),
+    ], ids=("hashfront-a", "layered"))
+    def test_audited_against_its_distribution(self, structure, fault, message, command, capsys,
+                                              monkeypatch):
+        """A front table missing one of the distribution's front keys, or a static cascade
+        whose stored p* are all halved (its rank, layers and answers unchanged), answers every
+        query right, but bench and verify audit it against the distribution they hold."""
         real = build_structure
 
-        def dropping_build(*args, **kwargs):
-            front = real(*args, **kwargs)
-            del front.table[min(front.table)]
-            return front
+        def faulty_build(*args, **kwargs):
+            built = real(*args, **kwargs)
+            fault(built)
+            return built
 
-        monkeypatch.setattr("predsearch.cli.build_structure", dropping_build)
+        monkeypatch.setattr("predsearch.cli.build_structure", faulty_build)
+        epsilon = ("--epsilon", 0.5) if structure.startswith("hashfront") else ()
         assert run(command, "--universe-bits", 12, "--n", 64, "--dist-kind", "geometric",
-                   "--structure", "hashfront-a", "--epsilon", 0.5) == EXIT_MISMATCH
+                   "--structure", structure, *epsilon) == EXIT_MISMATCH
         err = capsys.readouterr().err
-        assert re.search(r"structural invariant failed after run: front table lacks key \d+, "
-                         r"whose probability meets the threshold", err), err
+        assert re.search("structural invariant failed after run: " + message, err), err
 
     def test_wall_time_is_the_plain_query_path(self, tmp_path, monkeypatch):
         """wall_ns_per_query times predecessor, not the instrumented query_stats."""
@@ -469,8 +477,8 @@ class TestBench:
                 time.sleep(pause_s)
                 return self.structure.query_stats(q)
 
-            def audit(self):
-                self.structure.audit()
+            def audit(self, dist=None):
+                self.structure.audit(dist)
 
         real = build_structure
         monkeypatch.setattr("predsearch.cli.build_structure",
@@ -600,7 +608,7 @@ class TestVerify:
             def predecessor(self, q):
                 return self.structure.predecessor(q)
 
-            def audit(self):
+            def audit(self, dist=None):
                 raise AssertionError("planted fault")
 
         real = build_structure
@@ -621,7 +629,7 @@ class TestVerify:
             def predecessor(self, q):
                 return self.structure.predecessor(q)
 
-            def audit(self):
+            def audit(self, dist=None):
                 self.audits += 1
                 if self.audits == 2:
                     raise AssertionError("planted fault")

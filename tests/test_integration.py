@@ -12,6 +12,7 @@ from predsearch import (
     KeyRangeError,
     KeySet,
     LayeredStructure,
+    OutputDistribution,
     ParameterError,
     ThresholdMode,
     UniverseSpec,
@@ -330,6 +331,19 @@ def _move_the_lowest_ranked_layer_1_key_to_the_last_layer(cascade):
     _relayer(cascade, layers)
 
 
+def _halve_every_p_star(cascade):
+    """Every stored p* halved: the rank, and so every layer, is unchanged, but the masses are
+    no longer the ones the distribution folds to."""
+    out = cascade.output
+    cascade.output = OutputDistribution(out.keys, out.masses / 2, out.bottom_mass)
+
+
+def _mass_below_the_smallest_key(cascade):
+    """Queries below every key given mass they do not have: no p* or rank changes."""
+    out = cascade.output
+    cascade.output = OutputDistribution(out.keys, out.masses, out.bottom_mass + 2.0 ** -30)
+
+
 def _reverse_the_layer_1_recency_queue(ws):
     """After some queries, layer 1's queue runs freshest first: every answer is still right,
     but the next promotions shift layer 1's freshest keys down."""
@@ -390,7 +404,11 @@ BREAK_INVARIANTS = {
                 (_move_a_layer_1_key_to_the_last_layer,
                  "key 12 in layer 2 outranks key 44 in layer 1"),
                 (_move_the_lowest_ranked_layer_1_key_to_the_last_layer,
-                 r"layer sizes \[4, 15, 81\] != capacities \[4, 16, 80\]")],
+                 r"layer sizes \[4, 15, 81\] != capacities \[4, 16, 80\]"),
+                (_halve_every_p_star,
+                 r"key 3 answers p\* 0\.25, the distribution gives 0\.5"),
+                (_mass_below_the_smallest_key,
+                 r"mass below key 3 is 9\.313225746154785e-10, the distribution gives 0\.0")],
     "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False),
                     "layer 0's recency queue does not hold exactly its keys"),
                    (_reverse_the_layer_1_recency_queue,
@@ -419,12 +437,11 @@ def test_contract_answers_and_audit(name):
         expected = oracle_predecessor(keys, q)
         assert structure.predecessor(q) == expected, q
         assert structure.query_stats(q).answer == expected, q
-    # a hash-front is audited against the distribution its table keys come from
-    dist_arg = (dist,) if name.startswith("hashfront") else ()
-    structure.audit(*dist_arg)
+    # every structure takes the distribution it was built from; those built from none ignore it
+    structure.audit(dist)
     for corrupt, message in BREAK_INVARIANTS[name]:
         structure = build_structure(name, keys, dist, universe, epsilon)
-        structure.audit(*dist_arg)
+        structure.audit(dist)
         corrupt(structure)
         with pytest.raises(AssertionError, match=message):
-            structure.audit(*dist_arg)
+            structure.audit(dist)

@@ -17,7 +17,10 @@ host speed and build from one set of inputs (see ``compare``):
   against the oracle.  Each side's block is followed by a block of the floor,
   ``core.oracle_predecessor`` (bisect on the key tuple) over the same
   queries, as ``perfbench/run.py`` follows each batch with a floor batch, so
-  each side also reads a floor ratio: its block time over its floor block's;
+  each side also reads a floor ratio, its block time over its floor block's,
+  and its median floor block time in ns: a change that warms the key tuple
+  the floor bisects (by reading it itself, say) shows up as a moved floor,
+  not as a slower structure;
 * builds: single builds, base and change alternating in order, each after a
   ``gc.collect()`` as ``perfbench/run.py`` times ``setup_s``.
 
@@ -26,7 +29,8 @@ JSON object: per workload the median ratio, how many blocks (or builds) the
 change won, the quartiles of the ratios, and each round's ratio; for
 queries also each side's median floor ratio, a batch time over the floor's
 as perfbench's ``throughput_floor_ratio`` takes it, inverted so that lower
-is faster like its two query ratios.  Run it with
+is faster like its two query ratios, next to each side's median floor block
+ns (``base_floor_ns``, ``change_floor_ns``).  Run it with
 ``--base HEAD`` on a clean tree first: an A/A run reads about 1.0 with about
 half of the blocks won.  Exits 1 if an answer differs from the oracle (after
 printing) or if the run cannot start, and 2 on a usage error.
@@ -101,14 +105,16 @@ def order(i: int) -> tuple[int, int]:
     return (0, 1) if i % 2 == 0 else (1, 0)
 
 
-def query_rounds(builds, inputs, expected: list, floor,
-                 rounds: int) -> tuple[list[float], list[list[float]], list[float], int]:
-    """(per-block ratios, [base, change] per-block floor ratios, per-round ratios, wrong
-    answers) over rounds passes of the stream; floor runs a block after each side's."""
+def query_rounds(builds, inputs, expected: list, floor, rounds: int
+                 ) -> tuple[list[float], list[list[float]], list[list[int]], list[float], int]:
+    """(per-block ratios, [base, change] per-block floor ratios, [base, change] per-block
+    floor ns, per-round ratios, wrong answers) over rounds passes of the stream; floor runs
+    a block after each side's."""
     stream = inputs.stream
     blocks = [(i, stream[i:i + BLOCK]) for i in range(0, len(stream), BLOCK)]
     block_ratios, round_ratios, wrong = [], [], 0
     floor_ratios: list[list[float]] = [[], []]
+    floor_ns: list[list[int]] = [[], []]
     calls: list = [None, None]
     for r in range(rounds):
         calls[:] = [None, None]  # the last round's builds are freed before these are made
@@ -126,7 +132,8 @@ def query_rounds(builds, inputs, expected: list, floor,
                     t1 = pc()
                     list(map(floor, block))
                     ns[s] = t1 - t0
-                    floor_ratios[s].append(ns[s] / (pc() - t1))
+                    floor_ns[s].append(pc() - t1)
+                    floor_ratios[s].append(ns[s] / floor_ns[s][-1])
                     want = expected[start:start + BLOCK]
                     if got != want:
                         wrong += sum(g != w for g, w in zip(got, want))
@@ -136,7 +143,7 @@ def query_rounds(builds, inputs, expected: list, floor,
         finally:
             gc.enable()
         round_ratios.append(totals[1] / totals[0])
-    return block_ratios, floor_ratios, round_ratios, wrong
+    return block_ratios, floor_ratios, floor_ns, round_ratios, wrong
 
 
 def build_pairs(builds, inputs, pairs: int) -> tuple[list[float], list[list[float]]]:
@@ -170,11 +177,13 @@ def compare(name: str, modules, seed: int, rounds: int, pairs: int) -> tuple[dic
     wrong = 0
     if rounds:
         floor = partial(modules[1].oracle_predecessor, inputs.keys)
-        block_ratios, floor_ratios, round_ratios, wrong = query_rounds(builds, inputs, expected,
-                                                                       floor, rounds)
+        block_ratios, floor_ratios, floor_ns, round_ratios, wrong = query_rounds(
+            builds, inputs, expected, floor, rounds)
         report["query"] = {**summary(block_ratios),
                            "base_floor_ratio": statistics.median(floor_ratios[0]),
                            "change_floor_ratio": statistics.median(floor_ratios[1]),
+                           "base_floor_ns": statistics.median(floor_ns[0]),
+                           "change_floor_ns": statistics.median(floor_ns[1]),
                            "rounds_won": sum(r < 1 for r in round_ratios),
                            "round_ratios": round_ratios, "wrong_answers": wrong}
     if pairs:
