@@ -12,6 +12,13 @@ Subcommands:
               a query file, exiting nonzero on the first mismatch, then
               audits the structure.
 
+``bench`` and ``verify`` take what differs between structures from the
+structure, never from its name.  Where a structure declares ``mutates`` (its
+queries change it), ``bench`` takes the stats on a fresh build and ``verify``
+also audits after each scripted access.  The report's ``table_size`` is the
+one the structure declares, and its hit rate and layer figures come from the
+queries that probed a front table or counted layers.
+
 Exit codes: 0 success, 1 usage or parameter problem, 2 verification failure.
 """
 
@@ -50,39 +57,10 @@ from .xfast import XFastTrie
 from .yfast import YFastTrie
 
 STRUCTURES = ("xfast", "yfast", "hashfront-a", "hashfront-b", "layered", "layered-ws")
-#: Structures whose queries change them: bench counts stats on a fresh build, verify
-#: audits after every scripted access.
-MUTATING = ("layered-ws",)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
-
-#: Report schema; field names and order are stable across releases.
-REPORT_FIELDS = (
-    "structure",
-    "epsilon",
-    "universe_bits",
-    "n",
-    "support_size",
-    "dist_kind",
-    "dist_param",
-    "keys_file",
-    "dist_file",
-    "query_file",
-    "seed",
-    "rng",
-    "query_count",
-    "input_entropy",
-    "output_entropy",
-    "table_size",
-    "hashfront_hit_rate",
-    "mean_layers_probed",
-    "max_layers_probed",
-    "oracle_mismatches",
-    "wall_ns_per_query",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad flags; the contract wants 1."""
@@ -101,15 +79,21 @@ def _is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _decimal_lines(path: str) -> Iterator[tuple[int, int]]:
-    """(line number, key) for each non-blank line of a file of unsigned decimal keys."""
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) for each non-blank line of a text file."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if text:
-                if not _is_decimal(text):
-                    raise ParameterError(f"{path}:{lineno}: not an unsigned decimal key: {text!r}")
-                yield lineno, int(text)
+            if line.strip():
+                yield lineno, line.rstrip("\n")
+
+
+def _decimal_lines(path: str) -> Iterator[tuple[int, int]]:
+    """(line number, key) for each non-blank line of a file of unsigned decimal keys."""
+    for lineno, line in _lines(path):
+        text = line.strip()
+        if not _is_decimal(text):
+            raise ParameterError(f"{path}:{lineno}: not an unsigned decimal key: {text!r}")
+        yield lineno, int(text)
 
 
 def read_keys(path: str) -> KeySet:
@@ -131,24 +115,20 @@ def write_keys(path: str, keys: KeySet) -> None:
 
 def read_weights(path: str) -> WeightedDistribution:
     weights: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.rstrip("\n")
-            if not text.strip():
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2 or not _is_decimal(parts[0]):
-                raise ParameterError(f"{path}:{lineno}: expected 'key<TAB>weight', got {text!r}")
-            key = int(parts[0])
-            try:
-                w = float(parts[1])
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: bad weight {parts[1]!r}") from None
-            if not math.isfinite(w) or w < 0.0:
-                raise ParameterError(f"{path}:{lineno}: weight must be finite and >= 0")
-            if key in weights:
-                raise ParameterError(f"{path}:{lineno}: duplicate key {key}")
-            weights[key] = w
+    for lineno, text in _lines(path):
+        parts = text.split("\t")
+        if len(parts) != 2 or not _is_decimal(parts[0]):
+            raise ParameterError(f"{path}:{lineno}: expected 'key<TAB>weight', got {text!r}")
+        key = int(parts[0])
+        try:
+            w = float(parts[1])
+        except ValueError:
+            raise ParameterError(f"{path}:{lineno}: bad weight {parts[1]!r}") from None
+        if not math.isfinite(w) or w < 0.0:
+            raise ParameterError(f"{path}:{lineno}: weight must be finite and >= 0")
+        if key in weights:
+            raise ParameterError(f"{path}:{lineno}: duplicate key {key}")
+        weights[key] = w
     if not weights:
         raise ParameterError(f"{path}: no weights")
     return WeightedDistribution(weights)
@@ -272,8 +252,8 @@ def _emit_report(report: dict, out: Optional[str], fmt: str) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_FIELDS)
-        writer.writerow([report[f] for f in REPORT_FIELDS])  # None writes as an empty field
+        writer.writerow(report)
+        writer.writerow(report.values())  # None writes as an empty field
         text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2) + "\n"
@@ -313,19 +293,16 @@ def cmd_bench(args) -> int:
     _resolve_seed(args, "--query-file FILE" if args.query_file else None)
     universe, keys, dist, dist_kind, dist_param = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
-    if args.query_file:
-        queries = read_queries(args.query_file, universe)
-    else:
-        queries = sample_queries(dist, args.seed, 10000 if args.queries is None else args.queries)
+    queries = (read_queries(args.query_file, universe) if args.query_file else
+               sample_queries(dist, args.seed, 10000 if args.queries is None else args.queries))
 
     # the timed pass is the plain query path; the per-query stats come from a second,
     # untimed pass, on a fresh build when queries mutate the structure
     t0 = time.perf_counter_ns()
     answers = list(map(structure.predecessor, queries))
     elapsed = time.perf_counter_ns() - t0
-    counted = structure
-    if args.structure in MUTATING:
-        counted = build_structure(args.structure, keys, dist, universe, args.epsilon)
+    counted = (build_structure(args.structure, keys, dist, universe, args.epsilon)
+               if structure.mutates else structure)
     stats = [counted.query_stats(q) for q in queries]
 
     mismatches = 0
@@ -339,16 +316,16 @@ def cmd_bench(args) -> int:
     if mismatches:
         return _report_mismatch("verification failed", args, len(keys), *first_bad,
                                 f" ({mismatches} mismatches total)")
-    layered = args.structure in ("layered", "layered-ws")
-    hashfront = args.structure.startswith("hashfront")
     if (not _audit_after(structure, dist)
             or (counted is not structure and not _audit_after(counted, dist))):
         return EXIT_MISMATCH
 
     nq = len(queries)
-    report = {
+    hits = [s.table_hit for s in stats if s.table_probes]
+    layers = [s.layers_probed for s in stats if s.layers_probed]
+    report = {  # the report schema: field names and order are stable across releases
         "structure": args.structure,
-        "epsilon": args.epsilon if hashfront else None,
+        "epsilon": args.epsilon,  # build_structure rejects it for all but the hash-fronts
         "universe_bits": universe.bits,
         "n": len(keys),
         "support_size": dist.support_size,
@@ -362,10 +339,10 @@ def cmd_bench(args) -> int:
         "query_count": nq,
         "input_entropy": entropy(dist),
         "output_entropy": output_distribution(keys, dist).entropy_bits(),
-        "table_size": structure.table_size if hashfront else None,
-        "hashfront_hit_rate": (sum(s.table_hit for s in stats) / nq) if hashfront and nq else None,
-        "mean_layers_probed": (sum(s.layers_probed for s in stats) / nq) if layered and nq else None,
-        "max_layers_probed": max((s.layers_probed for s in stats), default=None) if layered else None,
+        "table_size": structure.table_size,
+        "hashfront_hit_rate": sum(hits) / nq if hits else None,
+        "mean_layers_probed": sum(layers) / nq if layers else None,
+        "max_layers_probed": max(layers, default=None),
         "oracle_mismatches": 0,
         "wall_ns_per_query": (elapsed / nq) if nq else None,
     }
@@ -379,11 +356,8 @@ def cmd_verify(args) -> int:
     _resolve_seed(args, "--query-file FILE" if args.query_file else "the exhaustive sweep")
     universe, keys, dist, _, _ = _load_instance(args)
     structure = build_structure(args.structure, keys, dist, universe, args.epsilon)
-    if args.query_file:
-        queries = read_queries(args.query_file, universe)
-    else:
-        queries = range(universe.size)
-    audited = args.query_file is not None and args.structure in MUTATING
+    queries = read_queries(args.query_file, universe) if args.query_file else range(universe.size)
+    audited = args.query_file is not None and structure.mutates
     for q in queries:
         got = structure.predecessor(q)
         expected = oracle_predecessor(keys, q)

@@ -49,6 +49,14 @@ def check_real(name: str, value: object) -> float:
     return float(value)
 
 
+def check_iterable(name: str, value: object) -> None:
+    """Raise ParameterError naming value's type unless ``iter()`` takes it."""
+    try:
+        iter(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an iterable of ints, got {type(value).__name__}") from None
+
+
 def padded_log2(x: float) -> float:
     """log2(x + 2): stays well-defined and positive for tiny arguments.
 
@@ -109,6 +117,7 @@ class KeySet:
     __slots__ = ("keys",)
 
     def __init__(self, keys: Iterable[int]):
+        check_iterable("keys", keys)
         ks = tuple(keys)
         if not ks:
             raise ParameterError("key set must be nonempty")
@@ -162,6 +171,8 @@ class WeightedDistribution:
     __slots__ = ("support", "weights", "total")
 
     def __init__(self, weights: Mapping[int, float]):
+        if not callable(getattr(weights, "items", None)):
+            raise ParameterError(f"weights must be a mapping with items(), got {type(weights).__name__}")
         cleaned: dict[int, float] = {}
         for key, w in weights.items():
             if type(key) is not int:  # bool is an int subclass, so isinstance would pass it
@@ -365,7 +376,17 @@ class PredecessorStructure:
     not hold it.  A structure built from a distribution (the hash-fronts'
     table keys, the static cascade's p* masses) also checks, when given it,
     what it took from it; the tries and ``layered-ws`` take none and ignore it.
+
+    Two class-level declarations say what a caller cannot learn from the
+    calls, so it never asks a structure's name: ``mutates`` is true where a
+    query changes the structure (``layered-ws``, whose queries promote their
+    answer), so a second pass over the same queries needs a fresh build, and
+    ``table_size`` is the number of front-table entries where a structure
+    keeps a front table (the hash-fronts) and None where it keeps none.
     """
+
+    mutates = False
+    table_size: Optional[int] = None
 
     def predecessor(self, q: int) -> Optional[int]:
         raise NotImplementedError

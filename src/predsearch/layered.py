@@ -290,6 +290,8 @@ class WorkingSetLayered(_LayeredBase):
     be externally serialized.
     """
 
+    mutates = True
+
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
         self.universe = universe

@@ -18,6 +18,7 @@ from .core import (
     ParameterError,
     UniverseSpec,
     WeightedDistribution,
+    check_iterable,
     check_real,
     check_sorted,
 )
@@ -69,6 +70,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown workload kind {self.kind!r}")
+        check_iterable("workload support", self.support)
         if not self.support:
             raise ParameterError("workload support must be nonempty")
         # C-level passes: perfbench weights supports of 2^16 keys; only an error names a key

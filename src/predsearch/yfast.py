@@ -126,7 +126,10 @@ class YFastTrie(PredecessorStructure):
         if type(q) is not int or q >> self.bits:
             self.universe.check_key(q)
         flat = self._flat
-        if flat is not None:  # _search's flat branch, inline: a cascade probe skips a call
+        # _search's flat branch, inline, so a cascade probe skips a call: calling _search here
+        # instead read 1.108 times this query time on zipf-layered (tools/ab.py; the removal
+        # won 1 to 18 of 512 blocks)
+        if flat is not None:
             i = bisect_right(flat, q)
             return flat[i - 1] if i else None
         return self._search(q)[0]

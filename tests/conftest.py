@@ -94,9 +94,10 @@ def reference_search(trie: XFastTrie, levels, q: int) -> tuple[Optional[int], in
     return trie._prev[entry[0]], probes
 
 
-def probe_bound(bits: int) -> int:
-    """Most level probes one x-fast search may take in a bits-bit universe."""
-    return math.ceil(math.log2(bits + 1)) + 2
+def probe_bound(trie: XFastTrie) -> int:
+    """Most level probes one search of trie may take: floor(log2(D + 1)) + 2 over its stored
+    levels 0..D, the bound its probe order is built within."""
+    return len(trie._levels).bit_length() + 1
 
 
 def probes_saved(structure, trie: XFastTrie, keys: KeySet, queries) -> tuple[int, int]:
@@ -111,7 +112,7 @@ def probes_saved(structure, trie: XFastTrie, keys: KeySet, queries) -> tuple[int
     """
     routed = KeySet(trie)
     levels = reference_levels(routed.keys, trie.bits)
-    bound = probe_bound(trie.bits)
+    bound = probe_bound(trie)
     fewer = saved = 0
     for q in queries:
         stats = structure.query_stats(q)

@@ -2,8 +2,10 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -23,12 +25,28 @@ def test_each_load_builds_its_own_classes():
 def test_a_run_against_head_checks_every_answer(capsys):
     assert ab.main(["--base", "HEAD", "--workload", "drift-ws", "--rounds", "1",
                     "--builds", "1"]) == 0
-    report = json.loads(capsys.readouterr().out)["workloads"]["drift-ws"]
+    out = json.loads(capsys.readouterr().out)
+    assert out["base"] == out["change"] == ab.git("rev-parse", "--short", "HEAD")
+    assert type(out["dirty"]) is bool
+    assert out["python"] == sys.version.split()[0] and out["numpy"] == numpy.__version__
+    report = out["workloads"]["drift-ws"]
     assert report["query"]["wrong_answers"] == 0
     assert report["query"]["of"] == 128  # 2**17 queries in blocks of 1024
     assert report["query"]["base_floor_ratio"] > 0 and report["query"]["change_floor_ratio"] > 0
     assert report["query"]["base_floor_ns"] > 0 and report["query"]["change_floor_ns"] > 0
     assert report["build"]["of"] == 1
+
+
+def test_committed_trajectory_files_parse_with_every_answer_right():
+    """Each BENCH_<pr>.json is an ab.py report whose query rounds gave no wrong answer."""
+    files = sorted(ab.ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert {"base", "change", "dirty", "python", "numpy"} <= report.keys(), path.name
+        assert report["workloads"], path.name
+        for name, result in report["workloads"].items():
+            assert result["query"]["wrong_answers"] == 0, (path.name, name)
 
 
 @pytest.mark.parametrize("argv, message", [

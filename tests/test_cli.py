@@ -6,21 +6,53 @@ import pytest
 from conftest import layer_keys
 from test_integration import _drop_a_threshold_key, _halve_every_p_star
 
-from predsearch import QueryStats
+from predsearch import (
+    KeySet,
+    PredecessorStructure,
+    QueryStats,
+    UniverseSpec,
+    WeightedDistribution,
+    WorkingSetLayered,
+)
 from predsearch.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    REPORT_FIELDS,
+    STRUCTURES,
     build_structure,
     main,
     read_keys,
     read_weights,
 )
 
+#: The bench report's fields in order; the CLI writes them once, in its report dict.
+REPORT_FIELDS = (
+    "structure", "epsilon", "universe_bits", "n", "support_size", "dist_kind", "dist_param",
+    "keys_file", "dist_file", "query_file", "seed", "rng", "query_count", "input_entropy",
+    "output_entropy", "table_size", "hashfront_hit_rate", "mean_layers_probed",
+    "max_layers_probed", "oracle_mismatches", "wall_ns_per_query",
+)
+
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+class Wrapped(PredecessorStructure):
+    """A fake around a real structure: its answers, stats, audit and contract declarations."""
+
+    def __init__(self, structure):
+        self.structure = structure
+        self.mutates, self.table_size = structure.mutates, structure.table_size
+
+    def predecessor(self, q):
+        return self.structure.predecessor(q)
+
+    def query_stats(self, q):
+        return self.structure.query_stats(q)
+
+    def audit(self, dist=None):
+        self.structure.audit(dist)
 
 
 def gen_keys(tmp_path, name="keys.txt", bits=12, n=64, seed=7):
@@ -398,7 +430,7 @@ class TestBench:
         assert report["query_file"] == str(qfile)
 
     def test_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):
-        class Liar:
+        class Liar(PredecessorStructure):
             def predecessor(self, q):
                 return 0
 
@@ -413,17 +445,8 @@ class TestBench:
         assert "verification failed" in err and "q=" in err
 
     def test_audit_failure_exits_two(self, capsys, monkeypatch):
-        class Liar:
+        class Liar(Wrapped):
             """Correct answers from a real structure, but a failing structural audit."""
-
-            def __init__(self, structure):
-                self.structure = structure
-
-            def predecessor(self, q):
-                return self.structure.predecessor(q)
-
-            def query_stats(self, q):
-                return self.structure.query_stats(q)
 
             def audit(self, dist=None):
                 raise AssertionError("planted fault")
@@ -466,19 +489,10 @@ class TestBench:
         """wall_ns_per_query times predecessor, not the instrumented query_stats."""
         pause_s = 0.005
 
-        class SlowStats:
-            def __init__(self, structure):
-                self.structure = structure
-
-            def predecessor(self, q):
-                return self.structure.predecessor(q)
-
+        class SlowStats(Wrapped):
             def query_stats(self, q):
                 time.sleep(pause_s)
                 return self.structure.query_stats(q)
-
-            def audit(self, dist=None):
-                self.structure.audit(dist)
 
         real = build_structure
         monkeypatch.setattr("predsearch.cli.build_structure",
@@ -508,11 +522,26 @@ class TestBench:
 
 
 class TestMutationPolicy:
-    @pytest.mark.parametrize("mutating", [(), ("layered-ws",)])
-    def test_bench_and_verify_read_one_definition(self, mutating, tmp_path, capsys, monkeypatch):
+    def test_contract_declarations(self):
+        """Only layered-ws declares that its queries mutate it, and only the hash-fronts keep
+        a front table, whose size is their table_size."""
+        universe = UniverseSpec(8)
+        keys = KeySet(range(0, 256, 5))
+        dist = WeightedDistribution({k: 2.0 ** -i for i, k in enumerate(keys)})
+        built = {name: build_structure(name, keys, dist, universe,
+                                       0.5 if name.startswith("hashfront") else None)
+                 for name in STRUCTURES}
+        assert [name for name, s in built.items() if s.mutates] == ["layered-ws"]
+        assert [name for name, s in built.items() if s.table_size is None] == [
+            "xfast", "yfast", "layered", "layered-ws"]
+        for name in ("hashfront-a", "hashfront-b"):
+            assert built[name].table_size == len(built[name].table) > 0
+
+    @pytest.mark.parametrize("mutates", [False, True])
+    def test_bench_and_verify_read_one_definition(self, mutates, tmp_path, capsys, monkeypatch):
         """bench counts stats on a fresh build, and verify audits every scripted access,
-        for exactly the structures that MUTATING names."""
-        monkeypatch.setattr("predsearch.cli.MUTATING", mutating)
+        for exactly the structures that declare mutates."""
+        monkeypatch.setattr(WorkingSetLayered, "mutates", mutates)
         built = []
         real = build_structure
 
@@ -525,9 +554,9 @@ class TestMutationPolicy:
         qfile.write_text("0\n1023\n17\n")
         instance = ("--universe-bits", 10, "--n", 200, "--seed", 4, "--structure", "layered-ws")
         assert run("bench", *instance, "--queries", 300, "--out", tmp_path / "r.json") == EXIT_OK
-        assert len(built) == (2 if mutating else 1)
+        assert len(built) == (2 if mutates else 1)
         assert run("verify", *instance, "--query-file", qfile) == EXIT_OK
-        assert ("per-access audits" in capsys.readouterr().out) == bool(mutating)
+        assert ("per-access audits" in capsys.readouterr().out) == mutates
 
 
 class TestVerify:
@@ -586,7 +615,7 @@ class TestVerify:
         assert "absent.txt" in capsys.readouterr().err
 
     def test_query_file_mismatch_reproducer(self, tmp_path, capsys, monkeypatch):
-        class Liar:
+        class Liar(PredecessorStructure):
             def predecessor(self, q):
                 return None
 
@@ -599,14 +628,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("structure", ["xfast", "layered-ws"])
     def test_audit_failure_exits_two(self, structure, capsys, monkeypatch):
-        class Liar:
+        class Liar(Wrapped):
             """Correct answers from a real structure, but a failing structural audit."""
-
-            def __init__(self, structure):
-                self.structure = structure
-
-            def predecessor(self, q):
-                return self.structure.predecessor(q)
 
             def audit(self, dist=None):
                 raise AssertionError("planted fault")
@@ -622,12 +645,8 @@ class TestVerify:
 
     def test_per_access_audit_failure_names_the_access(self, tmp_path, capsys, monkeypatch):
         """verify runs the whole audit after each scripted layered-ws access."""
-        class FailsSecondAudit:
-            def __init__(self, structure):
-                self.structure, self.audits = structure, 0
-
-            def predecessor(self, q):
-                return self.structure.predecessor(q)
+        class FailsSecondAudit(Wrapped):
+            audits = 0
 
             def audit(self, dist=None):
                 self.audits += 1
@@ -644,7 +663,7 @@ class TestVerify:
         assert "structural invariant failed after q=90: planted fault" in capsys.readouterr().err
 
     def test_verify_mismatch_reproducer(self, capsys, monkeypatch):
-        class Liar:
+        class Liar(PredecessorStructure):
             def predecessor(self, q):
                 return None
 

@@ -289,6 +289,32 @@ class TestOraclePredecessor:
                 assert oracle_predecessor(keys, q) == expected
 
 
+@pytest.mark.parametrize("make, value, message", [
+    (KeySet, None, "keys must be an iterable of ints, got NoneType"),
+    (KeySet, 5, "keys must be an iterable of ints, got int"),
+    (WeightedDistribution, None, r"weights must be a mapping with items\(\), got NoneType"),
+    (WeightedDistribution, [(1, 1.0)], r"weights must be a mapping with items\(\), got list"),
+    (WeightedDistribution, 5, r"weights must be a mapping with items\(\), got int"),
+    (lambda support: WorkloadSpec("zipf", support=support), 5,
+     "workload support must be an iterable of ints, got int"),
+], ids=("keys-None", "keys-int", "weights-None", "weights-pairs", "weights-int", "support-int"))
+def test_wrong_typed_input_raises_parameter_error(make, value, message):
+    """An argument of the wrong type raises ParameterError naming it and its type, never an
+    AttributeError or a bare TypeError from inside the constructor."""
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        make(value)
+
+
+def test_any_iterable_and_any_items_object_still_accepted():
+    class Weights:
+        def items(self):
+            return iter([(3, 1.0), (9, 3.0)])
+
+    assert KeySet(k for k in (2, 7)).keys == KeySet(range(2, 8, 5)).keys == (2, 7)
+    assert WeightedDistribution(Weights()).support == (3, 9)
+    assert WorkloadSpec("zipf", support=[4, 1]).support == [4, 1]
+
+
 def test_padded_log2():
     assert padded_log2(0.0) == 1.0
     assert padded_log2(2.0) == 2.0

@@ -103,7 +103,7 @@ class TestPredecessor:
         rnd = random.Random(7)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 256)))
         trie = XFastTrie(keys, universe)
-        bound = probe_bound(universe.bits)
+        bound = probe_bound(trie)
         for q in range(universe.size):
             stats = trie.query_stats(q)
             answer, probes = stats.answer, stats.level_probes
@@ -522,4 +522,4 @@ class TestChurnAgainstFreshBuild:
             for q in [q for q in near if 0 <= q < size] + [0, size - 1]:
                 stats = trie.query_stats(q)
                 assert stats.answer == oracle_predecessor(keys, q), q
-                assert stats.level_probes <= probe_bound(bits), q
+                assert stats.level_probes <= probe_bound(trie), q

@@ -30,7 +30,10 @@ change won, the quartiles of the ratios, and each round's ratio; for
 queries also each side's median floor ratio, a batch time over the floor's
 as perfbench's ``throughput_floor_ratio`` takes it, inverted so that lower
 is faster like its two query ratios, next to each side's median floor block
-ns (``base_floor_ns``, ``change_floor_ns``).  Run it with
+ns (``base_floor_ns``, ``change_floor_ns``).  Next to the settings it
+records both revisions (``base``; ``change``, the working tree's ``HEAD``,
+with ``dirty`` true when its ``src/predsearch`` or ``perfbench`` differs from
+that commit) and the Python and NumPy versions.  Run it with
 ``--base HEAD`` on a clean tree first: an A/A run reads about 1.0 with about
 half of the blocks won.  Exits 1 if an answer differs from the oracle (after
 printing) or if the run cannot start, and 2 on a usage error.
@@ -52,6 +55,8 @@ import tempfile
 import time
 from functools import partial
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_PY = ROOT / "perfbench" / "workloads.py"
@@ -81,14 +86,19 @@ def load_workloads(src: Path, tag: str):
     return module
 
 
+def git(*argv: str) -> str:
+    """The stripped stdout of a git command run in the repository."""
+    return subprocess.run(["git", "-C", str(ROOT), *argv],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def unpack(rev: str, into: Path) -> Path:
     """The src directory of rev's predsearch package, unpacked under into."""
-    git = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/predsearch"],
-                         capture_output=True)
-    if git.returncode:
-        sys.exit(f"ab: git archive {rev}: {git.stderr.decode(errors='replace').strip()}")
-    tar = git.stdout
-    with tarfile.open(fileobj=io.BytesIO(tar), mode="r:") as archive:
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/predsearch"],
+                          capture_output=True)
+    if proc.returncode:
+        sys.exit(f"ab: git archive {rev}: {proc.stderr.decode(errors='replace').strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout), mode="r:") as archive:
         kwargs = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         archive.extractall(into, **kwargs)
     return into / "src"
@@ -218,11 +228,12 @@ def main(argv=None) -> int:
             print(f"ab: {name}", file=sys.stderr, flush=True)
             results[name], w = compare(name, modules, args.seed, args.rounds, args.builds)
             wrong += w
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
-                         capture_output=True, text=True, check=True).stdout.strip()
-    print(json.dumps({"base": rev, "seed": args.seed, "block": BLOCK, "rounds": args.rounds,
+    print(json.dumps({"base": git("rev-parse", "--short", args.base),
+                      "change": git("rev-parse", "--short", "HEAD"),
+                      "dirty": bool(git("status", "--porcelain", "--", "src/predsearch", "perfbench")),
+                      "seed": args.seed, "block": BLOCK, "rounds": args.rounds,
                       "builds": args.builds, "python": sys.version.split()[0],
-                      "workloads": results}, indent=1))
+                      "numpy": numpy.__version__, "workloads": results}, indent=1))
     return 1 if wrong else 0
 
 
