@@ -420,7 +420,7 @@ def build_parser() -> _Parser:
     verify = subs.add_parser("verify", help="exhaustive or scripted oracle check")
     _add_instance_flags(verify)
     verify.add_argument("--query-file", metavar="FILE",
-                        help="replay these queries instead of the sweep (layered-ws: audit each access)")
+                        help="replay these queries instead of the sweep (mutating structures: audit each)")
     verify.set_defaults(func=cmd_verify)
     return parser
 

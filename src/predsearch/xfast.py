@@ -40,7 +40,7 @@ How many a search takes below that bound depends on the keys and queries;
 ``tests/mechanisms.json`` pins the histogram of one seeded 64-bit case.  The
 (D + 1)^2 table is built with the tables and rebuilt only when an insert
 deepens the trie, from the build's weights with a zero for each new level,
-a dynamic program of O(D^3 log D) int operations (about 5 ms at D = 34).
+a dynamic program of O(D^3 log D) int operations (about 3 ms at D = 34).
 So the weights go stale under updates, which changes neither the answers
 nor the bound: the bound holds for any weights.
 
@@ -168,7 +168,7 @@ def _probe_order(single: Sequence[int], multi: Sequence[int]) -> list[list[int]]
     from [0, D] reaches take the root of the height it reaches them with; every
     other entry takes its root at height H - 1, which fits every range, so each
     entry lies in (lo, hi].  That is O(H * D^3) int operations, but most ranges
-    are short: about 5 ms at D = 34 and 0.2 ms at D = 12 on a 2-vCPU VM.  The
+    are short: about 3 ms at D = 34 and 0.2 ms at D = 12 on a 2-vCPU VM.  The
     costs are exact ints, so ties cannot differ between platforms.
     """
     depth = len(single) - 1
@@ -214,7 +214,7 @@ def _probe_order(single: Sequence[int], multi: Sequence[int]) -> list[list[int]]
 
 
 class XFastTrie(PredecessorStructure):
-    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_weights", "_mids", "_root")
+    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_weights", "_mids")
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -228,7 +228,6 @@ class XFastTrie(PredecessorStructure):
         self._levels, alone = _build_levels(leaves, self.bits)
         self._weights = _end_weights(self._levels, alone)
         self._mids = _probe_order(*self._weights)
-        self._root = self._levels[0][0]  # refreshed by every update: entries are replaced
 
     # `x in trie` would fall back to a linear walk of __iter__ with no key check
     __contains__ = None
@@ -239,7 +238,7 @@ class XFastTrie(PredecessorStructure):
     def __iter__(self) -> Iterator[int]:
         """Stored keys in ascending order, following the leaf links."""
         nxt = self._next
-        k: Optional[int] = self._root[0]
+        k: Optional[int] = self._levels[0][0][0]
         while k is not None:
             yield k
             k = nxt[k]
@@ -262,15 +261,15 @@ class XFastTrie(PredecessorStructure):
         The level search walks the probe table over the stored levels 0..D and
         returns at the first probed prefix with a single key beneath it (see
         the module docstring).  A search that gets past the loop ends at the
-        longest stored prefix of q, which holds two or more keys or is the
-        root, and that prefix's (min, max) entry decides.
+        longest stored prefix of q, which holds two or more keys or, when no
+        probe hit, is the root, and that prefix's (min, max) entry decides.
         """
         bits = self.bits
         levels = self._levels
         mids = self._mids
         probes = 0
         lo, hi = 0, len(levels) - 1
-        entry = self._root
+        entry = None
         while lo < hi:
             mid = mids[lo][hi]
             e = levels[mid].get(q >> (bits - mid))
@@ -283,6 +282,7 @@ class XFastTrie(PredecessorStructure):
                 entry = e
             else:
                 hi = mid - 1
+        entry = entry or levels[0][0]
         if (q >> (bits - lo - 1)) & 1:
             return entry[1], probes
         return self._prev[entry[0]], probes
@@ -294,7 +294,7 @@ class XFastTrie(PredecessorStructure):
         p = self._search(x)[0]
         if p == x:
             return
-        s = self._root[0] if p is None else self._next[p]
+        s = self._levels[0][0][0] if p is None else self._next[p]
         bits, levels = self.bits, self._levels
         # x's leaf level is where it parts from its nearer neighbour y, whose prefix there is
         # stored already unless y was alone above it
@@ -358,20 +358,19 @@ class XFastTrie(PredecessorStructure):
                 del below[prefix << 1 | (left is None)]
             table[prefix] = new
             below = table
-        self._root = levels[0][0]
 
     def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
-        """Raise AssertionError unless the root, the leaf links, every prefix table and the
+        """Raise AssertionError unless the root entry, the leaf links, every prefix table and the
         probe table agree: the tables are a fresh build's, plus any empty deeper tables, their
         entries share a build's 2n - 1 tuples, and the probe table is, entry for entry, the
         one the stored level weights give.  The weights themselves may be stale after
         updates, which changes no answer, so the audit recomputes the table from them.
         dist is ignored: a trie takes nothing from a distribution."""
         levels, nxt, prev = self._levels, self._next, self._prev
-        if self._root is not levels[0].get(0):
-            raise AssertionError(f"stale root {self._root}: level 0 holds {levels[0].get(0)}")
+        if 0 not in levels[0]:
+            raise AssertionError(f"level 0 holds no root entry: {levels[0]}")
         walk: list[int] = []
-        k: Optional[int] = self._root[0]
+        k: Optional[int] = levels[0][0][0]
         while k is not None and len(walk) <= len(nxt):  # a cycle cannot hang the audit
             walk.append(k)
             k = nxt.get(k)

@@ -22,6 +22,22 @@ def test_each_load_builds_its_own_classes():
     assert predsearch.WorkingSetLayered not in (one.WorkingSetLayered, two.WorkingSetLayered)
 
 
+def test_own_inputs_rebuilds_from_the_target_classes_over_shared_data():
+    """Each side meets only its own tree's objects, yet reads the same key ints and stream."""
+    source, target = (ab.load_workloads(ab.ROOT / "src", tag) for tag in ("source", "target"))
+    inputs = source.WORKLOADS["zipf-layered"].make_inputs(3)
+    own = ab.own_inputs(target, inputs)
+    assert type(own) is target.Inputs
+    assert type(own.universe) is target.UniverseSpec and own.universe.bits == inputs.universe.bits
+    assert type(own.keys) is target.KeySet and type(inputs.keys) is source.KeySet
+    assert type(own.dist) is target.WeightedDistribution
+    assert type(inputs.dist) is source.WeightedDistribution
+    assert own.keys.keys is inputs.keys.keys
+    assert own.stream is inputs.stream
+    assert list(own.dist.items()) == list(inputs.dist.items())
+    assert own.dist.total == inputs.dist.total
+
+
 def test_a_run_against_head_checks_every_answer(capsys):
     assert ab.main(["--base", "HEAD", "--workload", "drift-ws", "--rounds", "1",
                     "--builds", "1"]) == 0
@@ -38,12 +54,14 @@ def test_a_run_against_head_checks_every_answer(capsys):
 
 
 def test_committed_trajectory_files_parse_with_every_answer_right():
-    """Each BENCH_<pr>.json is an ab.py report whose query rounds gave no wrong answer."""
+    """Each BENCH_*.json is an ab.py report of a committed tree whose query rounds gave no
+    wrong answer."""
     files = sorted(ab.ROOT.glob("BENCH_*.json"))
     assert files
     for path in files:
         report = json.loads(path.read_text(encoding="utf-8"))
         assert {"base", "change", "dirty", "python", "numpy"} <= report.keys(), path.name
+        assert report["dirty"] is False, path.name
         assert report["workloads"], path.name
         for name, result in report["workloads"].items():
             assert result["query"]["wrong_answers"] == 0, (path.name, name)

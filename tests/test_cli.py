@@ -19,6 +19,7 @@ from predsearch.cli import (
     EXIT_OK,
     EXIT_USAGE,
     STRUCTURES,
+    build_parser,
     build_structure,
     main,
     read_keys,
@@ -557,6 +558,14 @@ class TestMutationPolicy:
         assert len(built) == (2 if mutates else 1)
         assert run("verify", *instance, "--query-file", qfile) == EXIT_OK
         assert ("per-access audits" in capsys.readouterr().out) == mutates
+
+    def test_query_file_help_names_no_structure(self):
+        """verify's --query-file help states the mutates rule, not which structures meet it."""
+        subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+        verify = subcommands.choices["verify"]
+        help_text = next(a.help for a in verify._actions if "--query-file" in a.option_strings)
+        assert "audit" in help_text and "mutating" in help_text
+        assert [name for name in STRUCTURES if name in help_text] == []
 
 
 class TestVerify:

@@ -138,11 +138,8 @@ def test_rejected_query_leaves_working_set_unchanged():
     cascade.audit()
 
 
-def _stale_root(trie):
-    """Delete the minimum but keep the root entry it replaced."""
-    root = trie._root
-    trie.delete(next(iter(trie)))
-    trie._root = root
+def _drop_the_root_entry(trie):
+    del trie._levels[0][0]
 
 
 def _wrong_max_at_one_level(trie):
@@ -369,7 +366,8 @@ FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
 
 # broken invariants per structure, each with the audit message it must raise
 BREAK_INVARIANTS = {
-    "xfast": [(_stale_root, "stale root"), (_wrong_max_at_one_level, "level 3: prefix .* leaf walk"),
+    "xfast": [(_drop_the_root_entry, "level 0 holds no root entry"),
+              (_wrong_max_at_one_level, "level 3: prefix .* leaf walk"),
               (_pop_deepest_level, r"levels 0\.\.7 stored, the leaf walk needs 0\.\.8"),
               (_single_key_below_its_leaf,
                r"level \d+: prefix \d+ maps to \((\d+), \1\), the leaf walk gives None"),
@@ -380,7 +378,7 @@ BREAK_INVARIANTS = {
               (_probe_a_neighbour_level_first,
                r"probe table: mids\[0\]\[8\] = 5, the level weights give 6")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
-              (lambda y: _stale_root(y._rep_trie), "stale root"),
+              (lambda y: _drop_the_root_entry(y._rep_trie), "level 0 holds no root entry"),
               (_first_separator_not_zero, "first separator is 3, not 0"),
               (_key_at_next_separator, r"bucket 0 holds keys 3\.\.19 outside \[0, 19\)"),
               (_bucket_keys_out_of_order, "bucket keys do not ascend in separator order"),

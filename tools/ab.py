@@ -8,7 +8,8 @@ first on ``sys.path``, and ``perfbench/workloads.py`` is loaded once per tree
 while it is, so each copy of the workloads builds its own tree's classes; the
 package's imports are relative, so each copy keeps its own modules once the
 names are released again.  Both sides then run in one process, see the same
-host speed and build from one set of inputs (see ``compare``):
+host speed and build from one set of inputs, each through its own tree's
+classes (see ``compare``):
 
 * queries: each round builds both sides fresh, in alternating order, and
   walks the workload's whole stream in blocks of BLOCK queries, timing base
@@ -115,12 +116,11 @@ def order(i: int) -> tuple[int, int]:
     return (0, 1) if i % 2 == 0 else (1, 0)
 
 
-def query_rounds(builds, inputs, expected: list, floor, rounds: int
+def query_rounds(builds, stream: list, expected: list, floor, rounds: int
                  ) -> tuple[list[float], list[list[float]], list[list[int]], list[float], int]:
     """(per-block ratios, [base, change] per-block floor ratios, [base, change] per-block
     floor ns, per-round ratios, wrong answers) over rounds passes of the stream; floor runs
     a block after each side's."""
-    stream = inputs.stream
     blocks = [(i, stream[i:i + BLOCK]) for i in range(0, len(stream), BLOCK)]
     block_ratios, round_ratios, wrong = [], [], 0
     floor_ratios: list[list[float]] = [[], []]
@@ -130,7 +130,7 @@ def query_rounds(builds, inputs, expected: list, floor, rounds: int
         calls[:] = [None, None]  # the last round's builds are freed before these are made
         for s in order(r):
             gc.collect()
-            calls[s] = builds[s](inputs).predecessor
+            calls[s] = builds[s]().predecessor
         totals = [0, 0]
         gc.disable()
         try:
@@ -156,39 +156,48 @@ def query_rounds(builds, inputs, expected: list, floor, rounds: int
     return block_ratios, floor_ratios, floor_ns, round_ratios, wrong
 
 
-def build_pairs(builds, inputs, pairs: int) -> tuple[list[float], list[list[float]]]:
+def build_pairs(builds, pairs: int) -> tuple[list[float], list[list[float]]]:
     """(per-pair ratios, [base seconds, change seconds]) of alternating single builds."""
     seconds: list[list[float]] = [[], []]
     for p in range(pairs):
         for s in order(p):
             gc.collect()
             t0 = pc()
-            built = builds[s](inputs)
+            built = builds[s]()
             t1 = pc()
             seconds[s].append((t1 - t0) / 1e9)
             del built  # freed outside the timed span
     return [c / b for b, c in zip(*seconds)], seconds
 
 
+def own_inputs(module, inputs):
+    """inputs rebuilt from module's own classes: its tree's universe, a key set over the
+    same key tuple, a distribution over the same (key, weight) pairs, and the same stream
+    list, so that no tree's code reads another tree's objects."""
+    return module.Inputs(module.UniverseSpec(inputs.universe.bits), module.KeySet(inputs.keys.keys),
+                         module.WeightedDistribution(dict(inputs.dist.items())), inputs.stream)
+
+
 def compare(name: str, modules, seed: int, rounds: int, pairs: int) -> tuple[dict, int]:
     """One workload's report and its count of wrong answers.
 
-    Both sides build from the working tree's inputs, once the base is seen to
-    generate the same keys and stream: in an A/A run, two equal but separate
-    input sets read 1-2% apart from where their objects sit in memory alone.
+    The working tree generates the inputs once, and each side builds from
+    ``own_inputs`` over them.  Both sides share the key ints and the stream,
+    since in an A/A run two equal but separate input sets read 1-2% apart
+    from where their objects sit in memory alone; each side's code meets only
+    its own tree's objects, so a base needs no more than the constructors
+    ``UniverseSpec(bits)``, ``KeySet(keys)`` and ``WeightedDistribution(weights)``
+    and the workload's ``build``, which every revision with a perfbench has.
     """
-    builds = [m.WORKLOADS[name].build for m in modules]
-    base_in, inputs = (m.WORKLOADS[name].make_inputs(seed) for m in modules)
-    if base_in.stream != inputs.stream or tuple(base_in.keys) != tuple(inputs.keys):
-        sys.exit(f"ab: {name}: base and change generate different inputs at seed {seed}")
-    del base_in
+    inputs = modules[1].WORKLOADS[name].make_inputs(seed)
+    builds = [partial(m.WORKLOADS[name].build, own_inputs(m, inputs)) for m in modules]
     expected = modules[1].expected_answers(inputs)
     report: dict = {}
     wrong = 0
     if rounds:
         floor = partial(modules[1].oracle_predecessor, inputs.keys)
         block_ratios, floor_ratios, floor_ns, round_ratios, wrong = query_rounds(
-            builds, inputs, expected, floor, rounds)
+            builds, inputs.stream, expected, floor, rounds)
         report["query"] = {**summary(block_ratios),
                            "base_floor_ratio": statistics.median(floor_ratios[0]),
                            "change_floor_ratio": statistics.median(floor_ratios[1]),
@@ -197,7 +206,7 @@ def compare(name: str, modules, seed: int, rounds: int, pairs: int) -> tuple[dic
                            "rounds_won": sum(r < 1 for r in round_ratios),
                            "round_ratios": round_ratios, "wrong_answers": wrong}
     if pairs:
-        ratios, seconds = build_pairs(builds, inputs, pairs)
+        ratios, seconds = build_pairs(builds, pairs)
         report["build"] = {**summary(ratios), "base_s": statistics.median(seconds[0]),
                            "change_s": statistics.median(seconds[1])}
     return report, wrong
