@@ -236,12 +236,8 @@ class XFastTrie(PredecessorStructure):
         return len(self._next)
 
     def __iter__(self) -> Iterator[int]:
-        """Stored keys in ascending order, following the leaf links."""
-        nxt = self._next
-        k: Optional[int] = self._levels[0][0][0]
-        while k is not None:
-            yield k
-            k = nxt[k]
+        """Stored keys in ascending order: the leaf links' keys, sorted."""
+        return iter(sorted(self._next))
 
     def predecessor(self, q: int) -> Optional[int]:
         if type(q) is not int or q >> self.bits:
@@ -360,24 +356,19 @@ class XFastTrie(PredecessorStructure):
             below = table
 
     def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
-        """Raise AssertionError unless the root entry, the leaf links, every prefix table and the
-        probe table agree: the tables are a fresh build's, plus any empty deeper tables, their
-        entries share a build's 2n - 1 tuples, and the probe table is, entry for entry, the
-        one the stored level weights give.  The weights themselves may be stale after
-        updates, which changes no answer, so the audit recomputes the table from them.
-        dist is ignored: a trie takes nothing from a distribution."""
+        """Raise AssertionError unless the leaf links, every prefix table and the probe table
+        agree.  The links must walk the stored keys in ascending order, an order the audit
+        takes from the links' own keys, so no table entry decides it.  The tables, level 0's
+        root entry among them, must be a fresh build's over that walk, plus any empty deeper
+        tables, and their entries must share a build's 2n - 1 tuples.  The probe table must
+        be, entry for entry, the one the stored level weights give.  The weights themselves
+        may be stale after updates, which changes no answer, so the audit recomputes the
+        table from them.  dist is ignored: a trie takes nothing from a distribution."""
         levels, nxt, prev = self._levels, self._next, self._prev
-        if 0 not in levels[0]:
-            raise AssertionError(f"level 0 holds no root entry: {levels[0]}")
-        walk: list[int] = []
-        k: Optional[int] = levels[0][0][0]
-        while k is not None and len(walk) <= len(nxt):  # a cycle cannot hang the audit
-            walk.append(k)
-            k = nxt.get(k)
-        if (walk != sorted(nxt) or prev.keys() != nxt.keys()
-                or list(map(prev.get, walk)) != [None] + walk[:-1]):
+        keys = sorted(nxt)
+        if nxt != dict(zip(keys, keys[1:] + [None])) or prev != dict(zip(keys, [None] + keys[:-1])):
             raise AssertionError("leaf links do not walk the stored keys in ascending order")
-        rebuilt = _build_levels(walk, self.bits)[0]
+        rebuilt = _build_levels(keys, self.bits)[0]
         depth = len(levels) - 1
         if depth < len(rebuilt) - 1:
             raise AssertionError(f"levels 0..{depth} stored, the leaf walk needs "
@@ -389,9 +380,9 @@ class XFastTrie(PredecessorStructure):
                 raise AssertionError(f"level {level}: prefix {prefix} maps to {got.get(prefix)}, "
                                      f"the leaf walk gives {want.get(prefix)}")
         shared = len({id(e) for table in levels for e in table.values()})
-        if shared != 2 * len(walk) - 1:
+        if shared != 2 * len(keys) - 1:
             raise AssertionError(f"entries point at {shared} distinct tuples, a build shares "
-                                 f"2 * {len(walk)} - 1 = {2 * len(walk) - 1}")
+                                 f"2 * {len(keys)} - 1 = {2 * len(keys) - 1}")
         single, multi = self._weights
         if len(single) != depth + 1 or len(multi) != depth + 1:
             raise AssertionError(f"level weights for {len(single)} and {len(multi)} levels, "

@@ -16,6 +16,7 @@ from predsearch import (
     generate_distribution,
     oracle_predecessor,
 )
+from predsearch.xfast import _build_levels
 
 KIND_CYCLE = ("uniform", "geometric", "zipf", "pointmass")
 
@@ -142,13 +143,17 @@ def distinct_entries(trie: XFastTrie) -> int:
 def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     """An updated trie holds a fresh build's tables level for level, plus any empty deeper
     tables (updates never make it shrink), a fresh build's tuple sharing (2n - 1 distinct
-    tuples) and a fresh build's leaf links, over keys stored as ints."""
-    fresh = XFastTrie(KeySet(keys), trie.universe)
-    depth = len(fresh._levels) - 1
-    assert stored_depth(fresh, keys) == depth and fresh._levels[depth]
-    assert stored_depth(trie, keys) >= depth
-    assert distinct_entries(trie) == distinct_entries(fresh) == 2 * len(keys) - 1
-    assert trie._prev == fresh._prev and trie._next == fresh._next
+    tuples) and a fresh build's leaf links, over keys stored as ints.
+
+    The fresh build is ``_build_levels`` over the keys, held to the table rule's reference,
+    and the links a build writes; the probe table is left to ``audit``."""
+    keys = list(keys)
+    fresh = _build_levels(keys, trie.bits)[0]
+    assert fresh == rule_levels(keys, trie.bits)
+    assert trie._levels[:len(fresh)] == fresh and not any(trie._levels[len(fresh):])
+    assert distinct_entries(trie) == 2 * len(keys) - 1
+    assert trie._prev == dict(zip(keys, [None] + keys[:-1]))
+    assert trie._next == dict(zip(keys, keys[1:] + [None]))
     assert tuple(trie) == tuple(keys)
     assert all(type(k) is int for k in trie)
 

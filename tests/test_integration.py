@@ -142,6 +142,13 @@ def _drop_the_root_entry(trie):
     del trie._levels[0][0]
 
 
+def _wrong_root_entry(trie):
+    """Point the root entry's min at the second key: the links and every deeper table stay a
+    build's, and only level 0 is wrong."""
+    keys = sorted(trie._next)
+    trie._levels[0][0] = (keys[1], keys[-1])
+
+
 def _wrong_max_at_one_level(trie):
     assert len(trie._levels) > 3  # the contract instance stores levels 0..8
     table = trie._levels[3]
@@ -366,7 +373,10 @@ FRONT_TABLE_FAULTS = [(_overfill_front_table, "front table holds"),
 
 # broken invariants per structure, each with the audit message it must raise
 BREAK_INVARIANTS = {
-    "xfast": [(_drop_the_root_entry, "level 0 holds no root entry"),
+    "xfast": [(_drop_the_root_entry,
+               r"level 0: prefix 0 maps to None, the leaf walk gives \(3, 253\)"),
+              (_wrong_root_entry,
+               r"level 0: prefix 0 maps to \(4, 253\), the leaf walk gives \(3, 253\)"),
               (_wrong_max_at_one_level, "level 3: prefix .* leaf walk"),
               (_pop_deepest_level, r"levels 0\.\.7 stored, the leaf walk needs 0\.\.8"),
               (_single_key_below_its_leaf,
@@ -378,7 +388,10 @@ BREAK_INVARIANTS = {
               (_probe_a_neighbour_level_first,
                r"probe table: mids\[0\]\[8\] = 5, the level weights give 6")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
-              (lambda y: _drop_the_root_entry(y._rep_trie), "level 0 holds no root entry"),
+              (lambda y: _drop_the_root_entry(y._rep_trie),
+               r"level 0: prefix 0 maps to None, the leaf walk gives \(0, 247\)"),
+              (lambda y: _wrong_root_entry(y._rep_trie),
+               r"level 0: prefix 0 maps to \(19, 247\), the leaf walk gives \(0, 247\)"),
               (_first_separator_not_zero, "first separator is 3, not 0"),
               (_key_at_next_separator, r"bucket 0 holds keys 3\.\.19 outside \[0, 19\)"),
               (_bucket_keys_out_of_order, "bucket keys do not ascend in separator order"),
