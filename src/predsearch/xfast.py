@@ -24,25 +24,28 @@ resolve the predecessor with O(1) additional work:
 * if it diverges by a 0-bit, every stored key under the prefix is larger than
   the query, so the answer is the leaf linked before the prefix's min.
 
-The search is a binary search tree over levels 1..D.  While the longest
-stored prefix's level is known to lie in [lo, hi], it probes level
-``mids[lo][hi]`` and keeps [mid, hi] if the query's prefix there is stored,
-[lo, mid - 1] if not.  The tree is weighted by where uniform queries end:
+The search walks a binary probe tree over levels 0..D, stored as nested
+tuples.  A node (mid, hit, miss) holds the searches whose longest stored
+prefix lies in a range [lo, hi]: it probes level mid and goes on in hit,
+over [mid, hi], if the query's prefix there is stored, and in miss, over
+[lo, mid - 1], if not.  A leaf is the level lo = hi the search has narrowed
+to, so the D nodes probe levels 1..D and the leaves are 0..D in order.  The
+tree is weighted by where uniform queries end:
 a single-key prefix at level L ends the searches of its 2^-L of the
 universe (at the probe of L), and a prefix with two or more keys and one
 stored child ends those of its empty half, 2^-(L + 1) (once the range
 shrinks to L).  Both shares come from the build's per-level counts.  Among
 the trees that take at most floor(log2(D + 1)) + 2 probes, at most 2 more
-than halving the levels would, the table holds the one with the least
+than halving the levels would, the trie stores the one with the least
 expected 2^probes (``_probe_order``): that cost weighs a long search more
 than the mean probe count does, so few queries take the deepest probes.
 How many a search takes below that bound depends on the keys and queries;
 ``tests/mechanisms.json`` pins the histogram of one seeded 64-bit case.  The
-(D + 1)^2 table is built with the tables and rebuilt only when an insert
-deepens the trie, from the build's weights with a zero for each new level,
-a dynamic program of O(D^3 log D) int operations (about 3 ms at D = 34).
-So the weights go stale under updates, which changes neither the answers
-nor the bound: the bound holds for any weights.
+tree is built with the tables and rebuilt only when an insert deepens the
+trie, from the build's weights with a zero for each new level, a dynamic
+program of O(D^3 log D) int operations (about 3 ms at D = 34).  So the
+weights go stale under updates, which changes neither the answers nor the
+bound: the bound holds for any weights.
 
 The build is one bottom-up pass over the stored entries only: each level is
 derived from the one below it with C-level ``map``/``zip`` passes.  The
@@ -73,12 +76,15 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, itemgetter, rshift, sub, xor
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import (KeySet, ParameterError, PredecessorStructure, QueryStats, UniverseSpec,
                    WeightedDistribution)
 
 Entry = tuple[int, int]  # (min, max) stored key beneath a prefix
+# a leaf is the level a search ends at; a node is (level probed, subtree if the query's
+# prefix there is stored, subtree if not)
+ProbeTree = Union[int, tuple[int, "ProbeTree", "ProbeTree"]]
 
 
 def _build_levels(leaves: Sequence[int], bits: int) -> tuple[list[dict[int, Entry]], list[int]]:
@@ -145,10 +151,10 @@ def _end_weights(levels: Sequence[dict[int, Entry]],
     return single, multi
 
 
-def _probe_order(single: Sequence[int], multi: Sequence[int]) -> list[list[int]]:
-    """The probe table mids[lo][hi] for 0 <= lo < hi <= D (other entries are 0): the probe
-    tree within H = floor(log2(D + 1)) + 2 probes that minimises the weighted sum of
-    2^probes over the search ends single and multi (see ``_end_weights``).
+def _probe_order(single: Sequence[int], multi: Sequence[int]) -> ProbeTree:
+    """The probe tree over levels 0..D within H = floor(log2(D + 1)) + 2 probes that
+    minimises the weighted sum of 2^probes over the search ends single and multi (see
+    ``_end_weights``), as the nested (level, hit, miss) tuples ``XFastTrie`` stores.
 
     A search state [lo, hi] is reached by the ends weighing W = multi[lo..hi] +
     single[lo + 1..hi] (the single-key prefix at lo would have ended the search
@@ -164,10 +170,10 @@ def _probe_order(single: Sequence[int], multi: Sequence[int]) -> list[list[int]]
     below, over the ranges of at most 2^h - 1 levels that h probes can search; a
     range of fewer than h levels keeps its tree from height h - 1, which no cap
     binds, and a range that no query reaches (W = 0) probes its shallowest
-    feasible level.  Height H is needed for [0, D] alone.  The ranges a search
-    from [0, D] reaches take the root of the height it reaches them with; every
-    other entry takes its root at height H - 1, which fits every range, so each
-    entry lies in (lo, hi].  That is O(H * D^3) int operations, but most ranges
+    feasible level.  Height H is needed for [0, D] alone.  The tree is then one
+    walk from [0, D] down the ranges a search reaches, each taking the root of the
+    height it is reached with, so only those D roots are kept and every node
+    probes inside its range.  That is O(H * D^3) int operations, but most ranges
     are short: about 3 ms at D = 34 and 0.2 ms at D = 12 on a 2-vCPU VM.  The
     costs are exact ints, so ties cannot differ between platforms.
     """
@@ -200,21 +206,19 @@ def _probe_order(single: Sequence[int], multi: Sequence[int]) -> list[list[int]]
                 root_row[hi] = first + costs.index(best)
                 row[hi] = cols[hi][lo] = weight + 2 * best
         roots.append(root)
+
+    def tree(lo: int, hi: int, h: int) -> ProbeTree:
+        mid = roots[h][lo][hi]
+        return (mid, tree(mid, hi, h - 1), tree(lo, mid - 1, h - 1)) if lo < hi else lo
+
     # the root range [0, D]: at height H - 1 every range fits, so every level is feasible
-    mids = [row[:] for row in roots[height - 1]]
     costs = [*map(add, rows[0][:depth], cols[depth][1:])]
-    mid = mids[0][depth] = 1 + costs.index(min(costs))
-    reached = [(0, mid - 1, height - 1), (mid, depth, height - 1)]
-    while reached:
-        lo, hi, h = reached.pop()
-        if lo < hi:
-            mid = mids[lo][hi] = roots[h][lo][hi]
-            reached += ((lo, mid - 1, h - 1), (mid, hi, h - 1))
-    return mids
+    mid = 1 + costs.index(min(costs))
+    return mid, tree(mid, depth, height - 1), tree(0, mid - 1, height - 1)
 
 
 class XFastTrie(PredecessorStructure):
-    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_weights", "_mids")
+    __slots__ = ("bits", "universe", "_prev", "_next", "_levels", "_weights", "_tree")
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -227,7 +231,7 @@ class XFastTrie(PredecessorStructure):
         self._next: dict[int, Optional[int]] = dict(zip(leaves, leaves[1:] + (None,)))
         self._levels, alone = _build_levels(leaves, self.bits)
         self._weights = _end_weights(self._levels, alone)
-        self._mids = _probe_order(*self._weights)
+        self._tree = _probe_order(*self._weights)
 
     # `x in trie` would fall back to a linear walk of __iter__ with no key check
     __contains__ = None
@@ -254,32 +258,33 @@ class XFastTrie(PredecessorStructure):
     def _search(self, q: int) -> tuple[Optional[int], int]:
         """Weak predecessor of q and the prefix-table probes spent on it.
 
-        The level search walks the probe table over the stored levels 0..D and
-        returns at the first probed prefix with a single key beneath it (see
-        the module docstring).  A search that gets past the loop ends at the
-        longest stored prefix of q, which holds two or more keys or, when no
-        probe hit, is the root, and that prefix's (min, max) entry decides.
+        The level search descends the probe tree over the stored levels 0..D,
+        reading only each node's level and its two subtrees, so it ends within
+        the tree's height, and returns at the first probed prefix with a single
+        key beneath it (see the module docstring).  A search that reaches a leaf
+        ends at the longest stored prefix of q, at the leaf's level, which holds
+        two or more keys or, when no probe hit, is the root, and that prefix's
+        (min, max) entry decides.
         """
         bits = self.bits
         levels = self._levels
-        mids = self._mids
+        node = self._tree
         probes = 0
-        lo, hi = 0, len(levels) - 1
         entry = None
-        while lo < hi:
-            mid = mids[lo][hi]
+        while type(node) is tuple:
+            mid, hit, miss = node
             e = levels[mid].get(q >> (bits - mid))
             probes += 1
             if e is not None:
                 k, m = e
                 if k == m:
                     return (k if k <= q else self._prev[k]), probes
-                lo = mid
+                node = hit
                 entry = e
             else:
-                hi = mid - 1
+                node = miss
         entry = entry or levels[0][0]
-        if (q >> (bits - lo - 1)) & 1:
+        if (q >> (bits - node - 1)) & 1:
             return entry[1], probes
         return self._prev[entry[0]], probes
 
@@ -300,7 +305,7 @@ class XFastTrie(PredecessorStructure):
             for weights in self._weights:
                 weights += [0] * (leaf + 1 - len(levels))
             levels += [{} for _ in range(leaf + 1 - len(levels))]
-            self._mids = _probe_order(*self._weights)
+            self._tree = _probe_order(*self._weights)
         self._prev[x] = p
         self._next[x] = s
         if p is not None:
@@ -356,14 +361,16 @@ class XFastTrie(PredecessorStructure):
             below = table
 
     def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
-        """Raise AssertionError unless the leaf links, every prefix table and the probe table
+        """Raise AssertionError unless the leaf links, every prefix table and the probe tree
         agree.  The links must walk the stored keys in ascending order, an order the audit
         takes from the links' own keys, so no table entry decides it.  The tables, level 0's
         root entry among them, must be a fresh build's over that walk, plus any empty deeper
-        tables, and their entries must share a build's 2n - 1 tuples.  The probe table must
-        be, entry for entry, the one the stored level weights give.  The weights themselves
-        may be stale after updates, which changes no answer, so the audit recomputes the
-        table from them.  dist is ignored: a trie takes nothing from a distribution."""
+        tables, and their entries must share a build's 2n - 1 tuples.  The stored probe tree
+        must be, node for node, the one the stored level weights give; a difference names
+        the first range, root first and hit before miss, whose node differs.  The weights
+        themselves may be stale after updates, which changes no answer, so the audit
+        recomputes the tree from them.  dist is ignored: a trie takes nothing from a
+        distribution."""
         levels, nxt, prev = self._levels, self._next, self._prev
         keys = sorted(nxt)
         if nxt != dict(zip(keys, keys[1:] + [None])) or prev != dict(zip(keys, [None] + keys[:-1])):
@@ -387,14 +394,15 @@ class XFastTrie(PredecessorStructure):
         if len(single) != depth + 1 or len(multi) != depth + 1:
             raise AssertionError(f"level weights for {len(single)} and {len(multi)} levels, "
                                  f"{depth + 1} stored")
-        mids, want = self._mids, _probe_order(single, multi)
-        if len(mids) != depth + 1 or any(len(row) != depth + 1 for row in mids):
-            raise AssertionError(f"probe table is not {depth + 1} x {depth + 1}")
-        if mids != want:
-            lo, hi = next((lo, hi) for lo in range(depth + 1) for hi in range(depth + 1)
-                          if mids[lo][hi] != want[lo][hi])
-            raise AssertionError(f"probe table: mids[{lo}][{hi}] = {mids[lo][hi]}, the level "
-                                 f"weights give {want[lo][hi]}")
+        got, want = self._tree, _probe_order(single, multi)
+        lo, hi = 0, depth
+        while got != want and type(got) is type(want) is tuple and got[0] == want[0]:
+            lo, hi, side = (want[0], hi, 1) if got[1] != want[1] else (lo, want[0] - 1, 2)
+            got, want = got[side], want[side]
+        if got != want:
+            first = f"probe level {got[0]} first" if type(got) is tuple else f"end at level {got}"
+            raise AssertionError(f"probe tree: levels {lo}..{hi} {first}, the level weights give "
+                                 f"{want[0] if type(want) is tuple else want}")
 
     def table_entries(self) -> int:
         """Total prefix-table entries across the stored levels (space audit)."""

@@ -146,7 +146,7 @@ def assert_same_as_fresh_build(trie: XFastTrie, keys) -> None:
     tuples) and a fresh build's leaf links, over keys stored as ints.
 
     The fresh build is ``_build_levels`` over the keys, held to the table rule's reference,
-    and the links a build writes; the probe table is left to ``audit``."""
+    and the links a build writes; the probe tree is left to ``audit``."""
     keys = list(keys)
     fresh = _build_levels(keys, trie.bits)[0]
     assert fresh == rule_levels(keys, trie.bits)

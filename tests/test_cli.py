@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import time
@@ -8,6 +9,7 @@ from test_integration import _drop_a_threshold_key, _halve_every_p_star
 
 from predsearch import (
     KeySet,
+    ParameterError,
     PredecessorStructure,
     QueryStats,
     UniverseSpec,
@@ -188,6 +190,32 @@ class TestParsing:
     def test_unknown_structure_rejected(self):
         assert run("bench", "--universe-bits", 12, "--n", 8,
                    "--structure", "btree") == EXIT_USAGE
+        keys = KeySet([1, 2])
+        with pytest.raises(ParameterError, match=r"^unknown structure 'btree'$"):
+            build_structure("btree", keys, WeightedDistribution({1: 1.0}), UniverseSpec(4), None)
+
+    @pytest.mark.parametrize("text, message", [("1\t1.0\n2\tinf\n", ":2: weight must be finite and >= 0"),
+                                               ("1\t1.0\n2\t-1.0\n", ":2: weight must be finite and >= 0"),
+                                               ("1\t1.0\n1\t2.0\n", ":2: duplicate key 1"),
+                                               ("", ": no weights")])
+    def test_weights_file_rejects_bad_weights(self, tmp_path, capsys, text, message):
+        keys = gen_keys(tmp_path)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        assert run("bench", "--universe-bits", 12, "--keys", keys, "--dist", bad,
+                   "--structure", "yfast") == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+
+    def test_empty_keys_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert run("bench", "--universe-bits", 12, "--keys", empty,
+                   "--structure", "yfast") == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {empty}: no keys\n"
+
+    def test_neither_keys_nor_n(self, capsys):
+        assert run("bench", "--universe-bits", 12, "--structure", "yfast") == EXIT_USAGE
+        assert capsys.readouterr().err == "error: provide --keys FILE or --n COUNT\n"
 
     def test_weights_file_with_overflowing_total(self, tmp_path, capsys):
         keys = gen_keys(tmp_path)
@@ -421,6 +449,23 @@ class TestBench:
         assert header.split(",") == list(REPORT_FIELDS)
         assert row.split(",")[0] == "layered"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_weights_file(self, tmp_path, fmt):
+        """A weights file is named in the report, with kind "file" and no shape parameter."""
+        keys = gen_keys(tmp_path)
+        dist = tmp_path / "dist.tsv"
+        assert run("gen", "--dist-kind", "geometric", "--support", keys, "--out", dist) == EXIT_OK
+        out = tmp_path / f"report.{fmt}"
+        assert run("bench", "--universe-bits", 12, "--keys", keys, "--dist", dist,
+                   "--structure", "layered", "--queries", 100, "--format", fmt,
+                   "--out", out) == EXIT_OK
+        if fmt == "json":
+            report = json.loads(out.read_text())
+        else:  # None writes as an empty field
+            report = {k: v or None for k, v in next(csv.DictReader(out.read_text().splitlines())).items()}
+        assert (report["dist_kind"], report["dist_param"], report["dist_file"]) == \
+            ("file", None, str(dist))
+
     def test_query_file_replay(self, tmp_path):
         keys = gen_keys(tmp_path, bits=12, n=64)
         qfile = tmp_path / "queries.txt"
@@ -582,6 +627,14 @@ class TestVerify:
             assert run("verify", "--universe-bits", 8, "--n", 30, "--seed", 1,
                        "--structure", structure, "--epsilon", 0.5,
                        "--dist-kind", "geometric") == EXIT_OK
+
+    def test_weights_file(self, tmp_path, capsys):
+        keys = gen_keys(tmp_path)
+        dist = tmp_path / "dist.tsv"
+        assert run("gen", "--dist-kind", "zipf", "--support", keys, "--out", dist) == EXIT_OK
+        assert run("verify", "--universe-bits", 12, "--keys", keys, "--dist", dist,
+                   "--structure", "hashfront-a", "--epsilon", 0.5) == EXIT_OK
+        assert capsys.readouterr().out == "verified all 4096 queries: ok\n"
 
     def test_bits_guard(self, capsys):
         assert run("verify", "--universe-bits", 20, "--n", 10,

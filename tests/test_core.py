@@ -88,6 +88,12 @@ class TestKeySet:
             with pytest.raises(ParameterError):
                 KeySet(keys)
 
+    @pytest.mark.parametrize("make, arg", [(KeySet, [-1, 2]), (WeightedDistribution, {-1: 1.0})])
+    def test_rejects_negative_keys(self, make, arg):
+        # a distribution's support takes a key set's range error
+        with pytest.raises(KeyRangeError, match=r"^negative key -1$"):
+            make(arg)
+
     def test_contains(self):
         ks = KeySet([2, 5])
         assert 5 in ks and 2 in ks and 3 not in ks and 1 not in ks

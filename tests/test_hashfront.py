@@ -56,6 +56,10 @@ class TestThresholdMode:
         with pytest.raises(ParameterError):
             ThresholdMode.mode_b(eps)
 
+    def test_unknown_mode(self):
+        with pytest.raises(ParameterError, match=r"^unknown threshold mode 'c'$"):
+            ThresholdMode("c", 0.5)
+
     def test_mode_a_allows_one(self):
         assert ThresholdMode.mode_a(1.0).threshold(8) == 2.0 ** -8
 

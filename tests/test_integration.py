@@ -184,21 +184,38 @@ def _copy_a_shared_tuple(trie):
     levels[level][prefix] = tuple(list(levels[level][prefix]))
 
 
-def _mid_outside_its_range(trie):
-    trie._mids[0][len(trie._levels) - 1] = 0
+def _skip_a_key_in_the_links(trie):
+    """Link the smallest key straight to the third, past the second, which stays stored."""
+    first = min(trie._next)
+    trie._next[first] = trie._next[trie._next[first]]
+
+
+def _drop_a_level_weight(trie):
+    trie._weights[0].pop()
+
+
+def _root_probes_level_0(trie):
+    """Probe level 0 first, where every query's prefix is stored, so no search reaches the
+    levels the weights' root would have ruled out."""
+    trie._tree = (0, *trie._tree[1:])
 
 
 def _probe_a_neighbour_level_first(trie):
     """Probe the level next to the weights' choice first: in range and within the probe bound,
     but not the tree with the least expected 2^probes."""
-    mids = trie._mids
-    depth = len(mids) - 1
-    mids[0][depth] += -1 if mids[0][depth] > 1 else 1
+    level, hit, miss = trie._tree
+    trie._tree = (level - 1 if level > 1 else level + 1, hit, miss)
 
 
 def _overfill_first_bucket(trie):
     bucket = trie._buckets[separators(trie)[0]]
     bucket.extend([bucket[-1]] * trie._max_size)
+
+
+def _rekey_a_bucket_off_its_separator(trie):
+    """Key the second bucket under its last key, while the routing trie keeps its separator."""
+    bucket = trie._buckets.pop(separators(trie)[1])
+    trie._buckets[bucket[-1]] = bucket
 
 
 def _first_separator_not_zero(trie):
@@ -384,14 +401,18 @@ BREAK_INVARIANTS = {
               (_drop_a_leaf_entry, r"level 8: prefix \d+ maps to None, the leaf walk gives \((\d+), \1\)"),
               (_copy_a_shared_tuple, r"entries point at 200 distinct tuples, a build shares "
                                      r"2 \* 100 - 1 = 199"),
-              (_mid_outside_its_range, r"probe table: mids\[0\]\[8\] = 0, the level weights give 6"),
+              (_skip_a_key_in_the_links, "leaf links do not walk the stored keys in ascending order"),
+              (_drop_a_level_weight, "level weights for 8 and 9 levels, 9 stored"),
+              (_root_probes_level_0,
+               r"probe tree: levels 0\.\.8 probe level 0 first, the level weights give 6"),
               (_probe_a_neighbour_level_first,
-               r"probe table: mids\[0\]\[8\] = 5, the level weights give 6")],
+               r"probe tree: levels 0\.\.8 probe level 5 first, the level weights give 6")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
               (lambda y: _drop_the_root_entry(y._rep_trie),
                r"level 0: prefix 0 maps to None, the leaf walk gives \(0, 247\)"),
               (lambda y: _wrong_root_entry(y._rep_trie),
                r"level 0: prefix 0 maps to \(19, 247\), the leaf walk gives \(0, 247\)"),
+              (_rekey_a_bucket_off_its_separator, "separators are not the bucket keys"),
               (_first_separator_not_zero, "first separator is 3, not 0"),
               (_key_at_next_separator, r"bucket 0 holds keys 3\.\.19 outside \[0, 19\)"),
               (_bucket_keys_out_of_order, "bucket keys do not ascend in separator order"),

@@ -136,6 +136,11 @@ class TestSampleQueries:
         with pytest.raises(ParameterError, match=f"query count must be an int, got {count!r}"):
             sample_queries(dist, seed=0, count=count)
 
+    def test_negative_count(self):
+        dist = generate_distribution(WorkloadSpec(kind="uniform", support=(1, 2)))
+        with pytest.raises(ParameterError, match=r"^query count must be >= 0, got -1$"):
+            sample_queries(dist, 0, -1)
+
     @pytest.mark.parametrize("count", [0, 5])
     @pytest.mark.parametrize("seed", [-1, 1.0, True])
     def test_bad_seed(self, seed, count):

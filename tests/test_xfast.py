@@ -17,6 +17,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_integration import _root_probes_level_0
 
 from predsearch import (
     KeyRangeError,
@@ -364,18 +365,16 @@ class TestSpace:
         assert trie.table_entries() <= 3 * len(keys)
 
 
-def probe_height(mids, lo: int, hi: int) -> int:
-    """Most probes the search takes through mids once the answer's level is in [lo, hi]."""
-    if lo >= hi:
+def probe_height(tree) -> int:
+    """Most probes a search takes through the probe tree."""
+    if type(tree) is int:
         return 0
-    mid = mids[lo][hi]
-    assert lo < mid <= hi, (lo, hi, mid)
-    return 1 + max(probe_height(mids, lo, mid - 1), probe_height(mids, mid, hi))
+    return 1 + max(probe_height(tree[1]), probe_height(tree[2]))
 
 
 class TestProbeOrder:
-    """The probe table probes inside every level range, its tree stays within
-    floor(log2(D + 1)) + 2 probes however the search ends weigh, and it is the tree within
+    """The probe tree probes inside the level range of every node, stays within
+    floor(log2(D + 1)) + 2 probes however the search ends weigh, and is the tree within
     that bound with the least weighted 2^probes."""
 
     @pytest.mark.parametrize("depth", range(1, 65))
@@ -394,19 +393,28 @@ class TestProbeOrder:
             "stale levels only": (zeros, zeros),
         }
         for name, (single, multi) in patterns.items():
-            mids = _probe_order(single, multi)
-            assert len(mids) == depth + 1 and all(len(row) == depth + 1 for row in mids)
-            for lo in range(depth):
-                for hi in range(lo + 1, depth + 1):
-                    assert lo < mids[lo][hi] <= hi, (name, lo, hi)
-            assert probe_height(mids, 0, depth) <= math.floor(math.log2(depth + 1)) + 2, name
+            tree = _probe_order(single, multi)
+            # probe_tree holds every node to its range and every leaf to the level it ends at,
+            # so D nodes over levels 0..D leave the leaves 0..D in order
+            assert len(probe_tree(tree, 0, depth)) == depth, name
+            assert probe_height(tree) <= math.floor(math.log2(depth + 1)) + 2, name
 
     def test_heavy_leaf_level_is_probed_first(self):
         # the single-key prefixes at level 10 own 3/4 of the universe and two-key prefixes at
         # levels 0..3 the rest, so one probe of level 10 ends most searches
         single = [0] * 10 + [3 << 20] + [0] * 10
         multi = [1 << 18] * 4 + [0] * 17
-        assert _probe_order(single, multi)[0][20] == 10
+        assert _probe_order(single, multi)[0] == 10
+
+    def test_a_wrong_root_still_ends_every_search(self):
+        """The search reads nothing but the tree's nodes, so it ends within the tree's height
+        whatever they hold: here the root probes level 0, where every query's prefix is stored
+        (a planted fault, whose audit message test_integration.py pins)."""
+        universe = UniverseSpec(8)
+        trie = XFastTrie(random_keyset(random.Random(8), universe, 100), universe)
+        _root_probes_level_0(trie)
+        height = probe_height(trie._tree)
+        assert all(trie.query_stats(q).level_probes <= height for q in range(universe.size))
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_reachable_tree_is_optimal_within_the_bound(self, depth):
@@ -447,12 +455,15 @@ class TestProbeOrder:
             [[c << (depth + 1) for c in counts] for counts in (single, multi)]
 
 
-def probe_tree(mids, lo: int, hi: int) -> dict:
-    """The probe table's tree over [lo, hi] as a {(lo, hi): mid} map of the ranges it reaches."""
-    if lo >= hi:
+def probe_tree(tree, lo: int, hi: int) -> dict:
+    """The probe tree over [lo, hi] as a {(lo, hi): level} map of the ranges its nodes search,
+    after checking that each node probes inside its range and each leaf is its range's level."""
+    if type(tree) is int:
+        assert tree == lo == hi, (lo, hi, tree)
         return {}
-    mid = mids[lo][hi]
-    return {(lo, hi): mid, **probe_tree(mids, lo, mid - 1), **probe_tree(mids, mid, hi)}
+    mid, hit, miss = tree
+    assert lo < mid <= hi, (lo, hi, mid)
+    return {(lo, hi): mid, **probe_tree(miss, lo, mid - 1), **probe_tree(hit, mid, hi)}
 
 
 def probe_trees(lo: int, hi: int, height: int):
