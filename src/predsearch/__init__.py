@@ -13,7 +13,6 @@ from .core import (
     entropy,
     oracle_predecessor,
     output_distribution,
-    padded_log2,
 )
 from .hashfront import HashFront, ProbeBoundReport, ThresholdMode, expected_probe_bound
 from .layered import (
@@ -56,7 +55,6 @@ __all__ = [
     "layer_capacities",
     "oracle_predecessor",
     "output_distribution",
-    "padded_log2",
     "sample_keys",
     "sample_queries",
     "__version__",

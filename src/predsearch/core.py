@@ -57,14 +57,6 @@ def check_iterable(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be an iterable of ints, got {type(value).__name__}") from None
 
 
-def padded_log2(x: float) -> float:
-    """log2(x + 2): stays well-defined and positive for tiny arguments.
-
-    Used only in probe-bound reports, never in entropy itself.
-    """
-    return math.log2(x + 2.0)
-
-
 def meets_threshold(p: float, threshold: float) -> bool:
     """Inclusive comparison: ties within REL_TOL count as above the threshold."""
     return p > threshold or math.isclose(p, threshold, rel_tol=REL_TOL)

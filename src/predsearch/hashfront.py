@@ -37,7 +37,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .core import (
     check_real,
     check_sorted,
     meets_threshold,
-    padded_log2,
 )
 from .yfast import YFastTrie
 
@@ -198,16 +197,15 @@ class HashFront(PredecessorStructure):
 class ProbeBoundReport:
     """Analytic probe-cost summary for a (distribution, mode) pair.
 
-    ``hit_mass`` is the probability a query lands in the front table and
-    finishes in one probe; ``miss_mass`` falls through to the trie.  Each
-    support element also gets its individual bound log log (W / w_i), taken
-    with the padded log so tiny arguments stay meaningful.
+    ``threshold`` is the probability a key needs to enter the front table;
+    ``hit_mass`` is the probability a query lands in the table and finishes
+    in one probe, and ``miss_mass`` the probability it falls through to the
+    trie.
     """
 
     threshold: float
     hit_mass: float
     miss_mass: float
-    element_bounds: Mapping[int, float]
 
 
 def expected_probe_bound(dist: WeightedDistribution, universe: UniverseSpec,
@@ -216,21 +214,8 @@ def expected_probe_bound(dist: WeightedDistribution, universe: UniverseSpec,
     KeyRangeError, as the build does, if a support key is outside the universe."""
     check_sorted(dist.support, universe)
     front = set(mode.front_keys(dist, universe.bits))
-    total = dist.total
     hit = []
     miss = []
-    bounds: dict[int, float] = {}
-    for key, w in dist.items():
-        (hit if key in front else miss).append(w / total)
-        # padded_log2(total / w) without the division, which overflows for subnormal w; near
-        # the float maximum total + 2w overflows instead, so its log2 is taken from a quarter
-        padded = total + 2.0 * w
-        log2_padded = (math.log2(padded) if padded != math.inf
-                       else 2.0 + math.log2(0.25 * total + 0.5 * w))
-        bounds[key] = padded_log2(log2_padded - math.log2(w))
-    return ProbeBoundReport(
-        threshold=mode.threshold(universe.bits),
-        hit_mass=math.fsum(hit),
-        miss_mass=math.fsum(miss),
-        element_bounds=bounds,
-    )
+    for key, p in zip(dist.support, (dist.weights / dist.total).tolist()):
+        (hit if key in front else miss).append(p)
+    return ProbeBoundReport(mode.threshold(universe.bits), math.fsum(hit), math.fsum(miss))

@@ -39,10 +39,10 @@ Two ways of ranking keys into layers:
 
 * the static variant ranks keys by how much query mass they answer for
   (descending, ties by ascending key), so frequent answers sit in the tiny
-  front layers; the rank is one stable NumPy ``argsort`` of the negated p*
-  array, whose indices into the ascending key tuple keep ties in key order,
-  and each layer gathers the keys at its sorted slice of indices, so the
-  layers hold the key set's own int objects;
+  front layers; ``_rank`` gives the layers of that rank, by one stable NumPy
+  ``argsort`` of the negated p* array, whose indices into the ascending key
+  tuple keep ties in key order, and each layer gathers the keys at its sorted
+  slice of indices, so the layers hold the key set's own int objects;
 * the self-adjusting variant ranks by recency: every reported answer moves to
   the front layer and, for each layer above the one it came from, the stalest
   key shifts down one layer to keep all occupancies at capacity.  A promotion
@@ -73,20 +73,23 @@ its capacity: a layer of exactly ``bits * bits`` keys stays a list.
 scan; the self-adjusting variant promotes the answer as its last step.
 ``audit(dist=None)`` is one check for both variants, and its truth is the
 key tuple, never the layer code under audit.  In order: each layer's own
-audit; the layers, merged and sorted, are the key tuple; exactly the
-front-layer keys keep a successor pointer, each naming the key after it in
-the tuple (a bisect); the variant's order (static: given dist, the
-distribution the cascade was built from, its p* masses and bottom mass are
-bit for bit ``output_distribution(keys, dist)``'s, then each key sits in the
-layer its rank puts it in; self-adjusting: each front layer's recency queue
-holds exactly that layer's keys, its stamps ascend, and they all lie above
-the next front layer's, and dist is ignored, since recency takes nothing
-from a distribution); and the layer sizes are ``layer_capacities(n)``.
+audit; exactly the front-layer keys keep a successor pointer, each naming
+the key after it in the tuple (a bisect); the layer sizes are
+``layer_capacities(n)``; and each layer holds exactly the keys its order
+gives.  The static order is the p* rank, computed by the same ``_rank`` the
+build calls, from the stored masses; given dist, the distribution the
+cascade was built from, those masses and the bottom mass are first checked
+bit for bit against ``output_distribution(keys, dist)``.  The self-adjusting
+order is recency: front layer j holds its recency queue's keys, whose stamps
+must ascend and all lie above the next front layer's, and the last layer
+holds every other key of the tuple; dist is ignored, since recency takes
+nothing from a distribution.  So a key in the wrong layer is named with the
+layer it sits in and the one its order gives it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import OrderedDict
 from itertools import chain, count
 from typing import Optional, Sequence
@@ -130,13 +133,28 @@ def _cut(ranked: Sequence) -> list[Sequence]:
     return pieces
 
 
+def _rank(keys: tuple[int, ...], masses: np.ndarray) -> list[list[int]]:
+    """The static cascade's layers over the ascending keys and their p* masses: the keys by
+    p* descending, ties by ascending key, cut into the layer capacities, each layer ascending.
+
+    The indices into keys by descending mass come from a stable sort, so ties
+    keep ascending key order, and each layer's sorted indices give its keys in
+    order, as the tuple's own int objects.
+    """
+    order = np.argsort(-masses, kind="stable")
+    as_objects = np.array(keys, dtype=object)  # the tuple's own ints, gathered in C
+    return [as_objects[np.sort(part)].tolist() for part in _cut(order)]
+
+
 class _LayeredBase(PredecessorStructure):
     """Shared query path and audit; subclasses decide ordering and what the scan does after.
 
-    Each subclass audits its ordering in ``_audit_order(dist)``, which raises
-    AssertionError unless the keys sit in the layers the variant's order gives
-    them; ``audit`` calls it, with its own dist, once the layers and pointers
-    are known intact.
+    Each subclass gives, in ``_ordered_layers(dist)``, each layer's keys,
+    ascending, front layer first, as its order puts them over ``_keys``, and
+    raises AssertionError first if the order's own state is broken; ``_puts``
+    names that order for the audit's messages ("the p* rank puts").
+    ``_audit_order`` requires each layer to hold exactly the keys its order
+    gives.
     """
 
     universe: UniverseSpec
@@ -195,20 +213,18 @@ class _LayeredBase(PredecessorStructure):
         return len(self._succ) + sum(layer.table_entries() for layer in self.layers)
 
     def audit(self, dist: Optional[WeightedDistribution] = None) -> None:
-        """Raise AssertionError unless each layer audits clean, the layers partition the key
-        set, exactly the front-layer keys keep a successor pointer, each naming the next key
-        of the set (None for the largest), the keys sit in layers by the variant's order
-        (checked against dist where the variant took its order from it), and the layer
-        sizes are ``layer_capacities(n)``.
+        """Raise AssertionError unless each layer audits clean, exactly the front-layer keys
+        keep a successor pointer, each naming the next key of the set (None for the largest),
+        and each layer holds exactly the keys its order gives (``_audit_order``, checked
+        against dist where the variant took its order from it).
 
         The truth is the key tuple ``_keys``, not the layers under audit: a
-        pointer is checked by a bisect of that tuple.
+        pointer is checked by a bisect of that tuple, and the order's layers are
+        computed from the tuple and the order's own state.
         """
         for layer in self.layers:
             layer.audit()
         keys = self._keys
-        if sorted(chain.from_iterable(self.layers)) != list(keys):
-            raise AssertionError("layers do not partition the key set")
         front = set(chain.from_iterable(self._front))
         if self._succ.keys() != front:
             raise AssertionError(f"{len(self._succ)} successor pointers, not one per "
@@ -218,14 +234,36 @@ class _LayeredBase(PredecessorStructure):
             if s != (following := keys[i] if i < len(keys) else None):
                 raise AssertionError(f"successor pointer {k} -> {s}, next key is {following}")
         self._audit_order(dist)
+
+    def _audit_order(self, dist: Optional[WeightedDistribution]) -> None:
+        """Raise AssertionError unless the layer sizes are ``layer_capacities(n)`` and each
+        layer holds exactly the keys its order gives, the list ``_ordered_layers(dist)``
+        returns at its index.
+
+        The sizes come first, so that each layer meets a list.  The first key
+        that differs is named with the layer that holds or lacks it and the
+        layer the order puts it in.  The paper's bounds, the static p* <=
+        2**-2**j on an answer found in layer j >= 1 and the working-set bound,
+        rest on these memberships, yet a key out of place changes no answer.
+        """
+        ordered = self._ordered_layers(dist)
         sizes = [len(layer) for layer in self.layers]
-        caps = layer_capacities(len(keys))
+        caps = layer_capacities(len(self._keys))
         if sizes != caps:
             raise AssertionError(f"layer sizes {sizes} != capacities {caps}")
+        for j, (layer, want) in enumerate(zip(self.layers, ordered)):
+            if (got := list(layer)) != want:  # both ascend, so they differ as sets
+                k = min(set(got).symmetric_difference(want))
+                if k not in got:
+                    raise AssertionError(f"layer {j} lacks key {k}, which {self._puts} there")
+                put = next((f"in layer {i}" for i, ks in enumerate(ordered) if k in ks), "in no layer")
+                raise AssertionError(f"layer {j} holds key {k}, which {self._puts} {put}")
 
 
 class LayeredStructure(_LayeredBase):
     """Static cascade ranked by output probability."""
+
+    _puts = "the p* rank puts"
 
     def __init__(self, keys: KeySet, dist: WeightedDistribution,
                  universe: UniverseSpec):
@@ -234,28 +272,18 @@ class LayeredStructure(_LayeredBase):
         self.universe = universe
         self._keys = keys.keys
         self.output = output_distribution(keys, dist)
-        # indices into the ascending keys by descending mass; the sort is stable, so ties
-        # keep ascending key order, and each layer's sorted indices give its keys in order
-        order = np.argsort(-self.output.masses, kind="stable")
-        as_objects = np.array(keys.keys, dtype=object)  # the tuple's own ints, gathered in C
-        self._build_layers([as_objects[np.sort(part)].tolist() for part in _cut(order)])
+        self._build_layers(_rank(keys.keys, self.output.masses))
 
-    def _audit_order(self, dist: Optional[WeightedDistribution]) -> None:
-        """Raise AssertionError unless the stored p* are dist's and the layers hold the keys
-        the build's rank gives them.
+    def _ordered_layers(self, dist: Optional[WeightedDistribution]) -> list[list[int]]:
+        """The layers the build's ``_rank`` gives the keys by the stored p*, once, given dist,
+        the stored p* are checked to be dist's.
 
-        Given dist, the masses are checked first, as their bits: every p* and
-        the bottom mass must be the float ``output_distribution(keys, dist)``
-        folds, and the first key whose mass differs is named.  Without this a
-        rank over wrong masses (every p* halved, say) would pass.  The rank
-        orders the keys by p* descending, ties by ascending key, and layer j
-        takes the next ``layer_capacities(n)[j]`` of them.  So no key in layer
-        j + 1 outranks a key in layer j; the base audit checks the sizes after
-        this.  The paper's bound p* <= 2**-2**j on an answer found in layer
-        j >= 1 rests on that, yet a key out of place changes no answer.  A key
-        out of rank is named with the key it outranks.
+        The masses are checked as their bits: every p* and the bottom mass must
+        be the float ``output_distribution(keys, dist)`` folds, and the first key
+        whose mass differs is named.  Without this a rank over wrong masses
+        (every p* halved, say) would pass.
         """
-        keys, masses = self._keys, self.output.masses
+        keys = self._keys
         if dist is not None:  # p* in key order, then the bottom mass, compared as their bits
             got, want = (np.append(o.masses, o.bottom_mass) for o in
                          (self.output, output_distribution(KeySet._unchecked(keys), dist)))
@@ -264,23 +292,7 @@ class LayeredStructure(_LayeredBase):
                 i = differ[0]
                 what = f"key {keys[i]} answers p*" if i < len(keys) else f"mass below key {keys[0]} is"
                 raise AssertionError(f"{what} {got[i]}, the distribution gives {want[i]}")
-        # the layer each key sits in, by its index in the ascending key tuple: the layers
-        # partition the keys, so a key no front layer holds is in the last one
-        held = np.full(len(keys), len(self._front), np.intp)
-        for j, layer in enumerate(self._front):
-            held[[bisect_left(keys, k) for k in layer]] = j
-        # adjacent layers in rank order put every layer in rank order, so compare the
-        # lowest-ranked key of each layer, w (least mass, the larger index of a tie), with
-        # the highest-ranked of the next, b; an index stands for its key, so b outranks w
-        # if (masses[b], w) > (masses[w], b)
-        for j in range(len(self._front)):
-            here, after = np.flatnonzero(held == j), np.flatnonzero(held == j + 1)
-            if here.size and after.size:
-                w = int(here[np.flatnonzero(masses[here] == masses[here].min())[-1]])
-                b = int(after[np.argmax(masses[after])])  # argmax takes the first of a tie
-                if (masses[b], w) > (masses[w], b):
-                    raise AssertionError(f"key {keys[b]} in layer {j + 1} outranks "
-                                         f"key {keys[w]} in layer {j}")
+        return _rank(keys, self.output.masses)
 
 
 class WorkingSetLayered(_LayeredBase):
@@ -291,6 +303,7 @@ class WorkingSetLayered(_LayeredBase):
     """
 
     mutates = True
+    _puts = "the recency queues put"
 
     def __init__(self, keys: KeySet, universe: UniverseSpec):
         universe.check_key(keys.keys[-1])
@@ -348,20 +361,18 @@ class WorkingSetLayered(_LayeredBase):
         layers[0].insert(x)
         rec[0][x] = next(self._clock)
 
-    def _audit_order(self, dist: Optional[WeightedDistribution]) -> None:
-        """Raise AssertionError unless each front layer's recency queue holds exactly its keys
-        and the stamps ascend from the deepest front layer's stalest key to layer 0's freshest;
-        dist is ignored, since recency takes nothing from a distribution.
+    def _ordered_layers(self, dist: Optional[WeightedDistribution]) -> list[list[int]]:
+        """The layers the recency queues give the keys: front layer j the keys of queue j, the
+        last layer every other key; dist is ignored, since recency takes nothing from a
+        distribution.
 
-        That one walk checks both halves of the order: stamps ascend within each
-        queue, and every stamp of front layer j + 1 lies below every stamp of
-        layer j.  A queue out of order answers every query right, but the next
-        promotions shift its freshest keys down, which can break the working-set
-        bound.
+        First the stamps must ascend from the deepest front layer's stalest key
+        to layer 0's freshest.  That one walk checks both halves of the order:
+        stamps ascend within each queue, and every stamp of front layer j + 1
+        lies below every stamp of layer j.  A queue out of order answers every
+        query right, but the next promotions shift its freshest keys down, which
+        can break the working-set bound.
         """
-        for j, (r, layer) in enumerate(zip(self._recency, self._front)):
-            if r.keys() != set(layer):
-                raise AssertionError(f"layer {j}'s recency queue does not hold exactly its keys")
         before = None  # (layer, key, stamp) of the key walked just before
         for j in range(len(self._recency) - 1, -1, -1):
             for k, stamp in self._recency[j].items():
@@ -370,3 +381,5 @@ class WorkingSetLayered(_LayeredBase):
                                          f"than key {before[1]} in layer {before[0]} "
                                          f"(stamp {before[2]})")
                 before = (j, k, stamp)
+        queued = set().union(*self._recency)
+        return [sorted(r) for r in self._recency] + [[k for k in self._keys if k not in queued]]

@@ -56,9 +56,10 @@ class WorkloadSpec:
     ``ratio`` per rank, zipf weight is (rank+1)**-s, uniform weights
     everything equally and pointmass puts everything on the first key.
     Geometric and zipf weights are clamped to the smallest positive double,
-    so a deep rank keeps its key in the support.  ``support`` holds distinct
-    ints, as a ``KeySet`` does; a repeated key, or a bool or other non-int,
-    raises ParameterError.  ``ratio`` and ``s`` must be real numbers, ints
+    so a deep rank keeps its key in the support.  ``support`` is stored as a
+    tuple of distinct ints, as a ``KeySet`` stores its keys, whatever iterable
+    it was given; a repeated key, or a bool or other non-int (a NumPy integer
+    among them), raises ParameterError.  ``ratio`` and ``s`` must be real numbers, ints
     included; a string or a bool raises ParameterError.
     """
 
@@ -71,6 +72,8 @@ class WorkloadSpec:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown workload kind {self.kind!r}")
         check_iterable("workload support", self.support)
+        # read once, so a generator is not spent by the checks; the dataclass is frozen
+        object.__setattr__(self, "support", tuple(self.support))
         if not self.support:
             raise ParameterError("workload support must be nonempty")
         # C-level passes: perfbench weights supports of 2^16 keys; only an error names a key

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -54,11 +55,13 @@ def test_a_run_against_head_checks_every_answer(capsys):
 
 
 def test_committed_trajectory_files_parse_with_every_answer_right():
-    """Each BENCH_*.json is an ab.py report of a committed tree whose query rounds gave no
-    wrong answer."""
+    """Each BENCH_*.json is named BENCH_pr<N>.json, BENCH_pr<N>_vs_pr<M>.json or
+    BENCH_pr<N>_aa.json (the README's names) and is an ab.py report of a committed tree whose
+    query rounds gave no wrong answer."""
     files = sorted(ab.ROOT.glob("BENCH_*.json"))
     assert files
     for path in files:
+        assert re.fullmatch(r"BENCH_pr\d+(_vs_pr\d+|_aa)?\.json", path.name), path.name
         report = json.loads(path.read_text(encoding="utf-8"))
         assert {"base", "change", "dirty", "python", "numpy"} <= report.keys(), path.name
         assert report["dirty"] is False, path.name

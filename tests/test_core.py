@@ -19,7 +19,6 @@ from predsearch import (
     generate_distribution,
     oracle_predecessor,
     output_distribution,
-    padded_log2,
     sample_keys,
 )
 from predsearch.core import meets_threshold
@@ -318,13 +317,7 @@ def test_any_iterable_and_any_items_object_still_accepted():
 
     assert KeySet(k for k in (2, 7)).keys == KeySet(range(2, 8, 5)).keys == (2, 7)
     assert WeightedDistribution(Weights()).support == (3, 9)
-    assert WorkloadSpec("zipf", support=[4, 1]).support == [4, 1]
-
-
-def test_padded_log2():
-    assert padded_log2(0.0) == 1.0
-    assert padded_log2(2.0) == 2.0
-    assert padded_log2(14.0) == 4.0
+    assert WorkloadSpec("zipf", support=[4, 1]).support == (4, 1)
 
 
 def test_meets_threshold_tie_rule():

@@ -15,12 +15,8 @@ from predsearch import (
     ThresholdMode,
     UniverseSpec,
     WeightedDistribution,
-    WorkloadSpec,
     expected_probe_bound,
-    generate_distribution,
     oracle_predecessor,
-    padded_log2,
-    sample_keys,
 )
 from predsearch.core import meets_threshold
 
@@ -229,38 +225,9 @@ class TestExpectedProbeBound:
         assert report.miss_mass == pytest.approx(float(tail / total), abs=1e-12)
         assert report.hit_mass + report.miss_mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_element_bounds_use_padded_log(self):
-        universe = UniverseSpec(16)
-        dist = WeightedDistribution({1: 3.0, 2: 1.0})
-        report = expected_probe_bound(dist, universe, ThresholdMode.mode_b(0.5))
-        assert report.element_bounds[1] == pytest.approx(padded_log2(padded_log2(4 / 3)))
-        assert report.element_bounds[2] == pytest.approx(padded_log2(padded_log2(4.0)))
-
     def test_support_outside_the_universe_rejected_as_by_the_build(self):
         universe = UniverseSpec(8)
         dist = WeightedDistribution({3: 1.0, 1000: 5.0})
         for make in (partial(HashFront, KeySet([3])), expected_probe_bound):
             with pytest.raises(KeyRangeError, match=r"^key 1000 outside 8-bit universe$"):
                 make(dist, universe, ThresholdMode.mode_a(0.5))
-
-    def test_element_bounds_finite_for_subnormal_weights(self):
-        """The README's geometric example reaches weights near 1e-308, where total / w overflows."""
-        universe = UniverseSpec(16)
-        keys = sample_keys(universe, 1024, seed=7)
-        dist = generate_distribution(WorkloadSpec(kind="geometric", support=keys.keys, ratio=0.5))
-        report = expected_probe_bound(dist, universe, ThresholdMode.mode_a(0.5))
-        assert len(report.element_bounds) == 1024
-        assert all(map(math.isfinite, report.element_bounds.values()))
-        key, w = min(dist.items(), key=lambda kw: kw[1])
-        assert report.element_bounds[key] == pytest.approx(
-            padded_log2(math.log2(dist.total) - math.log2(w)))
-
-    def test_element_bounds_finite_for_weights_near_the_float_maximum(self):
-        """total + 2w overflows here although total / w does not."""
-        dist = WeightedDistribution({1: 1e308, 2: 7e307})
-        report = expected_probe_bound(dist, UniverseSpec(8), ThresholdMode.mode_a(0.5))
-        for key, w in dist.items():
-            assert report.element_bounds[key] == pytest.approx(
-                padded_log2(padded_log2(dist.total / w)), rel=1e-12)
-        assert report.element_bounds[1] == pytest.approx(1.9589, abs=1e-4)
-        assert report.element_bounds[2] == pytest.approx(2.0520, abs=1e-4)

@@ -207,6 +207,13 @@ def _probe_a_neighbour_level_first(trie):
     trie._tree = (level - 1 if level > 1 else level + 1, hit, miss)
 
 
+def _probe_a_neighbour_level_below_the_root(trie):
+    """The root's hit subtree probes the level next to the weights' choice first, so the audit
+    must descend below the root to find the first range whose node differs."""
+    level, (hit_level, *hit_children), miss = trie._tree
+    trie._tree = (level, (hit_level + 1, *hit_children), miss)
+
+
 def _overfill_first_bucket(trie):
     bucket = trie._buckets[separators(trie)[0]]
     bucket.extend([bucket[-1]] * trie._max_size)
@@ -406,7 +413,9 @@ BREAK_INVARIANTS = {
               (_root_probes_level_0,
                r"probe tree: levels 0\.\.8 probe level 0 first, the level weights give 6"),
               (_probe_a_neighbour_level_first,
-               r"probe tree: levels 0\.\.8 probe level 5 first, the level weights give 6")],
+               r"probe tree: levels 0\.\.8 probe level 5 first, the level weights give 6"),
+              (_probe_a_neighbour_level_below_the_root,
+               r"probe tree: levels 6\.\.8 probe level 8 first, the level weights give 7")],
     "yfast": [(_overfill_first_bucket, "bucket sizes .* outside"),
               (lambda y: _drop_the_root_entry(y._rep_trie),
                r"level 0: prefix 0 maps to None, the leaf walk gives \(0, 247\)"),
@@ -424,17 +433,20 @@ BREAK_INVARIANTS = {
                                           "floor 32")],
     "hashfront-a": FRONT_TABLE_FAULTS,
     "hashfront-b": FRONT_TABLE_FAULTS,
-    "layered": [(_drop_key_from_last_layer, "layers do not partition the key set"),
-                (_swap_a_last_layer_key_for_an_absent_one, "layers do not partition the key set"),
-                (_front_key_also_in_the_last_layer, "layers do not partition the key set"),
+    "layered": [(_drop_key_from_last_layer,
+                 r"layer sizes \[4, 16, 79\] != capacities \[4, 16, 80\]"),
+                (_swap_a_last_layer_key_for_an_absent_one,
+                 r"layer 2 holds key 0, which the p\* rank puts in no layer"),
+                (_front_key_also_in_the_last_layer,
+                 r"layer sizes \[4, 16, 81\] != capacities \[4, 16, 80\]"),
                 (lambda c: _flat_keys_out_of_order(c.layers[1]), "flat keys do not ascend"),
                 (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+"),
                 (_pointer_for_a_last_layer_key,
                  r"21 successor pointers, not one per front-layer key \(20\)"),
                 (_swap_a_front_key_with_a_last_layer_key,
-                 "key 12 in layer 1 outranks key 45 in layer 0"),
+                 r"layer 0 lacks key 3, which the p\* rank puts there"),
                 (_move_a_layer_1_key_to_the_last_layer,
-                 "key 12 in layer 2 outranks key 44 in layer 1"),
+                 r"layer sizes \[4, 15, 81\] != capacities \[4, 16, 80\]"),
                 (_move_the_lowest_ranked_layer_1_key_to_the_last_layer,
                  r"layer sizes \[4, 15, 81\] != capacities \[4, 16, 80\]"),
                 (_halve_every_p_star,
@@ -442,15 +454,17 @@ BREAK_INVARIANTS = {
                 (_mass_below_the_smallest_key,
                  r"mass below key 3 is 9\.313225746154785e-10, the distribution gives 0\.0")],
     "layered-ws": [(lambda ws: ws._recency[0].popitem(last=False),
-                    "layer 0's recency queue does not hold exactly its keys"),
+                    "layer 0 holds key 3, which the recency queues put in layer 2"),
                    (_reverse_the_layer_1_recency_queue,
                     r"key \d+ in layer 1 \(stamp -?\d+\) is not fresher than key \d+ in "
                     r"layer 1 \(stamp -?\d+\)"),
                    (_stamp_a_layer_1_key_fresher_than_layer_0,
                     r"key \d+ in layer 0 \(stamp -4\) is not fresher than key \d+ in layer 1 "
                     r"\(stamp 0\)"),
-                   (_swap_a_last_layer_key_for_an_absent_one, "layers do not partition the key set"),
-                   (_front_key_also_in_the_last_layer, "layers do not partition the key set"),
+                   (_swap_a_last_layer_key_for_an_absent_one,
+                    "layer 2 holds key 0, which the recency queues put in no layer"),
+                   (_front_key_also_in_the_last_layer,
+                    r"layer sizes \[4, 16, 81\] != capacities \[4, 16, 80\]"),
                    (_clear_a_successor, r"successor pointer \d+ -> None, next key is \d+"),
                    (_pointer_for_a_last_layer_key,
                     r"21 successor pointers, not one per front-layer key \(20\)")],

@@ -62,6 +62,26 @@ class TestStaticBuild:
         assert set(layer_keys(structure)[0]) == set(expected_order[:4])
         assert [len(layer) for layer in layer_keys(structure)] == [4, 16]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_layer_is_its_cut_of_the_rank_with_ties_by_key(self, seed):
+        """The build and the audit take the layers from one rank, so the rule is held here to
+        a reference written apart from it: p* descending, ties by ascending key, cut into
+        the layer capacities.  Most gap points get no weight and weights repeat, so most p*
+        tie, many of them at 0.0."""
+        rnd = random.Random(seed)
+        universe = UniverseSpec(12)
+        keys = KeySet(sorted(rnd.sample(range(universe.size), 300)))
+        points = rnd.sample(range(universe.size), 60)
+        dist = WeightedDistribution({q: float(rnd.randrange(1, 4)) for q in points})
+        structure = LayeredStructure(keys, dist, universe)
+        out = output_distribution(keys, dist)
+        ranked = sorted(keys, key=lambda k: (-out.p_star(k), k))
+        caps = layer_capacities(len(keys))
+        starts = [sum(caps[:j]) for j in range(len(caps))]
+        assert layer_keys(structure) == [tuple(sorted(ranked[s:s + c]))
+                                         for s, c in zip(starts, caps)]
+        structure.audit(dist)
+
     def test_partition(self, rnd):
         universe = UniverseSpec(12)
         keys = KeySet(sorted(rnd.sample(range(universe.size), 300)))

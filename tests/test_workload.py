@@ -120,6 +120,21 @@ class TestGenerateDistribution:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             WorkloadSpec(kind="zipf", support=(1, key))
 
+    def test_generator_support_read_once(self):
+        """A generator passes the iterable check and is then stored, not spent by the checks."""
+        spec = WorkloadSpec(kind="zipf", support=(k for k in (40, 10, 30)))
+        assert spec.support == (40, 10, 30)
+        assert list(generate_distribution(spec).items()) == [(10, 0.5), (30, 1 / 3), (40, 1.0)]
+
+    def test_numpy_array_support_rejected_as_by_keyset(self):
+        """An array's elements are NumPy integers, rejected as KeySet rejects them, not by the
+        truth test of the array."""
+        message = f"keys must be ints, got {np.int64(4)!r} of type int64"  # repr as NumPy gives it
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            KeySet(np.array([4, 1], dtype=np.int64))
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            WorkloadSpec(kind="zipf", support=np.array([4, 1], dtype=np.int64))
+
 
 class TestSampleQueries:
     def test_point_mass_samples_constant(self):
