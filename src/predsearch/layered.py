@@ -240,11 +240,12 @@ class _LayeredBase(PredecessorStructure):
         layer holds exactly the keys its order gives, the list ``_ordered_layers(dist)``
         returns at its index.
 
-        The sizes come first, so that each layer meets a list.  The first key
-        that differs is named with the layer that holds or lacks it and the
-        layer the order puts it in.  The paper's bounds, the static p* <=
-        2**-2**j on an answer found in layer j >= 1 and the working-set bound,
-        rest on these memberships, yet a key out of place changes no answer.
+        The sizes come first: they fix the number of layers, so ``zip`` pairs
+        every layer with a list.  The first key that differs is named with the
+        layer that holds or lacks it and the layer the order puts it in.  The
+        paper's bounds, the static p* <= 2**-2**j on an answer found in layer
+        j >= 1 and the working-set bound, rest on these memberships, yet a key
+        out of place changes no answer.
         """
         ordered = self._ordered_layers(dist)
         sizes = [len(layer) for layer in self.layers]
@@ -275,8 +276,8 @@ class LayeredStructure(_LayeredBase):
         self._build_layers(_rank(keys.keys, self.output.masses))
 
     def _ordered_layers(self, dist: Optional[WeightedDistribution]) -> list[list[int]]:
-        """The layers the build's ``_rank`` gives the keys by the stored p*, once, given dist,
-        the stored p* are checked to be dist's.
+        """The layers ``_rank``, which the build calls too, gives the keys by the stored p*;
+        given dist, the stored p* are first checked to be dist's.
 
         The masses are checked as their bits: every p* and the bottom mass must
         be the float ``output_distribution(keys, dist)`` folds, and the first key

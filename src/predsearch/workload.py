@@ -59,8 +59,8 @@ class WorkloadSpec:
     so a deep rank keeps its key in the support.  ``support`` is stored as a
     tuple of distinct ints, as a ``KeySet`` stores its keys, whatever iterable
     it was given; a repeated key, or a bool or other non-int (a NumPy integer
-    among them), raises ParameterError.  ``ratio`` and ``s`` must be real numbers, ints
-    included; a string or a bool raises ParameterError.
+    among them), raises ParameterError.  ``ratio`` and ``s`` must be real
+    numbers, ints included; a string or a bool raises ParameterError.
     """
 
     kind: str
